@@ -17,7 +17,7 @@ fn sample(i: u64) -> BarRecord {
         unix_ms: 1_700_000_000_000 + i,
         git_rev: "abc123def456".to_string(),
         host: "linux-x86_64-benchbox".to_string(),
-        engine: ["naive", "prepared", "sharded"][(i % 3) as usize].to_string(),
+        engine: ["reference", "simd", "sharded"][(i % 3) as usize].to_string(),
         workload: [
             "barnes", "em3d", "gauss", "mp3d", "ocean", "unstruct", "water",
         ][(i % 7) as usize]

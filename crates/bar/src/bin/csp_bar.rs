@@ -6,7 +6,6 @@
 //! csp-bar rank  F.bar                                rank engines per workload (latest run)
 //! csp-bar history CELL [F.bar]                       one cell's trajectory across runs
 //! csp-bar check [--defs F] [--trajectory F] [opts]   run a reduced matrix, gate vs history
-//! csp-bar import BENCH.json [--defs F] [--out F]     migrate a legacy engine-bench point
 //! csp-bar prune --keep-last N [F.bar]                drop all but each cell's newest N records
 //! ```
 //!
@@ -30,9 +29,7 @@ use csp_bar::record::{
     append_records_file, prune_records_file, read_records_file, require_fingerprint,
 };
 use csp_bar::runner::RunMeta;
-use csp_bar::{
-    check, diff, history, rank, run_matrix, BarDefs, BarError, BarRecord, CellKey, SCHEMA_VERSION,
-};
+use csp_bar::{check, diff, history, rank, run_matrix, BarDefs, BarError, BarRecord, CellKey};
 use csp_harness::{CacheOutcome, Suite, TraceCache};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -53,7 +50,6 @@ fn main() -> ExitCode {
         "rank" => cmd_rank(rest),
         "history" => cmd_history(rest),
         "check" => cmd_check(rest),
-        "import" => cmd_import(rest),
         "prune" => cmd_prune(rest),
         "--help" | "-h" | "help" => {
             print_usage();
@@ -382,35 +378,6 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Migrates a legacy `BENCH_engine.json` single point into trajectory
-/// records: one whole-suite cell per arm, stamped with the definitions'
-/// matrix fingerprint so it lives in (and gates nothing outside) that
-/// trajectory.
-fn cmd_import(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let [file] = flags.positional.as_slice() else {
-        return Err(usage("import takes exactly one legacy BENCH_engine.json"));
-    };
-    let text = std::fs::read_to_string(file).map_err(|e| BarError::io(file.as_str(), e))?;
-    let defs = load_defs(&flags)?;
-    let records = import_engine_bench(&text, &defs).map_err(|detail| BarError::Record {
-        detail: format!("{file}: {detail}"),
-    })?;
-    let out = flags
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_TRAJECTORY));
-    append_records_file(&out, &records)?;
-    println!(
-        "imported {} -> {} ({} records, run {})",
-        file,
-        out.display(),
-        records.len(),
-        records[0].run
-    );
-    Ok(())
-}
-
 /// `csp-bar prune --keep-last N [F.bar]` — rewrites the trajectory
 /// keeping only each cell's newest N records. The rewrite is atomic
 /// (tmp + rename), so an interrupted prune leaves the file untouched;
@@ -438,82 +405,6 @@ fn cmd_prune(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Converts the legacy engine-bench report (naive + prepared arms over
-/// the whole family sweep) into two `suite`-workload records.
-fn import_engine_bench(text: &str, defs: &BarDefs) -> Result<Vec<BarRecord>, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        json_number(text, key).ok_or_else(|| format!("missing numeric field {key:?}"))
-    };
-    let events = num("events_per_pass")? as u64;
-    let scale = num("scale")?;
-    let seed = num("seed")? as u64;
-    let max_depth = num("max_depth")? as u64;
-    // The legacy report nests each arm as {"seconds": ..,
-    // "events_per_sec": ..}; slice the object out and read inside it.
-    let arm = |name: &str| -> Result<(f64, f64), String> {
-        let at = text
-            .find(&format!("\"{name}\""))
-            .ok_or_else(|| format!("missing arm {name:?}"))?;
-        let body = &text[at..];
-        let end = body.find('}').map(|i| i + 1).unwrap_or(body.len());
-        let body = &body[..end];
-        let seconds =
-            json_number(body, "seconds").ok_or_else(|| format!("arm {name:?} has no seconds"))?;
-        let eps = json_number(body, "events_per_sec")
-            .ok_or_else(|| format!("arm {name:?} has no events_per_sec"))?;
-        Ok((seconds, eps))
-    };
-    let scheme = format!("family-sweep[depth{max_depth}]");
-    let run = format!("legacy-bench-engine-scale{scale}");
-    let fingerprint = defs.fingerprint();
-    ["naive", "prepared"]
-        .iter()
-        .map(|engine| {
-            let (seconds, events_per_sec) = arm(engine)?;
-            let ns = (seconds * 1e9) as u64;
-            Ok(BarRecord {
-                schema: SCHEMA_VERSION,
-                fingerprint,
-                run: run.clone(),
-                unix_ms: 0,
-                git_rev: "legacy".to_string(),
-                host: "legacy".to_string(),
-                engine: (*engine).to_string(),
-                workload: "suite".to_string(),
-                scheme: scheme.clone(),
-                scale,
-                seed,
-                warmup: 0,
-                iters: 3,
-                shards: 0,
-                events,
-                seconds,
-                events_per_sec,
-                // The legacy point kept only the fastest pass; both
-                // quantiles collapse onto it and no sample
-                // distribution survives to import.
-                samples: Vec::new(),
-                p50_ns: ns,
-                p99_ns: ns,
-            })
-        })
-        .collect()
-}
-
-/// Finds `"key": <number>` in a flat JSON document — enough for the
-/// legacy reports `csp-repro --bench-engine` writes.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn usage_error(err: &str) -> ExitCode {
     eprintln!("error: {err}\n");
     print_usage();
@@ -529,7 +420,6 @@ fn print_usage() {
     eprintln!("  csp-bar rank  F.bar");
     eprintln!("  csp-bar history ENGINE/WORKLOAD/SCHEME [F.bar]");
     eprintln!("  csp-bar check [--defs F] [--trajectory F] [run options]");
-    eprintln!("  csp-bar import BENCH_engine.json [--defs F] [--out F]");
     eprintln!("  csp-bar prune --keep-last N [F.bar]");
     eprintln!();
     eprintln!("run options:");
@@ -542,57 +432,4 @@ fn print_usage() {
     eprintln!("  --no-cache       generate the suite in memory");
     eprintln!();
     eprintln!("defaults: --defs {DEFAULT_DEFS}, trajectory {DEFAULT_TRAJECTORY}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn legacy_engine_bench_imports_both_arms() {
-        let legacy = r#"{
-  "bench": "engine", "scale": 0.1, "seed": 1, "max_depth": 4,
-  "indexes": 16, "updates": 3, "benchmarks": 7,
-  "events_per_pass": 2696400,
-  "naive": { "seconds": 0.161240, "events_per_sec": 16722889.9 },
-  "prepared": { "seconds": 0.061049, "events_per_sec": 44168092.6 },
-  "speedup": 2.6412
-}"#;
-        let defs = BarDefs::builtin();
-        let records = import_engine_bench(legacy, &defs).expect("imports");
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].engine, "naive");
-        assert_eq!(records[1].engine, "prepared");
-        assert_eq!(records[0].workload, "suite");
-        assert_eq!(records[0].scheme, "family-sweep[depth4]");
-        assert_eq!(records[0].events, 2_696_400);
-        let ratio = records[1].events_per_sec / records[0].events_per_sec;
-        assert!((ratio - 2.6412).abs() < 1e-3, "{ratio}");
-        assert_eq!(records[0].fingerprint, defs.fingerprint());
-        // The imported pair forms one run group that reproduces the
-        // committed speedup through the generic ratio machinery.
-        let groups = csp_bar::report::runs(&records);
-        let r = groups[0].engine_ratio("prepared", "naive").expect("pair");
-        assert!((r - 2.6412).abs() < 1e-3, "{r}");
-    }
-
-    #[test]
-    fn import_rejects_malformed_reports() {
-        let defs = BarDefs::builtin();
-        let err = import_engine_bench("{}", &defs).unwrap_err();
-        assert!(err.contains("events_per_pass"), "{err}");
-        let err = import_engine_bench(
-            r#"{"events_per_pass": 5, "scale": 1, "seed": 1, "max_depth": 2}"#,
-            &defs,
-        )
-        .unwrap_err();
-        assert!(err.contains("arm"), "{err}");
-    }
-
-    #[test]
-    fn json_number_handles_layouts() {
-        assert_eq!(json_number("{\"x\":1.5}", "x"), Some(1.5));
-        assert_eq!(json_number("{ \"x\" : 2 }", "x"), Some(2.0));
-        assert_eq!(json_number("{\"y\": 1}", "x"), None);
-    }
 }

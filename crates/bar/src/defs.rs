@@ -12,15 +12,20 @@
 //! warmup 1
 //! iters 3
 //! shards 4
-//! engine naive
-//! engine prepared
+//! engine reference
+//! engine simd
+//! engine sharded
 //! workload all
 //! scheme union(pid+pc8)2[forwarded]
-//! gate ratio prepared/naive min 2.0
+//! gate ratio simd/reference min 10.0
 //! gate regression default 0.5
 //! gate regression engine sharded 0.85
-//! gate regression cell prepared water union(pid+pc8)2[forwarded] 0.30
+//! gate regression cell simd water union(pid+pc8)2[forwarded] 0.30
 //! ```
+//!
+//! Every engine a gate names must have its own `engine` line: a gate on
+//! an undeclared engine could never match a cell and would pass silently,
+//! so parsing rejects it with [`BarError::UndeclaredEngine`].
 //!
 //! The definitions carry a 64-bit *matrix fingerprint* over the format
 //! version and the engine/workload/scheme sets. Every measurement
@@ -37,12 +42,11 @@ use csp_workloads::Benchmark;
 use std::fmt;
 
 /// One cell of the matrix, as the strings a record stores. Workload and
-/// scheme are strings rather than enums so synthetic cells (e.g. the
-/// migrated whole-suite `BENCH_engine.json` point) key the same way as
-/// per-benchmark ones.
+/// scheme are strings rather than enums so records stay readable when
+/// the matrix that produced them is reshaped.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey {
-    /// Engine name (`naive`, `prepared`, `sharded`, ...).
+    /// Engine name (`reference`, `simd`, `sharded`).
     pub engine: String,
     /// Workload name (a benchmark, or `suite` for whole-suite cells).
     pub workload: String,
@@ -116,8 +120,7 @@ pub struct BarDefs {
 
 impl BarDefs {
     /// The built-in matrix: every workload, the verification-grid scheme
-    /// spread (one per update mode), all three engines, and the gates
-    /// that generalize the historical `--bench-check` 2x/20% rule.
+    /// spread (one per update mode), all three engines, and their gates.
     ///
     /// # Panics
     ///
@@ -133,7 +136,9 @@ impl BarDefs {
     ///
     /// # Errors
     ///
-    /// Returns [`BarError::Defs`] naming the offending line.
+    /// Returns [`BarError::Defs`] naming the offending line, or
+    /// [`BarError::UndeclaredEngine`] for a gate on an engine no `engine`
+    /// line declares.
     pub fn parse(text: &str) -> Result<Self, BarError> {
         let mut defs = BarDefs {
             format: 1,
@@ -150,6 +155,9 @@ impl BarDefs {
             engine_regression: Vec::new(),
             cell_regression: Vec::new(),
         };
+        // (line, engine) for every engine a gate names, validated once
+        // every `engine` line has been read.
+        let mut gated: Vec<(usize, String)> = Vec::new();
         for (n, raw) in text.lines().enumerate() {
             let line = n + 1;
             let content = raw.split('#').next().unwrap_or("").trim();
@@ -208,7 +216,7 @@ impl BarDefs {
                     },
                     _ => return err(line, "scheme takes exactly one notation"),
                 },
-                "gate" => parse_gate(&mut defs, &rest, line)?,
+                "gate" => parse_gate(&mut defs, &rest, line, &mut gated)?,
                 other => return err(line, &format!("unknown directive {other:?}")),
             }
         }
@@ -220,6 +228,9 @@ impl BarDefs {
                 0,
                 "definitions need at least one engine, workload, and scheme",
             );
+        }
+        if let Some((line, engine)) = gated.into_iter().find(|(_, e)| !defs.engines.contains(e)) {
+            return Err(BarError::UndeclaredEngine { line, engine });
         }
         Ok(defs)
     }
@@ -265,7 +276,12 @@ impl BarDefs {
     }
 }
 
-fn parse_gate(defs: &mut BarDefs, rest: &[&str], line: usize) -> Result<(), BarError> {
+fn parse_gate(
+    defs: &mut BarDefs,
+    rest: &[&str],
+    line: usize,
+    gated: &mut Vec<(usize, String)>,
+) -> Result<(), BarError> {
     match rest {
         ["ratio", pair, "min", value] => {
             let (num, den) = pair
@@ -274,6 +290,8 @@ fn parse_gate(defs: &mut BarDefs, rest: &[&str], line: usize) -> Result<(), BarE
             let min: f64 = value
                 .parse()
                 .map_err(|_| defs_err(line, "ratio gate min must be a number"))?;
+            gated.push((line, num.to_string()));
+            gated.push((line, den.to_string()));
             defs.ratio_gates.push(RatioGate {
                 numerator: num.to_string(),
                 denominator: den.to_string(),
@@ -286,11 +304,13 @@ fn parse_gate(defs: &mut BarDefs, rest: &[&str], line: usize) -> Result<(), BarE
             Ok(())
         }
         ["regression", "engine", name, value] => {
+            gated.push((line, (*name).to_string()));
             defs.engine_regression
                 .push(((*name).to_string(), parse_fraction(value, line)?));
             Ok(())
         }
         ["regression", "cell", engine, workload, scheme, value] => {
+            gated.push((line, (*engine).to_string()));
             let key = CellKey {
                 engine: (*engine).to_string(),
                 workload: (*workload).to_string(),
@@ -349,9 +369,9 @@ warmup 1
 iters 3
 shards 4
 
-# Engines, baseline (ratio denominator) first.
-engine naive
-engine prepared
+# Engines, baseline (ratio denominator) first: the reference evaluator,
+# the production slot-major SIMD kernel, the sharded serving engine.
+engine reference
 engine simd
 engine sharded
 
@@ -362,14 +382,12 @@ scheme last(pid+pc8)1[direct]
 scheme union(pid+pc8)2[forwarded]
 scheme union(dir+add8)2[ordered]
 
-# The historical --bench-check rule, generalized: prepared must stay
-# >= 2x naive (geometric mean over the matrix), and the simd engine
-# must stay >= 2x prepared on top of that; no cell may lose more than
-# its declared fraction of committed relative throughput. Per-cell
-# timings at this scale are sub-millisecond, so the per-cell tolerance
-# is wide; the ratio gates catch systematic collapse.
-gate ratio prepared/naive min 2.0
-gate ratio simd/prepared min 2.0
+# The kernel must stay well ahead of the reference (geometric mean over
+# the matrix); no cell may lose more than its declared fraction of
+# committed relative throughput. Per-cell timings at this scale are
+# sub-millisecond, so the per-cell tolerance is wide; the ratio gate
+# catches systematic collapse.
+gate ratio simd/reference min 10.0
 gate regression default 0.5
 # The sharded engine measures routing and channel cost over a
 # persistent worker pool; its relative throughput is still noisy
@@ -385,14 +403,13 @@ mod tests {
     fn builtin_parses_and_covers_the_acceptance_matrix() {
         let d = BarDefs::builtin();
         assert_eq!(d.format, 1);
-        assert_eq!(d.engines, vec!["naive", "prepared", "simd", "sharded"]);
+        assert_eq!(d.engines, vec!["reference", "simd", "sharded"]);
         assert_eq!(d.workloads.len(), 7);
         assert_eq!(d.schemes.len(), 3);
-        assert_eq!(d.baseline_engine(), "naive");
-        assert_eq!(d.ratio_gates.len(), 2);
-        assert!((d.ratio_gates[0].min - 2.0).abs() < 1e-12);
-        assert_eq!(d.ratio_gates[0].to_string(), "ratio prepared/naive >= 2.00");
-        assert_eq!(d.ratio_gates[1].to_string(), "ratio simd/prepared >= 2.00");
+        assert_eq!(d.baseline_engine(), "reference");
+        assert_eq!(d.ratio_gates.len(), 1);
+        assert_eq!(d.ratio_gates[0].numerator, "simd");
+        assert_eq!(d.ratio_gates[0].denominator, "reference");
     }
 
     #[test]
@@ -422,7 +439,7 @@ mod tests {
         d.cell_regression.push((cell.clone(), 0.10));
         assert!((d.regression_threshold(&cell) - 0.10).abs() < 1e-12);
         let other = CellKey {
-            engine: "prepared".to_string(),
+            engine: "simd".to_string(),
             workload: "water".to_string(),
             scheme: "last(pid+pc8)1[direct]".to_string(),
         };
@@ -437,15 +454,12 @@ mod tests {
             ("format 1\nscheme banana\n", "bad scheme"),
             ("format 1\nscale -2\n", "positive"),
             (
-                "format 2\nengine naive\nworkload all\nscheme last(pid+pc8)1\n",
+                "format 2\nengine reference\nworkload all\nscheme last(pid+pc8)1\n",
                 "unsupported format",
             ),
             ("format 1\nfrobnicate\n", "unknown directive"),
             ("format 1\ngate regression default 1.5\n", "[0, 1)"),
-            (
-                "format 1\ngate ratio prepared min 2\n",
-                "numerator/denominator",
-            ),
+            ("format 1\ngate ratio simd min 2\n", "numerator/denominator"),
             ("", "at least one engine"),
         ] {
             let e = BarDefs::parse(text).expect_err(text);
@@ -456,10 +470,41 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_are_ignored() {
         let d = BarDefs::parse(
-            "# header\nformat 1\n\nengine naive # trailing\nworkload water\nscheme last(pid+pc8)1\n",
+            "# header\nformat 1\n\nengine reference # trailing\nworkload water\nscheme last(pid+pc8)1\n",
         )
         .expect("parses");
-        assert_eq!(d.engines, vec!["naive"]);
+        assert_eq!(d.engines, vec!["reference"]);
         assert_eq!(d.workloads, vec![Benchmark::Water]);
+    }
+
+    #[test]
+    fn gates_on_undeclared_engines_are_rejected() {
+        let head =
+            "format 1\nengine reference\nengine simd\nworkload water\nscheme last(pid+pc8)1\n";
+        for (gate, engine) in [
+            ("gate ratio simd/naive min 2", "naive"),
+            ("gate ratio prepared/reference min 2", "prepared"),
+            ("gate regression engine sharded 0.5", "sharded"),
+            (
+                "gate regression cell naive water last(pid+pc8)1 0.3",
+                "naive",
+            ),
+        ] {
+            let text = format!("{head}{gate}\n");
+            match BarDefs::parse(&text) {
+                Err(BarError::UndeclaredEngine { line, engine: got }) => {
+                    assert_eq!(line, 6, "{gate}");
+                    assert_eq!(got, engine, "{gate}");
+                }
+                other => panic!("{gate}: expected UndeclaredEngine, got {other:?}"),
+            }
+        }
+        // A gate may precede the engine lines it names.
+        let early = "format 1\ngate ratio simd/reference min 2\nengine reference\nengine simd\n\
+                     workload water\nscheme last(pid+pc8)1\n";
+        assert_eq!(
+            BarDefs::parse(early).expect("declared").ratio_gates.len(),
+            1
+        );
     }
 }

@@ -1,11 +1,10 @@
 //! `csp-bar` — the benchmark barometer.
 //!
-//! The workspace has grown several execution engines for the paper's
-//! pattern-based predictors (frozen-naive, prepared single-pass,
-//! sharded serving), but for a long time only a single committed perf
-//! point (`BENCH_engine.json`) and one hardcoded CI ratio check stood
-//! between a speedup on one path and a silent slowdown on another.
-//! This crate is the rebar-style answer:
+//! The workspace scores the paper's pattern-based predictors with
+//! engines that differ in kind — the plain reference evaluator, the
+//! production slot-major SIMD kernel, and the sharded serving engine.
+//! This crate turns "is it still fast?" into committed, gated numbers,
+//! rebar-style:
 //!
 //! * [`defs`] — declarative benchmark definitions enumerating the
 //!   (workload x scheme x engine) matrix, run parameters, and the
@@ -20,19 +19,19 @@
 //! * [`runner`] — the matrix runner: warmup and iteration control,
 //!   per-iteration latency through `csp-obs` histograms (p50/p99), and
 //!   a bit-identity cross-check of every engine's screening statistics
-//!   (via `csp_harness::engines`) before any timing is trusted;
+//!   against the reference (via `csp_harness::engines`) before any
+//!   timing is trusted;
 //! * [`report`] — `diff` (cell-by-cell comparison of two records or
 //!   revisions), `rank` (engines ordered per workload), `history` (one
 //!   cell's throughput across every committed run: sparkline plus
-//!   p50/p99 table), and `check` (the generalized regression gate:
-//!   per-cell thresholds from the definitions file over
-//!   machine-relative ratios, plus declared minimum-ratio gates such
-//!   as the prepared-vs-naive and simd-vs-prepared >= 2x floors).
+//!   p50/p99 table), and `check` (the regression gate: per-cell
+//!   thresholds from the definitions file over machine-relative ratios,
+//!   plus declared minimum-ratio gates such as the simd-vs-reference
+//!   floor).
 //!
 //! The `csp-bar` binary exposes `run`, `diff`, `rank`, `history`,
-//! `check`, `import` (migration of legacy `BENCH_engine.json` single
-//! points into the trajectory), and `prune` (atomic rewrite keeping
-//! only the newest N records per cell, bounding committed file growth).
+//! `check`, and `prune` (atomic rewrite keeping only the newest N
+//! records per cell, bounding committed file growth).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +69,14 @@ pub enum BarError {
         /// What was wrong.
         detail: String,
     },
+    /// A gate names an engine no `engine` line declares. It could never
+    /// match a measured cell, so it would pass without gating anything.
+    UndeclaredEngine {
+        /// 1-based line number of the gate.
+        line: usize,
+        /// The undeclared engine name.
+        engine: String,
+    },
     /// A measurement record that does not decode or validate.
     Record {
         /// What was wrong.
@@ -97,6 +104,11 @@ impl fmt::Display for BarError {
             BarError::Defs { line, detail } => {
                 write!(f, "definitions file line {line}: {detail}")
             }
+            BarError::UndeclaredEngine { line, engine } => write!(
+                f,
+                "definitions file line {line}: gate names engine {engine:?}, \
+                 which no `engine` line declares"
+            ),
             BarError::Record { detail } => write!(f, "measurement record: {detail}"),
             BarError::Divergence { detail } => {
                 write!(f, "cross-engine divergence (timing aborted): {detail}")

@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_including_escapes() {
-        let mut r = sample("prepared", "water", "run-1");
+        let mut r = sample("simd", "water", "run-1");
         r.host = "we\"ird\\host\nname\ttab\u{1}".to_string();
         let parsed = BarRecord::from_json(&r.to_json()).expect("round-trip");
         assert_eq!(parsed, r);
@@ -616,7 +616,7 @@ mod tests {
     #[test]
     fn schema_one_records_read_back_without_samples() {
         // A record as a version-1 writer framed it: no "samples" key.
-        let r = sample("prepared", "water", "run-1");
+        let r = sample("simd", "water", "run-1");
         let legacy = r
             .to_json()
             .replace("\"schema\":2", "\"schema\":1")
@@ -631,7 +631,7 @@ mod tests {
 
     #[test]
     fn spread_and_stddev_measure_the_sample_distribution() {
-        let mut r = sample("prepared", "water", "run-1");
+        let mut r = sample("simd", "water", "run-1");
         r.samples = vec![0.004, 0.005, 0.0045];
         let spread = r.spread().expect("three samples");
         assert!((spread - 0.25).abs() < 1e-9, "{spread}"); // (5-4)/4
@@ -646,7 +646,7 @@ mod tests {
     #[test]
     fn stream_round_trips_many_records() {
         let records: Vec<BarRecord> = (0..10)
-            .map(|i| sample("naive", "gauss", &format!("run-{i}")))
+            .map(|i| sample("reference", "gauss", &format!("run-{i}")))
             .collect();
         let mut buf = Vec::new();
         write_records(&mut buf, &records).expect("in-memory write");
@@ -659,8 +659,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("csp-bar-append-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("t.bar");
-        append_records_file(&path, &[sample("naive", "water", "a")]).expect("create");
-        append_records_file(&path, &[sample("prepared", "water", "b")]).expect("append");
+        append_records_file(&path, &[sample("reference", "water", "a")]).expect("create");
+        append_records_file(&path, &[sample("simd", "water", "b")]).expect("append");
         let back = read_records_file(&path).expect("read");
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].run, "a");
@@ -675,7 +675,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("notbar.json");
         std::fs::write(&path, b"{\"not\": \"a trajectory\"}").expect("write");
-        let err = append_records_file(&path, &[sample("naive", "water", "a")]).unwrap_err();
+        let err = append_records_file(&path, &[sample("reference", "water", "a")]).unwrap_err();
         assert!(
             err.to_string().contains("not a csp-bar trajectory"),
             "{err}"
@@ -685,8 +685,8 @@ mod tests {
 
     #[test]
     fn future_schema_records_are_skipped_not_fatal() {
-        let old = sample("naive", "water", "a");
-        let mut future = sample("prepared", "water", "b");
+        let old = sample("reference", "water", "a");
+        let mut future = sample("simd", "water", "b");
         future.schema = SCHEMA_VERSION + 1;
         let mut buf = Vec::new();
         write_records(&mut buf, &[old.clone(), future, old.clone()]).expect("write");
@@ -697,8 +697,8 @@ mod tests {
 
     #[test]
     fn fingerprint_gatekeeping_rejects_mismatches() {
-        let a = sample("naive", "water", "a");
-        let mut b = sample("prepared", "water", "a");
+        let a = sample("reference", "water", "a");
+        let mut b = sample("simd", "water", "a");
         b.fingerprint ^= 1;
         require_fingerprint(std::slice::from_ref(&a), a.fingerprint).expect("match passes");
         let err = require_fingerprint(&[a.clone(), b], a.fingerprint).unwrap_err();
@@ -717,17 +717,17 @@ mod tests {
 
     #[test]
     fn prune_keeps_the_last_n_per_cell_in_file_order() {
-        // Two cells interleaved: naive/water runs a..d, prepared/water
+        // Two cells interleaved: reference/water runs a..d, simd/water
         // runs x..z. Keeping 2 must keep each cell's last two, still in
         // original file order.
         let records = vec![
-            sample("naive", "water", "a"),
-            sample("prepared", "water", "x"),
-            sample("naive", "water", "b"),
-            sample("naive", "water", "c"),
-            sample("prepared", "water", "y"),
-            sample("naive", "water", "d"),
-            sample("prepared", "water", "z"),
+            sample("reference", "water", "a"),
+            sample("simd", "water", "x"),
+            sample("reference", "water", "b"),
+            sample("reference", "water", "c"),
+            sample("simd", "water", "y"),
+            sample("reference", "water", "d"),
+            sample("simd", "water", "z"),
         ];
         let kept = prune_records(&records, 2);
         let runs: Vec<&str> = kept.iter().map(|r| r.run.as_str()).collect();
@@ -744,7 +744,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("t.bar");
         let records: Vec<BarRecord> = (0..5)
-            .map(|i| sample("naive", "gauss", &format!("run-{i}")))
+            .map(|i| sample("reference", "gauss", &format!("run-{i}")))
             .collect();
         append_records_file(&path, &records).expect("create");
         let (kept, dropped) = prune_records_file(&path, 2).expect("prune");
@@ -763,7 +763,7 @@ mod tests {
             before
         );
         // The pruned file still appends cleanly (header intact).
-        append_records_file(&path, &[sample("naive", "gauss", "run-5")]).expect("append");
+        append_records_file(&path, &[sample("reference", "gauss", "run-5")]).expect("append");
         assert_eq!(read_records_file(&path).expect("read").len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,9 +7,7 @@
 //! run** against the committed relative throughput in the trajectory.
 //! A slower CI runner shifts every cell together and trips nothing; a
 //! real regression of one path moves that cell's ratio and fails its
-//! declared threshold. This generalizes the historical
-//! `csp-repro --bench-check` 2x/20% rule from one number to the whole
-//! matrix.
+//! declared threshold.
 
 use crate::record::BarRecord;
 use crate::{BarDefs, CellKey};
@@ -355,7 +353,7 @@ pub fn check(defs: &BarDefs, trajectory: &[BarRecord], current: &[BarRecord]) ->
     let current_runs = runs(current);
     let baseline = defs.baseline_engine();
 
-    // Declared minimum-ratio gates (e.g. prepared/naive >= 2x), on the
+    // Declared minimum-ratio gates (e.g. simd/reference >= 10x), on the
     // committed trajectory's newest run and on the current run.
     for gate in &defs.ratio_gates {
         for (label, group) in [
@@ -620,18 +618,21 @@ mod tests {
         }
     }
 
+    /// The built-in matrix with test-fixed thresholds: one 2x ratio
+    /// floor and a 20% per-cell tolerance.
     fn gated_defs() -> BarDefs {
         let mut d = BarDefs::builtin();
         d.default_regression = 0.2;
+        d.ratio_gates[0].min = 2.0;
         d
     }
 
     #[test]
     fn runs_group_in_file_order() {
         let records = vec![
-            rec("a", "naive", "water", "s", 1.0),
-            rec("a", "prepared", "water", "s", 2.0),
-            rec("b", "naive", "water", "s", 1.0),
+            rec("a", "reference", "water", "s", 1.0),
+            rec("a", "simd", "water", "s", 2.0),
+            rec("b", "reference", "water", "s", 1.0),
         ];
         let groups = runs(&records);
         assert_eq!(groups.len(), 2);
@@ -643,26 +644,26 @@ mod tests {
     #[test]
     fn engine_ratio_is_geomean_over_cells() {
         let records = vec![
-            rec("a", "naive", "water", "s", 10.0),
-            rec("a", "prepared", "water", "s", 40.0), // 4x
-            rec("a", "naive", "gauss", "s", 10.0),
-            rec("a", "prepared", "gauss", "s", 10.0), // 1x
+            rec("a", "reference", "water", "s", 10.0),
+            rec("a", "simd", "water", "s", 40.0), // 4x
+            rec("a", "reference", "gauss", "s", 10.0),
+            rec("a", "simd", "gauss", "s", 10.0), // 1x
         ];
         let groups = runs(&records);
-        let ratio = groups[0].engine_ratio("prepared", "naive").expect("cells");
+        let ratio = groups[0].engine_ratio("simd", "reference").expect("cells");
         assert!((ratio - 2.0).abs() < 1e-9, "{ratio}"); // sqrt(4 * 1)
-        assert!(groups[0].engine_ratio("prepared", "sharded").is_none());
+        assert!(groups[0].engine_ratio("simd", "sharded").is_none());
     }
 
     #[test]
     fn diff_pairs_cells_and_flags_singletons() {
         let a = vec![
-            rec("a", "naive", "water", "s", 10.0),
-            rec("a", "naive", "gauss", "s", 10.0),
+            rec("a", "reference", "water", "s", 10.0),
+            rec("a", "reference", "gauss", "s", 10.0),
         ];
         let b = vec![
-            rec("b", "naive", "water", "s", 20.0),
-            rec("b", "prepared", "water", "s", 5.0),
+            rec("b", "reference", "water", "s", 20.0),
+            rec("b", "simd", "water", "s", 5.0),
         ];
         let d = diff(&a, &b);
         assert_eq!(d.rows.len(), 1);
@@ -675,8 +676,8 @@ mod tests {
     #[test]
     fn rank_orders_engines_fastest_first() {
         let records = vec![
-            rec("a", "naive", "water", "s1", 10.0),
-            rec("a", "prepared", "water", "s1", 40.0),
+            rec("a", "reference", "water", "s1", 10.0),
+            rec("a", "simd", "water", "s1", 40.0),
             rec("a", "sharded", "water", "s1", 1.0),
         ];
         let r = rank(&records);
@@ -686,44 +687,44 @@ mod tests {
             .iter()
             .map(|e| e.engine.as_str())
             .collect();
-        assert_eq!(names, vec!["prepared", "naive", "sharded"]);
-        assert!(r.to_string().contains("prepared"));
+        assert_eq!(names, vec!["simd", "reference", "sharded"]);
+        assert!(r.to_string().contains("simd"));
     }
 
     #[test]
     fn rank_uses_only_the_latest_run() {
         let records = vec![
-            rec("old", "naive", "water", "s1", 1000.0),
-            rec("new", "naive", "water", "s1", 10.0),
-            rec("new", "prepared", "water", "s1", 20.0),
+            rec("old", "reference", "water", "s1", 1000.0),
+            rec("new", "reference", "water", "s1", 10.0),
+            rec("new", "simd", "water", "s1", 20.0),
         ];
         let r = rank(&records);
         assert_eq!(r.run, "new");
-        assert_eq!(r.rows[0].engines[0].engine, "prepared");
+        assert_eq!(r.rows[0].engines[0].engine, "simd");
         assert!((r.rows[0].engines[0].events_per_sec - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn rank_reports_the_worst_spread_per_engine() {
-        let mut steady = rec("a", "naive", "water", "s1", 10.0);
+        let mut steady = rec("a", "reference", "water", "s1", 10.0);
         steady.samples = vec![0.100, 0.102];
-        let mut wobbly = rec("a", "naive", "water", "s2", 10.0);
+        let mut wobbly = rec("a", "reference", "water", "s2", 10.0);
         wobbly.samples = vec![0.100, 0.150];
-        let sampleless = rec("a", "prepared", "water", "s1", 20.0);
+        let sampleless = rec("a", "simd", "water", "s1", 20.0);
         let r = rank(&[steady, wobbly, sampleless]);
-        let naive = r.rows[0]
+        let reference = r.rows[0]
             .engines
             .iter()
-            .find(|e| e.engine == "naive")
+            .find(|e| e.engine == "reference")
             .expect("ranked");
-        let spread = naive.spread.expect("has samples");
+        let spread = reference.spread.expect("has samples");
         assert!((spread - 0.5).abs() < 1e-9, "worst cell wins: {spread}");
-        let prepared = r.rows[0]
+        let simd = r.rows[0]
             .engines
             .iter()
-            .find(|e| e.engine == "prepared")
+            .find(|e| e.engine == "simd")
             .expect("ranked");
-        assert_eq!(prepared.spread, None);
+        assert_eq!(simd.spread, None);
         let text = r.to_string();
         assert!(text.contains("spread 50%"), "{text}");
     }
@@ -731,9 +732,9 @@ mod tests {
     #[test]
     fn check_flags_noisy_cells_without_failing_them() {
         let defs = gated_defs();
-        let mut base = rec("c1", "naive", "water", "s", 10.0);
+        let mut base = rec("c1", "reference", "water", "s", 10.0);
         base.samples = vec![0.100, 0.101, 0.100];
-        let mut noisy = rec("c1", "prepared", "water", "s", 30.0);
+        let mut noisy = rec("c1", "simd", "water", "s", 30.0);
         noisy.samples = vec![0.030, 0.045, 0.033]; // 50% spread
         let current = vec![base, noisy];
         let report = check(&defs, &[], &current);
@@ -749,7 +750,7 @@ mod tests {
             !report
                 .notes
                 .iter()
-                .any(|n| n.contains("naive/water/s:") && n.contains("noisy")),
+                .any(|n| n.contains("reference/water/s:") && n.contains("noisy")),
             "steady cells stay unflagged: {report}"
         );
     }
@@ -778,14 +779,14 @@ mod tests {
     fn check_passes_when_ratios_hold_and_cells_stay_put() {
         let defs = gated_defs();
         let trajectory = vec![
-            rec("t1", "naive", "water", "s", 10.0),
-            rec("t1", "prepared", "water", "s", 30.0),
+            rec("t1", "reference", "water", "s", 10.0),
+            rec("t1", "simd", "water", "s", 30.0),
         ];
         let current = vec![
             // A slower machine overall: both cells halve. Relative
             // throughput is unchanged, so nothing regresses.
-            rec("c1", "naive", "water", "s", 5.0),
-            rec("c1", "prepared", "water", "s", 15.0),
+            rec("c1", "reference", "water", "s", 5.0),
+            rec("c1", "simd", "water", "s", 15.0),
         ];
         let report = check(&defs, &trajectory, &current);
         assert!(report.ok(), "{report}");
@@ -797,12 +798,12 @@ mod tests {
     fn check_fails_a_regressed_cell_past_threshold() {
         let defs = gated_defs();
         let trajectory = vec![
-            rec("t1", "naive", "water", "s", 10.0),
-            rec("t1", "prepared", "water", "s", 40.0), // 4x committed
+            rec("t1", "reference", "water", "s", 10.0),
+            rec("t1", "simd", "water", "s", 40.0), // 4x committed
         ];
         let current = vec![
-            rec("c1", "naive", "water", "s", 10.0),
-            rec("c1", "prepared", "water", "s", 25.0), // 2.5x < 4x * 0.8
+            rec("c1", "reference", "water", "s", 10.0),
+            rec("c1", "simd", "water", "s", 25.0), // 2.5x < 4x * 0.8
         ];
         let report = check(&defs, &trajectory, &current);
         assert!(!report.ok());
@@ -816,8 +817,8 @@ mod tests {
     fn check_fails_a_broken_ratio_gate() {
         let defs = gated_defs();
         let trajectory = vec![
-            rec("t1", "naive", "water", "s", 10.0),
-            rec("t1", "prepared", "water", "s", 15.0), // 1.5x < 2x gate
+            rec("t1", "reference", "water", "s", 10.0),
+            rec("t1", "simd", "water", "s", 15.0), // 1.5x < 2x gate
         ];
         let report = check(&defs, &trajectory, &[]);
         assert!(!report.ok());
@@ -831,8 +832,8 @@ mod tests {
     fn check_notes_new_cells_instead_of_failing() {
         let defs = gated_defs();
         let current = vec![
-            rec("c1", "naive", "water", "s", 10.0),
-            rec("c1", "prepared", "water", "s", 30.0),
+            rec("c1", "reference", "water", "s", 10.0),
+            rec("c1", "simd", "water", "s", 30.0),
         ];
         let report = check(&defs, &[], &current);
         assert!(report.ok(), "{report}");
@@ -846,7 +847,7 @@ mod tests {
     fn history_walks_runs_chronologically_for_one_cell() {
         let records = vec![
             rec("t1", "simd", "water", "s", 10e6),
-            rec("t1", "naive", "water", "s", 1e6), // other cells ignored
+            rec("t1", "reference", "water", "s", 1e6), // other cells ignored
             rec("t2", "simd", "water", "s", 20e6),
             rec("t3", "simd", "water", "s", 40e6),
             rec("t3", "simd", "gauss", "s", 5e6),
@@ -871,7 +872,7 @@ mod tests {
 
     #[test]
     fn history_of_an_uncovered_cell_is_empty() {
-        let records = vec![rec("t1", "naive", "water", "s", 1e6)];
+        let records = vec![rec("t1", "reference", "water", "s", 1e6)];
         let cell = CellKey {
             engine: "simd".to_string(),
             workload: "water".to_string(),
@@ -893,13 +894,13 @@ mod tests {
     fn check_is_machine_relative_not_absolute() {
         let defs = gated_defs();
         let trajectory = vec![
-            rec("t1", "naive", "water", "s", 100.0),
-            rec("t1", "prepared", "water", "s", 300.0),
+            rec("t1", "reference", "water", "s", 100.0),
+            rec("t1", "simd", "water", "s", 300.0),
         ];
         // 10x slower box, same shape: must pass.
         let current = vec![
-            rec("c1", "naive", "water", "s", 10.0),
-            rec("c1", "prepared", "water", "s", 30.0),
+            rec("c1", "reference", "water", "s", 10.0),
+            rec("c1", "simd", "water", "s", 30.0),
         ];
         assert!(check(&defs, &trajectory, &current).ok());
     }

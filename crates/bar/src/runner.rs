@@ -6,16 +6,15 @@
 //! Per cell the sequence is:
 //!
 //! 1. **Cross-check pass** — each engine evaluates the cell once and
-//!    the confusion matrices are compared (`csp_harness::engines::
-//!    cross_check`). Divergence aborts the whole run: a benchmark of a
-//!    wrong answer is worse than no benchmark. This pass doubles as the
-//!    first warmup.
+//!    its confusion matrix is compared with the reference evaluator's
+//!    (`csp_harness::engines::cross_check`). Divergence aborts the whole
+//!    run: a benchmark of a wrong answer is worse than no benchmark. This
+//!    pass doubles as the first warmup.
 //! 2. **Warmup passes** — `warmup` additional untimed evaluations per
 //!    engine (page faults, frequency ramp, branch history).
 //! 3. **Timed passes** — `iters` evaluations per engine; each duration
 //!    lands in a `csp-obs` log2 histogram. The fastest iteration is the
-//!    throughput sample (matching the historical engine bench), the
-//!    histogram supplies p50/p99.
+//!    throughput sample, the histogram supplies p50/p99.
 
 use crate::record::BarRecord;
 use crate::{BarDefs, BarError};
@@ -251,7 +250,7 @@ mod tests {
         let defs = tiny_defs();
         let mut lines = 0;
         let records = run_matrix(&suite, &defs, &meta(), |_| lines += 1).expect("runs");
-        assert_eq!(records.len(), 2 * 2 * 4);
+        assert_eq!(records.len(), 2 * 2 * 3);
         assert_eq!(lines, records.len());
         let fingerprint = defs.fingerprint();
         for r in &records {
@@ -269,10 +268,9 @@ mod tests {
             assert_eq!(r.shards, if r.engine == "sharded" { 2 } else { 0 });
         }
         // Engine order inside each cell follows the definitions.
-        assert_eq!(records[0].engine, "naive");
-        assert_eq!(records[1].engine, "prepared");
-        assert_eq!(records[2].engine, "simd");
-        assert_eq!(records[3].engine, "sharded");
+        assert_eq!(records[0].engine, "reference");
+        assert_eq!(records[1].engine, "simd");
+        assert_eq!(records[2].engine, "sharded");
     }
 
     #[test]

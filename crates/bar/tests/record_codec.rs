@@ -254,7 +254,7 @@ fn sample(i: u64) -> BarRecord {
         unix_ms: 1_700_000_000_000 + i,
         git_rev: "abc123def456".to_string(),
         host: "linux-x86_64-testbox".to_string(),
-        engine: "prepared".to_string(),
+        engine: "simd".to_string(),
         workload: "water".to_string(),
         scheme: "union(pid+pc8)2[forwarded]".to_string(),
         scale: 0.05,

@@ -22,7 +22,7 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine(c: &mut Criterion) {
+fn bench_scoring(c: &mut Criterion) {
     let suite = bench_suite();
     let trace = &suite.trace(Benchmark::Unstruct).trace;
     let mut g = c.benchmark_group("engine");
@@ -66,6 +66,6 @@ fn bench_workload_generation(c: &mut Criterion) {
 criterion_group! {
     name = throughput;
     config = Criterion::default().sample_size(20);
-    targets = bench_simulator, bench_engine, bench_workload_generation
+    targets = bench_simulator, bench_scoring, bench_workload_generation
 }
 criterion_main!(throughput);

@@ -1,22 +1,19 @@
 //! Flat open-addressing storage for history predictor entries.
 //!
-//! The evaluation hot loops spend most of their table time in one-probe
-//! operations ([`PredictorTable::update_and_predict`] and friends, see
-//! [`crate::table`]): hash the key, land on an entry, mutate it, fold a
-//! prediction out of it. A general-purpose `HashMap` pays for that probe
-//! twice — once to hash into its control metadata and again to chase the
-//! entry out of a separate storage array. The arena here collapses the
-//! probe to a single indexed load: a power-of-two slot array in which
-//! each slot holds the key *and* the full [`HistoryEntry`] inline
-//! (slot-major layout), so the cache line the probe touches is the cache
-//! line the fold reads and the update writes.
+//! The online predictor table ([`crate::PredictorTable`]) spends most of
+//! its time in single-key probes: hash the key, land on an entry, mutate
+//! it or fold a prediction out of it. A general-purpose `HashMap` pays
+//! for that probe twice — once to hash into its control metadata and
+//! again to chase the entry out of a separate storage array. The arena
+//! here collapses the probe to a single indexed load: a power-of-two slot
+//! array in which each slot holds the key *and* the full
+//! [`HistoryEntry`] inline (slot-major layout), so the cache line the
+//! probe touches is the cache line the fold reads and the update writes.
 //!
 //! Design constraints, in order:
 //!
 //! * **Exact `HashMap` semantics.** Create-on-update, replace-on-insert,
-//!   iteration over every occupied slot. The hashed storage remains in
-//!   [`crate::table`] as the reference twin; equivalence tests drive both
-//!   backends through identical op sequences.
+//!   iteration over every occupied slot.
 //! * **No deletions.** Predictor tables only ever grow (entries are
 //!   created lazily and never evicted), so linear probing needs no
 //!   tombstones and lookups can stop at the first vacant slot.
@@ -24,8 +21,6 @@
 //!   a `u64` — highly structured low bits — so the slot index comes from
 //!   the *top* bits of a Fibonacci multiply, the same spreading
 //!   [`crate::shard_of_key`] uses.
-//!
-//! [`PredictorTable::update_and_predict`]: crate::PredictorTable::update_and_predict
 
 use crate::entry::HistoryEntry;
 

@@ -16,16 +16,17 @@
 //!   later prediction through that entry sees this feedback, the oracle
 //!   ordering of Figure 4.
 //!
-//! There is exactly one evaluation loop. It walks the flat columns of a
-//! [`PreparedTrace`] — ground-truth actuals resolved once, per-index key
-//! streams computed once — and touches the predictor table through the
-//! one-probe entry API ([`PredictorTable::update_and_predict`] and
-//! friends). The `*_prepared` entry points share an explicit
-//! `PreparedTrace` across many schemes (the sweep case); the plain entry
-//! points prepare internally per call, so a single evaluation still pays
-//! resolution exactly once.
+//! Every entry point here runs on one scorer: the slot-major walk of
+//! `kernel.rs` over a [`PreparedTrace`]'s key streams, feeding a batched
+//! confusion accumulator, a per-event prediction sink, or the
+//! all-depths family accumulator. The `*_prepared` entry points share an
+//! explicit `PreparedTrace` across many schemes (the sweep case); the
+//! plain ones prepare internally per call. [`crate::reference`] is the
+//! independent definition every one of them is checked against.
 
-use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, UpdateMode};
+use crate::kernel::{self, Entry, Family, Predictions, Window, WithEntry};
+use crate::simd::{detect_backend, BatchAcc, SimdBackend};
+use crate::{IndexSpec, KeyStream, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
 
@@ -41,16 +42,46 @@ pub fn run_scheme(trace: &Trace, scheme: &Scheme) -> ConfusionMatrix {
     run_scheme_prepared(&PreparedTrace::new(trace), scheme)
 }
 
-/// Runs `scheme` over an already-prepared trace, scoring every decision.
-/// Bit-identical to [`run_scheme`]; the actuals and the key stream come
-/// from `prepared`'s shared columns instead of being recomputed.
+/// Runs `scheme` over an already-prepared trace, scoring every decision
+/// with the fastest accumulator the host supports (see
+/// [`crate::simd::detect_backend`]).
 pub fn run_scheme_prepared(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> ConfusionMatrix {
-    let mut matrix = ConfusionMatrix::default();
+    run_scheme_with_backend(prepared, scheme, detect_backend())
+}
+
+/// [`run_scheme_prepared`] with an explicit accumulator backend: both
+/// backends sum the same integers, so the result is the same matrix.
+pub fn run_scheme_with_backend(
+    prepared: &PreparedTrace<'_>,
+    scheme: &Scheme,
+    backend: SimdBackend,
+) -> ConfusionMatrix {
+    struct Score<'a> {
+        stream: &'a KeyStream,
+        update: UpdateMode,
+        backend: SimdBackend,
+        nodes: usize,
+    }
+    impl WithEntry for Score<'_> {
+        type Out = ConfusionMatrix;
+        fn run<E: Entry>(self, entry: E) -> ConfusionMatrix {
+            let mut acc = BatchAcc::new(self.backend);
+            kernel::walk(self.stream, self.update, entry, &mut acc);
+            acc.finalize(self.nodes)
+        }
+    }
+    let stream = prepared.key_stream(scheme.index);
     let nodes = prepared.nodes();
-    drive(prepared, scheme, |_, predicted, actual| {
-        matrix.record(predicted, actual, nodes);
-    });
-    matrix
+    kernel::with_entry(
+        scheme,
+        nodes,
+        Score {
+            stream: &stream,
+            update: scheme.update,
+            backend,
+            nodes,
+        },
+    )
 }
 
 /// Runs `scheme` over `trace` and returns the per-event predictions
@@ -60,62 +91,34 @@ pub fn predictions_for(trace: &Trace, scheme: &Scheme) -> Vec<SharingBitmap> {
 }
 
 /// Per-event predictions over an already-prepared trace (see
-/// [`predictions_for`]).
+/// [`predictions_for`]), in trace order.
 pub fn predictions_for_prepared(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
 ) -> Vec<SharingBitmap> {
-    let mut out = vec![SharingBitmap::empty(); prepared.len()];
-    drive(prepared, scheme, |i, predicted, _| {
-        out[i] = predicted;
-    });
-    out
-}
-
-/// The single evaluation loop: calls `visit(event_index, predicted,
-/// actual)` for every event in order, walking the prepared columns with
-/// one table probe per entry touched.
-fn drive<F: FnMut(usize, SharingBitmap, SharingBitmap)>(
-    prepared: &PreparedTrace<'_>,
-    scheme: &Scheme,
-    mut visit: F,
-) {
-    let stream = prepared.key_stream(scheme.index);
-    let keys = stream.keys();
-    let forward_keys = stream.forward_keys();
-    let has_prev = prepared.has_prev();
-    let invalidated = prepared.invalidated();
-    let actuals = prepared.actuals();
-    // Entries are created by the update path only: `direct`/`ordered`
-    // tables converge to the distinct predictor keys, `forwarded` tables
-    // to the distinct forward keys.
-    let capacity = match scheme.update {
-        UpdateMode::Forwarded => stream.distinct_forward_keys(),
-        UpdateMode::Direct | UpdateMode::Ordered => stream.distinct_keys(),
-    };
-    let mut table = PredictorTable::with_capacity(scheme, prepared.nodes(), capacity);
-    for i in 0..prepared.len() {
-        let key = keys[i];
-        let predicted = match scheme.update {
-            UpdateMode::Direct => {
-                if has_prev[i] {
-                    table.update_and_predict(key, invalidated[i])
-                } else {
-                    table.predict(key)
-                }
-            }
-            UpdateMode::Forwarded => {
-                // Forward key and predictor key are distinct entries: one
-                // probe each is already minimal.
-                if has_prev[i] {
-                    table.update(forward_keys[i], invalidated[i]);
-                }
-                table.predict(key)
-            }
-            UpdateMode::Ordered => table.predict_and_update(key, actuals[i]),
-        };
-        visit(i, predicted, actuals[i]);
+    struct Predict<'a> {
+        stream: &'a KeyStream,
+        update: UpdateMode,
+        events: usize,
     }
+    impl WithEntry for Predict<'_> {
+        type Out = Vec<SharingBitmap>;
+        fn run<E: Entry>(self, entry: E) -> Vec<SharingBitmap> {
+            let mut out = Predictions(vec![SharingBitmap::empty(); self.events]);
+            kernel::walk(self.stream, self.update, entry, &mut out);
+            out.0
+        }
+    }
+    let stream = prepared.key_stream(scheme.index);
+    kernel::with_entry(
+        scheme,
+        prepared.nodes(),
+        Predict {
+            stream: &stream,
+            update: scheme.update,
+            events: prepared.len(),
+        },
+    )
 }
 
 /// Confusion matrices for the whole `union`/`inter` family over one index
@@ -147,9 +150,9 @@ pub fn run_history_family(
     run_history_family_prepared(&PreparedTrace::new(trace), index, update, max_depth)
 }
 
-/// The family evaluator over an already-prepared trace: bit-identical to
-/// [`run_history_family`], sharing `prepared`'s actuals and key stream
-/// with every other scheme of the sweep.
+/// The family evaluator over an already-prepared trace, sharing
+/// `prepared`'s actuals and key stream with every other scheme of the
+/// sweep.
 ///
 /// # Panics
 ///
@@ -167,186 +170,32 @@ pub fn run_history_family_prepared(
     );
     let stream = prepared.key_stream(index);
     let nodes = prepared.nodes();
-    // Monomorphize the hot loop per depth: a const-generic depth turns
-    // the per-decision fold into a fixed-bound, fully unrollable loop
-    // with no per-depth branches.
+    // A const depth turns the per-decision fold into a fixed-bound,
+    // fully unrollable loop with no per-depth branches.
     match max_depth {
-        1 => family_sweep::<1>(&stream, update, nodes),
-        2 => family_sweep::<2>(&stream, update, nodes),
-        3 => family_sweep::<3>(&stream, update, nodes),
-        4 => family_sweep::<4>(&stream, update, nodes),
-        5 => family_sweep::<5>(&stream, update, nodes),
-        6 => family_sweep::<6>(&stream, update, nodes),
-        7 => family_sweep::<7>(&stream, update, nodes),
-        8 => family_sweep::<8>(&stream, update, nodes),
+        1 => family::<1>(&stream, update, nodes),
+        2 => family::<2>(&stream, update, nodes),
+        3 => family::<3>(&stream, update, nodes),
+        4 => family::<4>(&stream, update, nodes),
+        5 => family::<5>(&stream, update, nodes),
+        6 => family::<6>(&stream, update, nodes),
+        7 => family::<7>(&stream, update, nodes),
+        8 => family::<8>(&stream, update, nodes),
         _ => unreachable!("max_depth checked above"),
     }
 }
 
-/// The slot-major family evaluation at one const depth `MD`.
-///
-/// The loop runs *slot-major*: each predictor entry's interactions are
-/// replayed in event order against one stack-local history window, so
-/// there is no table at all — no per-event hash probe, no random entry
-/// access — and the pre-gathered slot payloads make every read
-/// sequential. This visits exactly the entry states the event-order loop
-/// would (an entry's state depends only on earlier events touching the
-/// same slot), and the accumulated counts are order-independent sums, so
-/// the result is bit-identical to the event-order evaluation. A fresh
-/// (all-cold) window also scores exactly like an absent table entry,
-/// matching the hashed create-on-update semantics.
-fn family_sweep<const MD: usize>(
-    stream: &crate::KeyStream,
-    update: UpdateMode,
-    nodes: usize,
-) -> FamilyResult {
-    let mut acc = FamilyAcc::<MD>::new(nodes);
-    match update {
-        UpdateMode::Direct => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
-                for d in stream.slot_data(slot) {
-                    if d.has_prev {
-                        w.push(d.feedback);
-                    }
-                    acc.score(&w, d.actual);
-                }
-            }
-        }
-        UpdateMode::Ordered => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
-                for d in stream.slot_data(slot) {
-                    acc.score(&w, d.actual);
-                    w.push(d.actual);
-                }
-            }
-        }
-        // Forwarded events touch up to two slots (push via the forward
-        // key, score via their own), so this walks the stream's merged
-        // per-slot op sequence instead of its per-slot event list.
-        UpdateMode::Forwarded => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
-                for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    if op & 1 == 0 {
-                        w.push(payload);
-                    } else {
-                        acc.score(&w, payload);
-                    }
-                }
-            }
-        }
-    }
-    acc.finalize(nodes)
-}
-
-/// A predictor entry's history as a linear shift window: `bitmaps[0]` is
-/// the newest stored feedback. Same state as [`crate::HistoryEntry`] but
-/// laid out for the family evaluator's fold: pushes shift instead of
-/// rotating a ring, and slots never written stay *empty*. Empty is the
-/// identity of the union fold and absorbing for the intersection fold, so
-/// the scorer needs no occupancy count — folding across all `MD` slots of
-/// a partially-filled window reproduces exactly the shallow-entry
-/// semantics (union over everything stored; an intersection entry whose
-/// history is not yet full predicts nothing).
-struct Window<const MD: usize> {
-    bitmaps: [SharingBitmap; MD],
-}
-
-impl<const MD: usize> Window<MD> {
-    fn new() -> Self {
-        Window {
-            bitmaps: [SharingBitmap::empty(); MD],
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, feedback: SharingBitmap) {
-        self.bitmaps.copy_within(0..MD - 1, 1);
-        self.bitmaps[0] = feedback;
-    }
-}
-
-/// Per-depth counters for one family pass, accumulated on the stack.
-///
-/// Only true positives and predicted positives are counted per depth —
-/// the full matrices follow from counter algebra at the end:
-/// `fp = predicted − tp`, `fn = actual_total − tp`, and
-/// `tn = decisions − tp − fp − fn`. These are exact integer identities
-/// over the same per-event popcounts [`ConfusionMatrix::record`] sums, so
-/// the finalized matrices are bit-identical to per-event `record` calls.
-struct FamilyAcc<const MD: usize> {
-    tp_union: [u64; MD],
-    predicted_union: [u64; MD],
-    tp_inter: [u64; MD],
-    predicted_inter: [u64; MD],
-    actual_total: u64,
-    scored: u64,
-    all: SharingBitmap,
-}
-
-impl<const MD: usize> FamilyAcc<MD> {
-    fn new(nodes: usize) -> Self {
-        FamilyAcc {
-            tp_union: [0; MD],
-            predicted_union: [0; MD],
-            tp_inter: [0; MD],
-            predicted_inter: [0; MD],
-            actual_total: 0,
-            scored: 0,
-            all: SharingBitmap::all(nodes),
-        }
-    }
-
-    /// Scores one decision at every depth `1..=MD` against the window's
-    /// fold prefixes. The window's empty padding (see [`Window`]) makes
-    /// the fold exact for partially-filled histories with no length
-    /// bookkeeping.
-    #[inline]
-    fn score(&mut self, w: &Window<MD>, actual: SharingBitmap) {
-        self.scored += 1;
-        self.actual_total += actual.count() as u64;
-        let mut union = SharingBitmap::empty();
-        let mut inter = self.all;
-        for d in 0..MD {
-            let b = w.bitmaps[d];
-            union |= b;
-            inter &= b;
-            self.tp_union[d] += (union & actual).count() as u64;
-            self.predicted_union[d] += union.count() as u64;
-            self.tp_inter[d] += (inter & actual).count() as u64;
-            self.predicted_inter[d] += inter.count() as u64;
-        }
-    }
-
-    fn finalize(self, nodes: usize) -> FamilyResult {
-        let decisions = self.scored * nodes as u64;
-        let matrix = |tp: u64, predicted: u64| {
-            let fp = predicted - tp;
-            let fn_ = self.actual_total - tp;
-            ConfusionMatrix {
-                tp,
-                fp,
-                fn_,
-                tn: decisions - tp - fp - fn_,
-            }
-        };
-        FamilyResult {
-            union: (0..MD)
-                .map(|d| matrix(self.tp_union[d], self.predicted_union[d]))
-                .collect(),
-            inter: (0..MD)
-                .map(|d| matrix(self.tp_inter[d], self.predicted_inter[d]))
-                .collect(),
-        }
-    }
+fn family<const MD: usize>(stream: &KeyStream, update: UpdateMode, nodes: usize) -> FamilyResult {
+    let mut family = Family::<MD>::new(nodes);
+    kernel::walk(stream, update, Window::<MD>::cold(), &mut family);
+    let (union, inter) = family.finish(nodes);
+    FamilyResult { union, inter }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PredictionFunction;
+    use crate::{reference, PredictionFunction};
     use csp_trace::{LineAddr, NodeId, Pc, SharingEvent};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {
@@ -410,6 +259,61 @@ mod tests {
         t
     }
 
+    /// Writer A (node 0, pc 10) and writer B (node 1, pc 20) alternate
+    /// on line 1 while A also writes line 2 in between, so A's entry is
+    /// reused before line 1 is written again: the update modes deliver
+    /// different feedback at different times. Line 1's readers are
+    /// {4, 5} after A and {8, 9} after B; line 2's are {6} or {6, 7}.
+    fn mixed_trace(rounds: usize) -> Trace {
+        let mut t = Trace::new(16);
+        let (a, b) = ((NodeId(0), Pc(10)), (NodeId(1), Pc(20)));
+        let mut prev1: Option<(NodeId, Pc)> = None;
+        let mut prev2: Option<(NodeId, Pc)> = None;
+        let mut readers2 = SharingBitmap::empty();
+        for round in 0..rounds {
+            for writer in [a, b] {
+                let inv = match prev1 {
+                    None => SharingBitmap::empty(),
+                    Some(w) if w == a => bm(&[4, 5]),
+                    Some(_) => bm(&[8, 9]),
+                };
+                t.push(SharingEvent::new(
+                    writer.0,
+                    writer.1,
+                    LineAddr(1),
+                    NodeId(0),
+                    inv,
+                    prev1,
+                ));
+                prev1 = Some(writer);
+                if writer == a {
+                    let inv = if prev2.is_some() {
+                        readers2
+                    } else {
+                        SharingBitmap::empty()
+                    };
+                    t.push(SharingEvent::new(
+                        a.0,
+                        a.1,
+                        LineAddr(2),
+                        NodeId(3),
+                        inv,
+                        prev2,
+                    ));
+                    prev2 = Some(a);
+                    readers2 = if round % 3 == 0 {
+                        bm(&[6, 7])
+                    } else {
+                        bm(&[6])
+                    };
+                }
+            }
+        }
+        t.set_final_readers(LineAddr(1), bm(&[8, 9]));
+        t.set_final_readers(LineAddr(2), readers2);
+        t
+    }
+
     #[test]
     fn stable_sharing_is_perfectly_predicted_after_warmup() {
         let trace = stable_trace(50);
@@ -470,6 +374,7 @@ mod tests {
             m.record(*p, *a, trace.nodes());
         }
         assert_eq!(m, run_scheme(&trace, &scheme));
+        assert_eq!(preds, reference::predictions(&trace, &scheme));
     }
 
     #[test]
@@ -481,24 +386,25 @@ mod tests {
     }
 
     #[test]
-    fn family_matches_individual_runs() {
-        let trace = alternating_trace(50);
-        for update in UpdateMode::ALL {
-            let ix = IndexSpec::new(true, 4, false, 2);
-            let fam = run_history_family(&trace, ix, update, 4);
-            for depth in 1..=4 {
-                let u = Scheme::new(PredictionFunction::Union, ix, depth, update);
-                let i = Scheme::new(PredictionFunction::Inter, ix, depth, update);
-                assert_eq!(
-                    fam.union[depth - 1],
-                    run_scheme(&trace, &u),
-                    "union d{depth} {update}"
-                );
-                assert_eq!(
-                    fam.inter[depth - 1],
-                    run_scheme(&trace, &i),
-                    "inter d{depth} {update}"
-                );
+    fn family_matches_the_reference_at_every_depth() {
+        for trace in [alternating_trace(50), mixed_trace(30)] {
+            for update in UpdateMode::ALL {
+                let ix = IndexSpec::new(true, 4, false, 2);
+                let fam = run_history_family(&trace, ix, update, 4);
+                for depth in 1..=4 {
+                    let u = Scheme::new(PredictionFunction::Union, ix, depth, update);
+                    let i = Scheme::new(PredictionFunction::Inter, ix, depth, update);
+                    assert_eq!(
+                        fam.union[depth - 1],
+                        reference::run_scheme(&trace, &u),
+                        "union d{depth} {update}"
+                    );
+                    assert_eq!(
+                        fam.inter[depth - 1],
+                        reference::run_scheme(&trace, &i),
+                        "inter d{depth} {update}"
+                    );
+                }
             }
         }
     }
@@ -550,46 +456,66 @@ mod tests {
         assert_eq!(m.decisions(), 0);
     }
 
+    /// Every function, update mode and depth, through both accumulator
+    /// backends and the per-event sink, against the reference.
     #[test]
-    fn prepared_matches_naive_across_schemes_and_updates() {
-        let trace = alternating_trace(60);
-        let prepared = PreparedTrace::new(&trace);
-        for func in ["last", "union", "inter", "overlap-last", "pas"] {
-            for update in ["direct", "forwarded", "ordered"] {
-                let spec = match func {
-                    "overlap-last" => format!("overlap-last(pid+pc4)[{update}]"),
-                    "last" => format!("last(pid+pc4)1[{update}]"),
-                    _ => format!("{func}(pid+pc4)2[{update}]"),
-                };
-                let scheme: Scheme = spec.parse().unwrap();
-                assert_eq!(
-                    run_scheme_prepared(&prepared, &scheme),
-                    run_scheme(&trace, &scheme),
-                    "{spec}"
-                );
-                assert_eq!(
-                    predictions_for_prepared(&prepared, &scheme),
-                    predictions_for(&trace, &scheme),
-                    "{spec} predictions"
-                );
+    fn kernel_matches_the_reference_on_every_function_update_and_depth() {
+        for trace in [alternating_trace(60), mixed_trace(40)] {
+            let prepared = PreparedTrace::new(&trace);
+            for func in ["last", "union", "inter", "overlap-last", "pas"] {
+                for update in ["direct", "forwarded", "ordered"] {
+                    for depth in [1usize, 2, 4, 8] {
+                        let spec = match func {
+                            "overlap-last" => format!("overlap-last(pid+pc4)[{update}]"),
+                            "last" => format!("last(pid+pc4)1[{update}]"),
+                            _ => format!("{func}(pid+pc4){depth}[{update}]"),
+                        };
+                        let scheme: Scheme = spec.parse().unwrap();
+                        let expected = reference::run_scheme(&trace, &scheme);
+                        for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
+                            assert_eq!(
+                                run_scheme_with_backend(&prepared, &scheme, backend),
+                                expected,
+                                "{spec} via {}",
+                                backend.name()
+                            );
+                        }
+                        assert_eq!(
+                            predictions_for_prepared(&prepared, &scheme),
+                            reference::predictions(&trace, &scheme),
+                            "{spec} predictions"
+                        );
+                    }
+                }
             }
+            // All schemes above share one index: one key stream serves them all.
+            assert_eq!(prepared.cached_streams(), 1);
         }
-        // All schemes above share one index: one key stream serves them all.
-        assert_eq!(prepared.cached_streams(), 1);
     }
 
+    /// The three update modes must score this trace three different ways
+    /// — so the equality with the reference above is not blind to which
+    /// mode ran — and the kernel must match the reference in each.
     #[test]
-    fn prepared_family_matches_naive_family() {
-        let trace = alternating_trace(40);
-        let prepared = PreparedTrace::new(&trace);
-        let ix = IndexSpec::new(true, 4, false, 2);
-        for update in UpdateMode::ALL {
-            assert_eq!(
-                run_history_family_prepared(&prepared, ix, update, 4),
-                run_history_family(&trace, ix, update, 4),
-                "{update}"
-            );
-        }
+    fn reference_tells_the_update_modes_apart() {
+        let trace = mixed_trace(20);
+        let matrices: Vec<ConfusionMatrix> = UpdateMode::ALL
+            .iter()
+            .map(|&update| {
+                let scheme = Scheme::new(
+                    PredictionFunction::Last,
+                    IndexSpec::new(true, 8, false, 0),
+                    1,
+                    update,
+                );
+                let expected = reference::run_scheme(&trace, &scheme);
+                assert_eq!(run_scheme(&trace, &scheme), expected, "{update}");
+                expected
+            })
+            .collect();
+        assert_ne!(matrices[0], matrices[1], "direct vs forwarded");
+        assert_ne!(matrices[0], matrices[2], "direct vs ordered");
+        assert_ne!(matrices[1], matrices[2], "forwarded vs ordered");
     }
 }
 
@@ -686,17 +612,16 @@ mod compare_tests {
         assert!((paired.accuracy_a() - acc_a).abs() < 1e-12);
     }
 
-    /// Pins the prepared-trace rerouting of `compare_schemes` against the
-    /// original three-pass spelling (two `predictions_for` calls plus a
-    /// separate `resolve_actuals`).
+    /// Pins `compare_schemes` against the reference's per-event
+    /// predictions and actuals.
     #[test]
-    fn compare_matches_three_pass_spelling() {
+    fn compare_matches_the_reference_spelling() {
         let trace = stable(50);
         let a: Scheme = "last(pid+pc8)1".parse().unwrap();
         let b: Scheme = "inter(pid+pc8)4[forwarded]".parse().unwrap();
-        let preds_a = predictions_for(&trace, &a);
-        let preds_b = predictions_for(&trace, &b);
-        let actuals = trace.resolve_actuals();
+        let preds_a = crate::reference::predictions(&trace, &a);
+        let preds_b = crate::reference::predictions(&trace, &b);
+        let actuals = crate::reference::actuals(&trace);
         let nodes = trace.nodes();
         let mut expected = csp_metrics::compare::PairedComparison::default();
         for ((pa, pb), actual) in preds_a.iter().zip(&preds_b).zip(&actuals) {

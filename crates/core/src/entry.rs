@@ -332,6 +332,12 @@ impl PasEntry {
         })
     }
 
+    /// Makes the entry cold again, keeping its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.hist.fill(0);
+        self.counters.fill(0);
+    }
+
     /// The predicted reader bitmap.
     #[inline]
     pub fn predict(&self, nodes: usize) -> SharingBitmap {

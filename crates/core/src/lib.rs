@@ -22,7 +22,8 @@
 //! paper's cost model ([`Scheme::size_log2_bits`]) and its textual notation
 //! (`inter(pid+pc8+add6)4[direct]`, Section 3.5) via `Display`/`FromStr`.
 //! The [`engine`] runs a scheme over a [`csp_trace::Trace`] and produces a
-//! [`csp_metrics::ConfusionMatrix`].
+//! [`csp_metrics::ConfusionMatrix`]; [`reference`] is the plain,
+//! independent evaluator every engine path is checked against.
 //!
 //! # Example
 //!
@@ -63,7 +64,9 @@ pub mod fingerprint;
 mod function;
 pub mod hash;
 mod index;
+mod kernel;
 mod prepared;
+pub mod reference;
 mod scheme;
 pub mod simd;
 pub mod sticky;
@@ -78,5 +81,5 @@ pub use function::PredictionFunction;
 pub use index::{node_bits, IndexSpec};
 pub use prepared::{KeyStream, PreparedTrace, SlotData};
 pub use scheme::{ParseSchemeError, Scheme, UpdateMode};
-pub use simd::{run_scheme_simd, run_scheme_simd_with, SimdBackend};
-pub use table::{shard_of_key, EntryView, HistoryBackend, PredictorTable, TableEntry};
+pub use simd::SimdBackend;
+pub use table::{shard_of_key, EntryView, PredictorTable, TableEntry};

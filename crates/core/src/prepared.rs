@@ -1,34 +1,28 @@
 //! The prepared-evaluation layer: per-trace resolution and per-index key
 //! streams, computed once and shared across every scheme of a sweep.
 //!
-//! The naive evaluation path ([`crate::engine::run_scheme`]) pays three
-//! per-call costs that a design-space sweep repeats hundreds of times per
-//! trace: it re-resolves the ground-truth actuals (a hash pass over the
-//! whole trace), recomputes `key_of`/`forward_key_of` for every event even
-//! when dozens of schemes share one [`IndexSpec`], and probes the predictor
-//! table twice per event. This module hoists the first two out of the
-//! per-event loop:
+//! A design-space sweep evaluates hundreds of schemes per trace, and
+//! dozens of them share one [`IndexSpec`]. Evaluated one at a time (as
+//! [`crate::reference`] does), each would re-resolve the ground-truth
+//! actuals and recompute `key_of`/`forward_key_of` for every event. This
+//! module computes both once:
 //!
 //! * [`KeyStream`] — the predictor keys (and forward keys) of every event
-//!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus the
-//!   distinct-key counts that size predictor tables up front and a dense
-//!   slot remap that lets hot loops replace hashed table probes with
-//!   array indexing;
+//!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus a dense
+//!   slot remap and the slot-major views the kernel walks;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
 //!   previous-writer columns, resolved once) plus a concurrent cache of
 //!   [`KeyStream`]s keyed by [`IndexSpec`], shared by reference across
 //!   every scheme in a sweep.
 //!
-//! The prepared engine entry points
-//! ([`crate::engine::run_scheme_prepared`],
+//! The engine entry points ([`crate::engine::run_scheme_prepared`],
 //! [`crate::engine::run_history_family_prepared`]) consume these columns
-//! and are bit-identical to the naive path — the equivalence suite in
+//! and are bit-identical to the reference — the equivalence suite in
 //! `tests/prepared_equivalence.rs` pins that.
 
 use crate::hash::FxBuildHasher;
 use crate::IndexSpec;
 use csp_trace::{ResolvedTrace, SharingBitmap, Trace};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -52,18 +46,14 @@ const STREAM_CACHE_CAP: usize = 8;
 ///                          SharingBitmap::empty(), None));
 /// let stream = KeyStream::compute(&t, IndexSpec::new(true, 8, false, 0));
 /// assert_eq!(stream.keys(), &[(3 << 8) | 0xab]);
-/// assert_eq!(stream.distinct_keys(), 1);
+/// assert_eq!(stream.slot_count(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct KeyStream {
     index: IndexSpec,
     keys: Vec<u64>,
     forward_keys: Vec<u64>,
-    slots: Vec<u32>,
-    forward_slots: Vec<u32>,
     slot_count: usize,
-    distinct_keys: usize,
-    distinct_forward_keys: usize,
     slot_starts: Vec<u32>,
     slot_events: Vec<u32>,
     slot_data: Vec<SlotData>,
@@ -89,8 +79,7 @@ pub struct SlotData {
 
 impl KeyStream {
     /// Computes the key columns of `trace` under `index`: one
-    /// [`IndexSpec::key_of`] / [`IndexSpec::forward_key_of`] pass, plus
-    /// the distinct-key counts used as predictor-table capacity hints.
+    /// [`IndexSpec::key_of`] / [`IndexSpec::forward_key_of`] pass.
     ///
     /// This is the *single* key-derivation implementation in the
     /// workspace: the offline engine, the sweep planner and the online
@@ -128,29 +117,11 @@ impl KeyStream {
         // prediction through the same index value must land on the same
         // entry, so both key kinds share one id space.
         let mut remap: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        let mut distinct_keys = 0usize;
-        // Which slots have been seen through each key kind, indexed by
-        // slot id — distinct-count bookkeeping without a second hash
-        // probe per event.
-        let mut seen_primary: Vec<bool> = Vec::new();
-        let mut seen_forward: Vec<bool> = Vec::new();
-        let mut distinct_forward = 0usize;
         let mut has_prev = Vec::with_capacity(trace.len());
         for event in trace.events() {
             let key = index.key_of(event, node_bits);
             let next = remap.len() as u32;
-            let slot = match remap.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(v) => {
-                    seen_primary.push(false);
-                    seen_forward.push(false);
-                    *v.insert(next)
-                }
-            };
-            if !seen_primary[slot as usize] {
-                seen_primary[slot as usize] = true;
-                distinct_keys += 1;
-            }
+            let slot = *remap.entry(key).or_insert(next);
             keys.push(key);
             slots.push(slot);
             // Slots without a previous writer hold 0 and are never read:
@@ -158,18 +129,7 @@ impl KeyStream {
             match index.forward_key_of(event, node_bits) {
                 Some(fkey) => {
                     let next = remap.len() as u32;
-                    let fslot = match remap.entry(fkey) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(v) => {
-                            seen_primary.push(false);
-                            seen_forward.push(false);
-                            *v.insert(next)
-                        }
-                    };
-                    if !seen_forward[fslot as usize] {
-                        seen_forward[fslot as usize] = true;
-                        distinct_forward += 1;
-                    }
+                    let fslot = *remap.entry(fkey).or_insert(next);
                     forward_keys.push(fkey);
                     forward_slots.push(fslot);
                     has_prev.push(true);
@@ -215,11 +175,7 @@ impl KeyStream {
             index,
             keys,
             forward_keys,
-            slots,
-            forward_slots,
             slot_count,
-            distinct_keys,
-            distinct_forward_keys: distinct_forward,
             slot_starts,
             slot_events,
             slot_data,
@@ -262,47 +218,12 @@ impl KeyStream {
         self.keys.is_empty()
     }
 
-    /// The dense slot id of every event's predictor key, in event order.
-    ///
-    /// Slot ids remap the union of predictor and forward keys onto
-    /// `0..slot_count()`: two events share a slot iff they share a key, and
-    /// a forward key equal to some predictor key shares that key's slot.
-    /// Hot loops use them to index a flat `Vec` of entries instead of
-    /// probing a hash table per event.
-    #[inline]
-    pub fn slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    /// The dense slot id of every event's forward key. Meaningful only
-    /// where the event has a previous writer (like
-    /// [`KeyStream::forward_keys`]); other slots hold 0 and are never read.
-    #[inline]
-    pub fn forward_slots(&self) -> &[u32] {
-        &self.forward_slots
-    }
-
     /// Number of dense slots: the distinct keys in the union of the
-    /// predictor and forward key columns — the length of the flat entry
-    /// table the slot columns index.
+    /// predictor and forward key columns, one per predictor entry the
+    /// trace touches.
     #[inline]
     pub fn slot_count(&self) -> usize {
         self.slot_count
-    }
-
-    /// Number of distinct predictor keys the trace consults — the entry
-    /// count a `direct`/`ordered` table converges to, used as the
-    /// capacity hint of [`crate::PredictorTable::with_capacity`].
-    #[inline]
-    pub fn distinct_keys(&self) -> usize {
-        self.distinct_keys
-    }
-
-    /// Number of distinct forward keys — the entry count a `forwarded`
-    /// table's update path converges to.
-    #[inline]
-    pub fn distinct_forward_keys(&self) -> usize {
-        self.distinct_forward_keys
     }
 
     /// The events of `slot`, in event order — the slot-major view of the
@@ -615,23 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_counts_match_brute_force() {
-        let trace = sample_trace();
-        let nb = crate::index::node_bits(trace.nodes());
-        let index = IndexSpec::new(true, 1, false, 2);
-        let stream = KeyStream::compute(&trace, index);
-        let brute: std::collections::HashSet<u64> =
-            trace.events().iter().map(|e| index.key_of(e, nb)).collect();
-        let brute_fwd: std::collections::HashSet<u64> = trace
-            .events()
-            .iter()
-            .filter_map(|e| index.forward_key_of(e, nb))
-            .collect();
-        assert_eq!(stream.distinct_keys(), brute.len());
-        assert_eq!(stream.distinct_forward_keys(), brute_fwd.len());
-    }
-
-    #[test]
     fn prepared_trace_caches_streams() {
         let trace = sample_trace();
         let prepared = PreparedTrace::new(&trace);
@@ -666,7 +570,6 @@ mod tests {
         assert!(prepared.is_empty());
         let stream = prepared.key_stream(IndexSpec::new(true, 2, false, 2));
         assert!(stream.is_empty());
-        assert_eq!(stream.distinct_keys(), 0);
-        assert_eq!(stream.distinct_forward_keys(), 0);
+        assert_eq!(stream.slot_count(), 0);
     }
 }

@@ -14,10 +14,9 @@ use csp_trace::SharingBitmap;
 /// bitmap — a cold predictor forwards nothing.
 ///
 /// History-family tables (`last`/`union`/`inter`/`overlap-last`) store
-/// their entries in a flat open-addressing [`HistoryArena`] by default —
-/// one probe of the one-probe API touches one slot-major cache line. The
-/// original hashed storage remains available as the reference twin (see
-/// [`HistoryBackend`]); PAs entries are heap-backed and stay hashed.
+/// their entries in a flat open-addressing [`HistoryArena`] — one probe
+/// touches one slot-major cache line. PAs entries are heap-backed and
+/// stay hashed.
 ///
 /// # Example
 ///
@@ -44,20 +43,7 @@ pub struct PredictorTable {
 #[derive(Clone, Debug)]
 enum Storage {
     Arena(HistoryArena),
-    Hashed(FxHashMap<u64, HistoryEntry>),
     Pas(FxHashMap<u64, PasEntry>),
-}
-
-/// Storage backend for history-family tables (see
-/// [`PredictorTable::with_backend`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HistoryBackend {
-    /// Flat open-addressing arena (the default): key and entry inline in
-    /// one power-of-two slot array.
-    Arena,
-    /// The original `FxHashMap` storage, kept as the bit-identity
-    /// reference twin for the arena.
-    Hashed,
 }
 
 /// A borrowed view of one table entry (see [`PredictorTable::entries`]).
@@ -84,45 +70,18 @@ impl PredictorTable {
         Self::with_capacity(scheme, nodes, 0)
     }
 
-    /// Creates an empty table pre-sized for `capacity` entries.
-    ///
-    /// The evaluation hot loop grows the table one entry at a time; with
-    /// the default constructor that means a rehash-and-move of every
-    /// entry at each power-of-two boundary. Sweeps that already know the
-    /// trace's distinct-key count (see
-    /// [`KeyStream::distinct_keys`](crate::KeyStream::distinct_keys))
-    /// allocate the end-state table up front instead.
+    /// Creates an empty table pre-sized for `capacity` entries, so a
+    /// caller that knows how many keys it will touch allocates the
+    /// end-state table up front instead of rehashing at every
+    /// power-of-two boundary.
     pub fn with_capacity(scheme: &Scheme, nodes: usize, capacity: usize) -> Self {
-        Self::with_backend(scheme, nodes, capacity, HistoryBackend::Arena)
-    }
-
-    /// Creates an empty table with an explicit history storage backend.
-    ///
-    /// The two backends are bit-identical through every table operation;
-    /// the hashed twin exists so equivalence tests (and any caller wary
-    /// of the arena) can cross-check them. PAs schemes ignore the choice
-    /// (their entries are heap-backed and always hashed).
-    pub fn with_backend(
-        scheme: &Scheme,
-        nodes: usize,
-        capacity: usize,
-        backend: HistoryBackend,
-    ) -> Self {
         // `last`/`overlap-last` need up to 2 stored bitmaps.
         let depth = match scheme.function {
             PredictionFunction::OverlapLast => 2,
             _ => scheme.depth,
         };
         let storage = if scheme.function.uses_history() {
-            match backend {
-                HistoryBackend::Arena => {
-                    Storage::Arena(HistoryArena::with_capacity(depth, capacity))
-                }
-                HistoryBackend::Hashed => Storage::Hashed(FxHashMap::with_capacity_and_hasher(
-                    capacity,
-                    Default::default(),
-                )),
-            }
+            Storage::Arena(HistoryArena::with_capacity(depth, capacity))
         } else {
             Storage::Pas(FxHashMap::with_capacity_and_hasher(
                 capacity,
@@ -161,10 +120,6 @@ impl PredictorTable {
                 None => SharingBitmap::empty(),
                 Some(h) => Self::predict_history(self.function, self.depth, h),
             },
-            Storage::Hashed(map) => match map.get(&key) {
-                None => SharingBitmap::empty(),
-                Some(h) => Self::predict_history(self.function, self.depth, h),
-            },
             Storage::Pas(map) => map
                 .get(&key)
                 .map(|e| e.predict(self.nodes))
@@ -180,132 +135,11 @@ impl PredictorTable {
             Storage::Arena(arena) => {
                 arena.entry_mut(key).push(feedback);
             }
-            Storage::Hashed(map) => {
-                map.entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth))
-                    .push(feedback);
-            }
             Storage::Pas(map) => {
                 map.entry(key)
                     .or_insert_with(|| PasEntry::new(self.nodes, self.depth))
                     .update(feedback, self.nodes);
             }
-        }
-    }
-
-    /// Delivers `feedback` to `key`'s entry, then predicts through the
-    /// *updated* entry — the `direct`-update step of the engine loop — in
-    /// a single table probe.
-    ///
-    /// Bit-identical to `update(key, feedback)` followed by
-    /// `predict(key)`, without the second hash lookup (the hottest pair
-    /// of operations in a design-space sweep).
-    #[inline]
-    pub fn update_and_predict(&mut self, key: u64, feedback: SharingBitmap) -> SharingBitmap {
-        match &mut self.storage {
-            Storage::Arena(arena) => {
-                let h = arena.entry_mut(key);
-                h.push(feedback);
-                Self::predict_history(self.function, self.depth, h)
-            }
-            Storage::Hashed(map) => {
-                let h = map
-                    .entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth));
-                h.push(feedback);
-                Self::predict_history(self.function, self.depth, h)
-            }
-            Storage::Pas(map) => {
-                let e = map
-                    .entry(key)
-                    .or_insert_with(|| PasEntry::new(self.nodes, self.depth));
-                e.update(feedback, self.nodes);
-                e.predict(self.nodes)
-            }
-        }
-    }
-
-    /// Predicts through `key`'s entry, then trains it with `feedback` —
-    /// the `ordered`-update step of the engine loop — in a single table
-    /// probe.
-    ///
-    /// Bit-identical to `predict(key)` followed by
-    /// `update(key, feedback)`: the entry this creates for a cold key
-    /// predicts exactly what the absent entry would have (empty), because
-    /// a fresh entry holds no history.
-    #[inline]
-    pub fn predict_and_update(&mut self, key: u64, feedback: SharingBitmap) -> SharingBitmap {
-        match &mut self.storage {
-            Storage::Arena(arena) => {
-                let h = arena.entry_mut(key);
-                let predicted = Self::predict_history(self.function, self.depth, h);
-                h.push(feedback);
-                predicted
-            }
-            Storage::Hashed(map) => {
-                let h = map
-                    .entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth));
-                let predicted = Self::predict_history(self.function, self.depth, h);
-                h.push(feedback);
-                predicted
-            }
-            Storage::Pas(map) => {
-                let e = map
-                    .entry(key)
-                    .or_insert_with(|| PasEntry::new(self.nodes, self.depth));
-                let predicted = e.predict(self.nodes);
-                e.update(feedback, self.nodes);
-                predicted
-            }
-        }
-    }
-
-    /// Delivers `feedback` to `key`'s entry and returns a view of the
-    /// updated history — the one-probe form of `update` +
-    /// [`history`](Self::history) used by the family evaluator. Returns
-    /// `None` on PAs storage.
-    #[inline]
-    pub fn update_and_history(
-        &mut self,
-        key: u64,
-        feedback: SharingBitmap,
-    ) -> Option<&HistoryEntry> {
-        match &mut self.storage {
-            Storage::Arena(arena) => {
-                let h = arena.entry_mut(key);
-                h.push(feedback);
-                Some(h)
-            }
-            Storage::Hashed(map) => {
-                let h = map
-                    .entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth));
-                h.push(feedback);
-                Some(h)
-            }
-            Storage::Pas(map) => {
-                map.entry(key)
-                    .or_insert_with(|| PasEntry::new(self.nodes, self.depth))
-                    .update(feedback, self.nodes);
-                None
-            }
-        }
-    }
-
-    /// Mutable access to `key`'s history entry, creating a cold one if
-    /// absent — the family evaluator's one-probe score-then-train step
-    /// for `ordered` update (a cold entry scores exactly like an absent
-    /// one: it holds no history). Returns `None` on PAs storage.
-    #[inline]
-    pub fn history_mut(&mut self, key: u64) -> Option<&mut HistoryEntry> {
-        match &mut self.storage {
-            Storage::Arena(arena) => Some(arena.entry_mut(key)),
-            Storage::Hashed(map) => Some(
-                map.entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth)),
-            ),
-            Storage::Pas(_) => None,
         }
     }
 
@@ -333,19 +167,11 @@ impl PredictorTable {
             Storage::Arena(a) => Some(a.iter().map(|(k, e)| (k, EntryView::History(e)))),
             _ => None,
         };
-        let hashed = match &self.storage {
-            Storage::Hashed(m) => Some(m.iter().map(|(&k, e)| (k, EntryView::History(e)))),
-            _ => None,
-        };
         let pas = match &self.storage {
             Storage::Pas(m) => Some(m.iter().map(|(&k, e)| (k, EntryView::Pas(e)))),
             _ => None,
         };
-        arena
-            .into_iter()
-            .flatten()
-            .chain(hashed.into_iter().flatten())
-            .chain(pas.into_iter().flatten())
+        arena.into_iter().flatten().chain(pas.into_iter().flatten())
     }
 
     /// Inserts a fully-formed entry under `key` (the restore half of
@@ -371,17 +197,6 @@ impl PredictorTable {
                 arena.insert(key, e);
                 Ok(())
             }
-            (Storage::Hashed(map), TableEntry::History(e)) => {
-                if e.depth() != self.depth {
-                    return Err(format!(
-                        "history entry depth {} in a depth-{} table",
-                        e.depth(),
-                        self.depth
-                    ));
-                }
-                map.insert(key, e);
-                Ok(())
-            }
             (Storage::Pas(map), TableEntry::Pas(e)) => {
                 if e.depth() != self.depth {
                     return Err(format!(
@@ -401,7 +216,6 @@ impl PredictorTable {
     pub fn entries_touched(&self) -> usize {
         match &self.storage {
             Storage::Arena(a) => a.len(),
-            Storage::Hashed(m) => m.len(),
             Storage::Pas(m) => m.len(),
         }
     }
@@ -411,7 +225,6 @@ impl PredictorTable {
     pub fn history(&self, key: u64) -> Option<&HistoryEntry> {
         match &self.storage {
             Storage::Arena(a) => a.get(key),
-            Storage::Hashed(m) => m.get(&key),
             Storage::Pas(_) => None,
         }
     }
@@ -440,8 +253,7 @@ impl PredictorTable {
     ///
     /// The two tables must come from the same scheme; keys present in
     /// both (impossible under disjoint shard routing) keep `other`'s
-    /// entry. History tables absorb across backends (arena and hashed
-    /// are the same storage family).
+    /// entry.
     ///
     /// # Panics
     ///
@@ -454,15 +266,6 @@ impl PredictorTable {
                     a.insert(k, *e);
                 }
             }
-            (Storage::Arena(a), Storage::Hashed(b)) => {
-                for (k, e) in b {
-                    a.insert(k, e);
-                }
-            }
-            (Storage::Hashed(a), Storage::Arena(b)) => {
-                a.extend(b.iter().map(|(k, e)| (k, *e)));
-            }
-            (Storage::Hashed(a), Storage::Hashed(b)) => a.extend(b),
             (Storage::Pas(a), Storage::Pas(b)) => a.extend(b),
             _ => panic!("cannot absorb a table of a different storage kind"),
         }
@@ -687,123 +490,6 @@ mod tests {
     fn absorb_rejects_mismatched_storage() {
         let mut a = table("union(pid)2");
         a.absorb(table("pas(pid)2"));
-    }
-
-    /// One-probe ops must be bit-identical to their two-probe spellings,
-    /// for both storage families and arbitrary interleavings.
-    #[test]
-    fn one_probe_ops_match_two_probe_spellings() {
-        for spec in [
-            "last(pid)1",
-            "union(pid)3",
-            "inter(pid)2",
-            "overlap-last(pid)",
-            "pas(pid)2",
-        ] {
-            let mut one = table(spec);
-            let mut two = table(spec);
-            for step in 0..60u64 {
-                let key = step % 5;
-                let feedback = bm(&[(step % 16) as u8, ((step * 7) % 16) as u8]);
-                if step % 2 == 0 {
-                    let got = one.update_and_predict(key, feedback);
-                    two.update(key, feedback);
-                    assert_eq!(got, two.predict(key), "{spec} update_and_predict @{step}");
-                } else {
-                    let got = one.predict_and_update(key, feedback);
-                    let want = two.predict(key);
-                    two.update(key, feedback);
-                    assert_eq!(got, want, "{spec} predict_and_update @{step}");
-                }
-                // The tables must stay in lock-step on every key.
-                for k in 0..5 {
-                    assert_eq!(one.predict(k), two.predict(k), "{spec} key {k} @{step}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn update_and_history_views_the_updated_entry() {
-        let mut t = table("union(pid)2");
-        let h = t.update_and_history(7, bm(&[1])).expect("history storage");
-        assert_eq!(h.last(), bm(&[1]));
-        assert!(table("pas(pid)2").update_and_history(0, bm(&[1])).is_none());
-    }
-
-    #[test]
-    fn history_mut_creates_cold_entries_that_score_like_absent_ones() {
-        let mut t = table("inter(pid)2");
-        {
-            let h = t.history_mut(3).expect("history storage");
-            assert!(h.is_empty(), "fresh entry holds no history");
-        }
-        // The cold entry predicts exactly what the absent entry did.
-        assert!(t.predict(3).is_empty());
-        assert!(table("pas(pid)2").history_mut(0).is_none());
-    }
-
-    /// The arena backend must be bit-identical to the hashed reference
-    /// twin through every table operation and interleaving.
-    #[test]
-    fn arena_and_hashed_backends_are_bit_identical() {
-        for spec in [
-            "last(pid)1",
-            "union(pid)3",
-            "inter(pid)2",
-            "overlap-last(pid)",
-        ] {
-            let scheme: Scheme = spec.parse().unwrap();
-            let mut arena = PredictorTable::with_backend(&scheme, 16, 0, HistoryBackend::Arena);
-            let mut hashed = PredictorTable::with_backend(&scheme, 16, 0, HistoryBackend::Hashed);
-            assert!(arena.uses_history() && hashed.uses_history());
-            for step in 0..400u64 {
-                let key = (step * 7) % 23;
-                let feedback = bm(&[(step % 16) as u8, ((step * 3) % 16) as u8]);
-                match step % 3 {
-                    0 => assert_eq!(
-                        arena.update_and_predict(key, feedback),
-                        hashed.update_and_predict(key, feedback),
-                        "{spec} update_and_predict @{step}"
-                    ),
-                    1 => assert_eq!(
-                        arena.predict_and_update(key, feedback),
-                        hashed.predict_and_update(key, feedback),
-                        "{spec} predict_and_update @{step}"
-                    ),
-                    _ => {
-                        arena.update(key, feedback);
-                        hashed.update(key, feedback);
-                    }
-                }
-            }
-            assert_eq!(arena.entries_touched(), hashed.entries_touched(), "{spec}");
-            for key in 0..23u64 {
-                assert_eq!(arena.predict(key), hashed.predict(key), "{spec} key {key}");
-                assert_eq!(arena.history(key), hashed.history(key), "{spec} key {key}");
-            }
-        }
-    }
-
-    /// History tables absorb across backends: a hashed shard folds into
-    /// an arena global (and vice versa) without losing an entry.
-    #[test]
-    fn absorb_crosses_history_backends() {
-        let scheme: Scheme = "union(pid)2".parse().unwrap();
-        let mut arena = PredictorTable::with_backend(&scheme, 16, 0, HistoryBackend::Arena);
-        let mut hashed = PredictorTable::with_backend(&scheme, 16, 0, HistoryBackend::Hashed);
-        for key in 0..50u64 {
-            hashed.update(key, bm(&[(key % 16) as u8]));
-        }
-        arena.absorb(hashed.clone());
-        assert_eq!(arena.entries_touched(), 50);
-        for key in 0..50u64 {
-            assert_eq!(arena.predict(key), hashed.predict(key), "key {key}");
-        }
-        let mut hashed_global =
-            PredictorTable::with_backend(&scheme, 16, 0, HistoryBackend::Hashed);
-        hashed_global.absorb(arena);
-        assert_eq!(hashed_global.entries_touched(), 50);
     }
 
     #[test]

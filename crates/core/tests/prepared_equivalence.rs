@@ -1,16 +1,18 @@
-//! Property-style equivalence suite: the prepared evaluation path must be
-//! bit-identical to the naive one.
+//! Property-style equivalence suite: the production kernel must be
+//! bit-identical to the reference evaluator.
 //!
-//! The prepared engine ([`engine::run_scheme_prepared`] and friends) walks
-//! flat resolved columns and shared key streams, and touches predictor
-//! tables through the one-probe entry API. None of that may change a
-//! single confusion-matrix count relative to the naive spelling: these
-//! properties pin that across random small traces, all three update
-//! modes, and both storage families (history and PAs).
+//! Every engine entry point ([`engine::run_scheme_prepared`] and friends)
+//! runs the slot-major kernel over shared key streams, with a batched
+//! popcount accumulator. [`reference`] evaluates DESIGN.md §3 one event
+//! at a time with its own actuals pass and a plain hash map of entries.
+//! None of the kernel's machinery may change a single count or a single
+//! per-event prediction relative to it: these properties pin that across
+//! random small traces, all three update modes, every prediction
+//! function, and both accumulator backends.
 
 use csp_core::{
-    engine, run_scheme_simd, run_scheme_simd_with, IndexSpec, PredictionFunction, PredictorTable,
-    PreparedTrace, Scheme, SimdBackend, UpdateMode,
+    engine, reference, IndexSpec, PredictionFunction, PredictorTable, PreparedTrace, Scheme,
+    SimdBackend, UpdateMode,
 };
 use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 use proptest::collection::vec;
@@ -88,10 +90,11 @@ fn scheme_points(index: IndexSpec, update: UpdateMode) -> Vec<Scheme> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `run_scheme_prepared` == `run_scheme` for every update mode and
-    /// both storage families, on random consistent traces.
+    /// `run_scheme_prepared` (and the plain `run_scheme`) equal the
+    /// reference for every update mode and prediction function, on
+    /// random consistent traces.
     #[test]
-    fn prepared_scheme_matches_naive(
+    fn kernel_scheme_matches_reference(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
     ) {
         let trace = build_trace(&raw);
@@ -99,20 +102,22 @@ proptest! {
         for index in index_points() {
             for update in UpdateMode::ALL {
                 for scheme in scheme_points(index, update) {
+                    let expected = reference::run_scheme(&trace, &scheme);
                     prop_assert_eq!(
                         engine::run_scheme_prepared(&prepared, &scheme),
-                        engine::run_scheme(&trace, &scheme),
+                        expected,
                         "scheme {}", scheme
                     );
+                    prop_assert_eq!(engine::run_scheme(&trace, &scheme), expected, "scheme {}", scheme);
                 }
             }
         }
     }
 
-    /// The single-pass family evaluator stays equivalent too, at every
-    /// depth it reports.
+    /// The single-pass family sink equals the reference at every depth
+    /// it reports.
     #[test]
-    fn prepared_family_matches_naive(
+    fn kernel_family_matches_reference(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
         max_depth in 1usize..=4,
     ) {
@@ -120,50 +125,25 @@ proptest! {
         let prepared = PreparedTrace::new(&trace);
         for index in index_points() {
             for update in UpdateMode::ALL {
-                let fam_p = engine::run_history_family_prepared(&prepared, index, update, max_depth);
-                let fam_n = engine::run_history_family(&trace, index, update, max_depth);
-                prop_assert_eq!(&fam_p, &fam_n, "family {index} {update} depth {max_depth}");
-                // And the family agrees with individual prepared runs.
+                let fam = engine::run_history_family_prepared(&prepared, index, update, max_depth);
                 for d in 1..=max_depth {
                     let u = Scheme::new(PredictionFunction::Union, index, d, update);
                     let i = Scheme::new(PredictionFunction::Inter, index, d, update);
-                    prop_assert_eq!(&fam_p.union[d - 1], &engine::run_scheme_prepared(&prepared, &u));
-                    prop_assert_eq!(&fam_p.inter[d - 1], &engine::run_scheme_prepared(&prepared, &i));
+                    prop_assert_eq!(&fam.union[d - 1], &reference::run_scheme(&trace, &u), "{}", u);
+                    prop_assert_eq!(&fam.inter[d - 1], &reference::run_scheme(&trace, &i), "{}", i);
                 }
             }
         }
     }
 
-    /// Per-event predictions (not just aggregate matrices) are identical,
-    /// so downstream consumers (forwarding estimator, paired comparison,
-    /// online replay) see the same stream.
+    /// Per-event predictions (not just aggregate matrices) equal the
+    /// reference's for every function, update mode and depth, PAs
+    /// included — which pins the kernel's slot-to-event mapping, the
+    /// forwarded `op >> 1` included. Both accumulator backends score the
+    /// same decisions to the reference's matrix.
     #[test]
-    fn prepared_predictions_match_naive(
+    fn kernel_predictions_match_reference(
         raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
-    ) {
-        let trace = build_trace(&raw);
-        let prepared = PreparedTrace::new(&trace);
-        for update in UpdateMode::ALL {
-            let scheme = Scheme::new(
-                PredictionFunction::Union,
-                IndexSpec::new(true, 2, false, 2),
-                2,
-                update,
-            );
-            prop_assert_eq!(
-                engine::predictions_for_prepared(&prepared, &scheme),
-                engine::predictions_for(&trace, &scheme)
-            );
-        }
-    }
-
-    /// The SIMD engine (arena tables, slot-major windows, batched
-    /// popcount accumulation, runtime-dispatched backend) is
-    /// bit-identical to naive across every scheme family, update mode,
-    /// and index point, on random consistent traces.
-    #[test]
-    fn simd_scheme_matches_naive(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
@@ -171,31 +151,19 @@ proptest! {
             for update in UpdateMode::ALL {
                 for scheme in scheme_points(index, update) {
                     prop_assert_eq!(
-                        run_scheme_simd(&prepared, &scheme),
-                        engine::run_scheme(&trace, &scheme),
+                        engine::predictions_for_prepared(&prepared, &scheme),
+                        reference::predictions(&trace, &scheme),
                         "scheme {}", scheme
                     );
+                    let expected = reference::run_scheme(&trace, &scheme);
+                    for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
+                        prop_assert_eq!(
+                            engine::run_scheme_with_backend(&prepared, &scheme, backend),
+                            expected,
+                            "scheme {} via {}", scheme, backend.name()
+                        );
+                    }
                 }
-            }
-        }
-    }
-
-    /// The forced-scalar backend is bit-identical too, independently of
-    /// what the host CPU supports — the equivalence CI relies on when it
-    /// rebuilds without target features.
-    #[test]
-    fn simd_scalar_fallback_matches_naive(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
-    ) {
-        let trace = build_trace(&raw);
-        let prepared = PreparedTrace::new(&trace);
-        for update in UpdateMode::ALL {
-            for scheme in scheme_points(IndexSpec::new(true, 2, false, 2), update) {
-                prop_assert_eq!(
-                    run_scheme_simd_with(&prepared, &scheme, SimdBackend::Scalar),
-                    engine::run_scheme(&trace, &scheme),
-                    "scheme {}", scheme
-                );
             }
         }
     }
@@ -204,7 +172,7 @@ proptest! {
     /// changes the confusion matrix's true-negative algebra, which the
     /// batched counters must reproduce exactly.
     #[test]
-    fn simd_matches_naive_across_node_counts(
+    fn kernel_matches_reference_across_node_counts(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
         nodes in 1usize..=16,
     ) {
@@ -239,8 +207,8 @@ proptest! {
         for update in UpdateMode::ALL {
             for scheme in scheme_points(IndexSpec::new(true, 2, true, 2), update) {
                 prop_assert_eq!(
-                    run_scheme_simd(&prepared, &scheme),
-                    engine::run_scheme(&t, &scheme),
+                    engine::run_scheme_prepared(&prepared, &scheme),
+                    reference::run_scheme(&t, &scheme),
                     "scheme {} nodes {}", scheme, nodes
                 );
             }
@@ -249,8 +217,7 @@ proptest! {
 
     /// Splitting a table's key space across shards and absorbing the
     /// shards back reproduces the unsharded table exactly — the
-    /// invariant the serving engine's scatter/gather rests on, now over
-    /// the arena backend.
+    /// invariant the serving engine's scatter/gather rests on.
     #[test]
     fn arena_split_absorb_round_trips(
         ops in vec((any::<u64>(), any::<u8>()), 1..200),
@@ -279,56 +246,30 @@ proptest! {
         }
     }
 
-    /// Absorb crosses storage backends without drift: a hashed-backend
-    /// shard absorbed into an arena-backed table (and vice versa) lands
-    /// every entry.
+    /// Paired comparisons equal the counts rebuilt from the reference's
+    /// per-event predictions and actuals.
     #[test]
-    fn absorb_is_backend_agnostic(
-        ops in vec((any::<u64>(), any::<u8>()), 1..120),
-    ) {
-        use csp_core::HistoryBackend;
-        let scheme = Scheme::new(
-            PredictionFunction::Inter,
-            IndexSpec::new(true, 2, false, 0),
-            2,
-            UpdateMode::Direct,
-        );
-        for (into, from) in [
-            (HistoryBackend::Arena, HistoryBackend::Hashed),
-            (HistoryBackend::Hashed, HistoryBackend::Arena),
-        ] {
-            let mut reference = PredictorTable::new(&scheme, NODES);
-            let mut dst = PredictorTable::with_backend(&scheme, NODES, 0, into);
-            let mut src = PredictorTable::with_backend(&scheme, NODES, 0, from);
-            for &(key, bits) in &ops {
-                let feedback = SharingBitmap::from_bits(u64::from(bits)).masked(NODES);
-                reference.update(key, feedback);
-                // Route by key so each key's whole update sequence lands
-                // on exactly one side (absorb replaces on collision).
-                if key % 2 == 0 { dst.update(key, feedback) } else { src.update(key, feedback) }
-            }
-            dst.absorb(src);
-            for &(key, _) in &ops {
-                prop_assert_eq!(dst.predict(key), reference.predict(key), "key {}", key);
-            }
-        }
-    }
-
-    /// Paired comparisons ride the same prepared path without drift.
-    #[test]
-    fn prepared_compare_matches_naive(
+    fn compare_matches_reference(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
         let a = Scheme::new(PredictionFunction::Last, IndexSpec::new(true, 2, false, 0), 1, UpdateMode::Direct);
         let b = Scheme::new(PredictionFunction::Pas, IndexSpec::new(false, 0, false, 3), 2, UpdateMode::Forwarded);
-        let naive = engine::compare_schemes(&trace, &a, &b);
-        let fast = engine::compare_schemes_prepared(&prepared, &a, &b);
-        prop_assert_eq!(naive.both_correct, fast.both_correct);
-        prop_assert_eq!(naive.both_wrong, fast.both_wrong);
-        prop_assert_eq!(naive.only_a, fast.only_a);
-        prop_assert_eq!(naive.only_b, fast.only_b);
+        let got = engine::compare_schemes_prepared(&prepared, &a, &b);
+        let (pa, pb) = (reference::predictions(&trace, &a), reference::predictions(&trace, &b));
+        let (mut only_a, mut only_b, mut both_wrong) = (0, 0, 0);
+        for ((pa, pb), actual) in pa.iter().zip(&pb).zip(reference::actuals(&trace)) {
+            let wrong_a = (*pa ^ actual).masked(NODES);
+            let wrong_b = (*pb ^ actual).masked(NODES);
+            both_wrong += u64::from((wrong_a & wrong_b).count());
+            only_a += u64::from((wrong_b - wrong_a).count());
+            only_b += u64::from((wrong_a - wrong_b).count());
+        }
+        prop_assert_eq!(got.both_wrong, both_wrong);
+        prop_assert_eq!(got.only_a, only_a);
+        prop_assert_eq!(got.only_b, only_b);
+        prop_assert_eq!(got.total(), trace.len() as u64 * NODES as u64);
     }
 }
 
@@ -355,7 +296,7 @@ fn exhaustive_fixed_trace_sweep() {
             for scheme in scheme_points(index, update) {
                 assert_eq!(
                     engine::run_scheme_prepared(&prepared, &scheme),
-                    engine::run_scheme(&trace, &scheme),
+                    reference::run_scheme(&trace, &scheme),
                     "scheme {scheme}"
                 );
             }

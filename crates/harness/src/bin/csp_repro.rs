@@ -16,23 +16,10 @@
 //!   --sweep-tsv FILE  dump the full design-space sweep as TSV and exit
 //!   --verify-serve    replay the suite through the online sharded engine
 //!                     (csp-serve) and verify bit-identical statistics
-//!   --bench-engine    time the naive vs prepared sweep paths and exit
-//!   --bench-out FILE  where --bench-engine writes its JSON report
-//!                     (default BENCH_engine.json); with --bench-engine,
-//!                     --out FILE is accepted as a synonym (shared with
-//!                     `csp-bar run --out`)
-//!   --warmup N        untimed passes per arm before the timed
-//!                     iterations (default 0; shared with `csp-bar run`)
-//!   --bench-check FILE  fail if the measured speedup regressed more than
-//!                     20% below the baseline report in FILE
 //! ```
 //!
-//! The trajectory-aware successor of `--bench-engine` is the `csp-bar`
-//! barometer (see `crates/bar/FORMAT.md`): it runs the full
-//! (workload x scheme x engine) matrix through the same
-//! `csp_harness::engines` adapters and appends committed measurement
-//! records under `results/bar/`. `--bench-engine` remains as the
-//! single-point gate during the transition.
+//! Engine timing lives in the `csp-bar` barometer (see
+//! `crates/bar/FORMAT.md`).
 //!
 //! Exit codes: 0 success; 1 runtime failure (I/O, corruption, worker
 //! panics — diagnostics on stderr, no usage text); 2 usage error (bad
@@ -53,10 +40,6 @@ struct Options {
     checkpoint: Option<PathBuf>,
     sweep_tsv: Option<PathBuf>,
     verify_serve: bool,
-    bench_engine: bool,
-    bench_out: Option<PathBuf>,
-    warmup: usize,
-    bench_check: Option<PathBuf>,
     requested: Vec<ExperimentId>,
 }
 
@@ -85,10 +68,6 @@ fn parse_args() -> Result<Options, String> {
         checkpoint: None,
         sweep_tsv: None,
         verify_serve: false,
-        bench_engine: false,
-        bench_out: None,
-        warmup: 0,
-        bench_check: None,
         requested: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -120,19 +99,6 @@ fn parse_args() -> Result<Options, String> {
                 None => return Err("--sweep-tsv needs a file path".into()),
             },
             "--verify-serve" => opts.verify_serve = true,
-            "--bench-engine" => opts.bench_engine = true,
-            "--bench-out" => match args.next() {
-                Some(f) => opts.bench_out = Some(PathBuf::from(f)),
-                None => return Err("--bench-out needs a file path".into()),
-            },
-            "--warmup" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => opts.warmup = n,
-                None => return Err("--warmup needs a non-negative integer".into()),
-            },
-            "--bench-check" => match args.next() {
-                Some(f) => opts.bench_check = Some(PathBuf::from(f)),
-                None => return Err("--bench-check needs a file path".into()),
-            },
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
@@ -163,10 +129,6 @@ fn run(opts: &Options) -> Result<(), HarnessError> {
         );
     }
     eprintln!("suite ready in {:.1?}\n", t0.elapsed());
-
-    if opts.bench_engine {
-        return bench_engine(&suite, opts);
-    }
 
     if opts.verify_serve {
         return verify_serve(&suite);
@@ -228,40 +190,9 @@ fn run(opts: &Options) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Times the naive (per-cell resolution) and prepared (shared key-stream)
-/// sweep paths over the same family grid, writes the JSON report, and
-/// optionally gates on a committed baseline.
-fn bench_engine(suite: &Suite, opts: &Options) -> Result<(), HarnessError> {
-    use csp_harness::run_engine_bench_warm;
-
-    const MAX_DEPTH: usize = 4;
-    const TOLERANCE: f64 = 0.2;
-    let report = run_engine_bench_warm(suite, MAX_DEPTH, opts.warmup);
-    println!("{}", report.summary());
-    // `--bench-out` wins; in bench mode a bare `--out FILE` (the flag
-    // `csp-bar run` shares) is accepted as the report path too.
-    let out = opts
-        .bench_out
-        .clone()
-        .or_else(|| opts.out_dir.clone())
-        .unwrap_or_else(|| PathBuf::from("BENCH_engine.json"));
-    std::fs::write(&out, report.to_json()).map_err(|e| HarnessError::io(&out, e))?;
-    eprintln!("report written to {}", out.display());
-    if let Some(baseline) = &opts.bench_check {
-        let text = std::fs::read_to_string(baseline).map_err(|e| HarnessError::io(baseline, e))?;
-        report.check_against_baseline(&text, TOLERANCE)?;
-        println!(
-            "speedup within {:.0}% of baseline {}",
-            TOLERANCE * 100.0,
-            baseline.display()
-        );
-    }
-    Ok(())
-}
-
 /// Replays the suite through the online sharded engine (`csp-serve`) for
 /// every scheme in the verification grid and checks the screening
-/// statistics are bit-identical to the offline reference engine.
+/// statistics are bit-identical to the reference evaluator.
 fn verify_serve(suite: &Suite) -> Result<(), HarnessError> {
     use csp_harness::serve::{verification_schemes, verify_online_equivalence};
 
@@ -349,13 +280,6 @@ fn print_usage() {
     eprintln!("  --checkpoint FILE resume the tables 8-11 sweep from FILE");
     eprintln!("  --sweep-tsv FILE  dump the full design-space sweep as TSV and exit");
     eprintln!("  --verify-serve    verify the online sharded engine reproduces offline stats");
-    eprintln!("  --bench-engine    time the naive vs prepared sweep paths and exit");
-    eprintln!(
-        "  --bench-out FILE  where --bench-engine writes its report (default BENCH_engine.json;"
-    );
-    eprintln!("                    --out FILE is a synonym in bench mode)");
-    eprintln!("  --warmup N        untimed passes per bench arm before timing (default 0)");
-    eprintln!("  --bench-check FILE  fail if speedup regressed >20% below the baseline in FILE");
     eprintln!("experiments:");
     for e in ExperimentId::ALL {
         eprintln!("  {e}");

@@ -1,27 +1,26 @@
 //! Execution-engine adapters for the benchmark barometer (`csp-bar`).
 //!
-//! The repo grew several distinct ways to score a scheme over a trace:
-//! the frozen naive evaluator (per-call resolution, hashed tables), the
-//! prepared single-pass path (shared resolutions and key streams), its
-//! SIMD-batched sibling (arena tables, vectorized confusion counting),
-//! and the sharded online serving engine (per-key routing over worker
-//! threads). This module puts them behind one [`Engine`] trait and a
-//! data-driven registry ([`ENGINE_SPECS`]) so the barometer can
-//! enumerate a (workload x scheme x engine) matrix declaratively — and,
-//! crucially, so every engine's screening statistics can be
-//! cross-checked for bit-identity before any timing number is trusted.
+//! The barometer compares engines that differ in kind: the plain
+//! reference evaluator ([`csp_core::reference`], one event at a time
+//! over a hash map), the production slot-major kernel with its batched
+//! SIMD accumulator ([`csp_core::engine`]), and the sharded online
+//! serving engine (per-key routing over worker threads). This module
+//! puts them behind one [`Engine`] trait and a data-driven registry
+//! ([`ENGINE_SPECS`]) so the barometer can enumerate a
+//! (workload x scheme x engine) matrix declaratively — and, crucially,
+//! so every engine's screening statistics can be cross-checked against
+//! the reference for bit-identity before any timing number is trusted.
 //!
 //! Engines here evaluate one *cell* — a `(benchmark trace, scheme)`
 //! pair — to a [`ConfusionMatrix`]. Timing policy (warmup passes, timed
 //! iterations, quantiles) lives with the caller; the adapters only
 //! guarantee that each call performs the full end-to-end evaluation the
 //! engine would pay in production, nothing cached across calls beyond
-//! what the engine's own architecture shares (the prepared engine's key
-//! streams are its architecture; the sharded engine's persistent worker
-//! pool is its architecture too — see [`ShardedServeEngine`]).
+//! what the engine's own architecture shares (the kernel's key streams
+//! are its architecture; the sharded engine's persistent worker pool is
+//! its architecture too — see [`ShardedServeEngine`]).
 
-use csp_core::engine::{run_scheme, run_scheme_prepared};
-use csp_core::{run_scheme_simd, PreparedTrace, Scheme};
+use csp_core::{engine, reference, PreparedTrace, Scheme};
 use csp_metrics::ConfusionMatrix;
 use csp_serve::ShardPool;
 use csp_workloads::BenchmarkTrace;
@@ -50,9 +49,8 @@ impl EngineCell<'_> {
 /// A predictor execution engine the barometer can time.
 ///
 /// Implementations must be deterministic: two calls on the same cell
-/// return bit-identical confusion matrices. [`cross_check`] relies on
-/// this to promote the naive evaluator into an equivalence oracle for
-/// every other engine.
+/// return bit-identical confusion matrices. [`cross_check`] compares
+/// every engine against the first one, the reference.
 pub trait Engine: Sync {
     /// Stable lowercase name, used in definitions files and records.
     fn name(&self) -> &'static str;
@@ -60,38 +58,24 @@ pub trait Engine: Sync {
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix;
 }
 
-/// The frozen-naive reference evaluator: per-call ground-truth
-/// resolution, per-event key derivation, hashed create-on-update tables.
-pub struct NaiveEngine;
+/// The reference evaluator: its own actuals pass, per-event key
+/// derivation and a hash map of entries (see [`csp_core::reference`]).
+pub struct ReferenceEngine;
 
-impl Engine for NaiveEngine {
+impl Engine for ReferenceEngine {
     fn name(&self) -> &'static str {
-        "naive"
+        "reference"
     }
 
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        run_scheme(&cell.bench.trace, &cell.scheme)
+        reference::run_scheme(&cell.bench.trace, &cell.scheme)
     }
 }
 
-/// The prepared single-pass path (PR 3): resolutions and key streams
-/// shared through [`PreparedTrace`], one-probe slot-indexed tables.
-pub struct PreparedEngine;
-
-impl Engine for PreparedEngine {
-    fn name(&self) -> &'static str {
-        "prepared"
-    }
-
-    fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        run_scheme_prepared(cell.prepared, &cell.scheme)
-    }
-}
-
-/// The SIMD-batched prepared path (PR 8): flat open-addressing arena
-/// tables, slot-major history windows, and confusion counts accumulated
-/// in 8-wide popcount batches (AVX2 when the host has it, bit-identical
-/// scalar fallback otherwise — see [`csp_core::simd`]).
+/// The production kernel: shared key streams, slot-major entry windows,
+/// and confusion counts accumulated in 8-wide popcount batches (AVX2
+/// when the host has it, bit-identical scalar fallback otherwise — see
+/// [`csp_core::simd`]).
 pub struct SimdEngine;
 
 impl Engine for SimdEngine {
@@ -100,7 +84,7 @@ impl Engine for SimdEngine {
     }
 
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        run_scheme_simd(cell.prepared, &cell.scheme)
+        engine::run_scheme_prepared(cell.prepared, &cell.scheme)
     }
 }
 
@@ -145,18 +129,14 @@ pub struct EngineSpec {
     pub build: fn(usize) -> Box<dyn Engine>,
 }
 
-/// The engine registry, in canonical order (the naive reference first —
-/// it is the ratio denominator). Adding an engine means adding a row
-/// here; name lookup, [`ENGINE_NAMES`], and the barometer's validation
-/// all follow from it.
-pub const ENGINE_SPECS: [EngineSpec; 4] = [
+/// The engine registry, in canonical order (the reference first — it is
+/// the cross-check oracle and the ratio denominator). Adding an engine
+/// means adding a row here; name lookup, [`ENGINE_NAMES`], and the
+/// barometer's validation all follow from it.
+pub const ENGINE_SPECS: [EngineSpec; 3] = [
     EngineSpec {
-        name: "naive",
-        build: |_| Box::new(NaiveEngine),
-    },
-    EngineSpec {
-        name: "prepared",
-        build: |_| Box::new(PreparedEngine),
+        name: "reference",
+        build: |_| Box::new(ReferenceEngine),
     },
     EngineSpec {
         name: "simd",
@@ -172,7 +152,7 @@ pub const ENGINE_SPECS: [EngineSpec; 4] = [
 /// order. (A const mirror of [`ENGINE_SPECS`] so definitions-file
 /// validation can borrow it without building adapters; a test pins the
 /// two in sync.)
-pub const ENGINE_NAMES: [&str; 4] = ["naive", "prepared", "simd", "sharded"];
+pub const ENGINE_NAMES: [&str; 3] = ["reference", "simd", "sharded"];
 
 /// Constructs an engine adapter by its definitions-file name.
 pub fn engine_by_name(name: &str, shards: usize) -> Option<Box<dyn Engine>> {
@@ -211,10 +191,10 @@ impl fmt::Display for EngineDivergence {
     }
 }
 
-/// Evaluates `cell` once on every engine and verifies all of them
-/// produce bit-identical confusion matrices (the first engine is the
-/// reference). Returns the agreed matrix, which doubles as a warmup
-/// pass for each engine.
+/// Evaluates `cell` once on every engine and verifies each produces
+/// the reference evaluator's confusion matrix, bit for bit — whether or
+/// not the reference is itself among `engines`. Returns that matrix; the
+/// pass doubles as a warmup for each engine.
 ///
 /// # Errors
 ///
@@ -224,26 +204,21 @@ pub fn cross_check(
     engines: &[Box<dyn Engine>],
     cell: &EngineCell<'_>,
 ) -> Result<ConfusionMatrix, Box<EngineDivergence>> {
-    let mut reference: Option<(&'static str, ConfusionMatrix)> = None;
+    let expected = ReferenceEngine.eval(cell);
     for engine in engines {
         let got = engine.eval(cell);
-        match &reference {
-            None => reference = Some((engine.name(), got)),
-            Some((ref_name, expected)) => {
-                if got != *expected {
-                    return Err(Box::new(EngineDivergence {
-                        engine: engine.name().to_string(),
-                        reference: (*ref_name).to_string(),
-                        workload: cell.bench.benchmark.name().to_string(),
-                        scheme: cell.scheme,
-                        got,
-                        expected: *expected,
-                    }));
-                }
-            }
+        if got != expected {
+            return Err(Box::new(EngineDivergence {
+                engine: engine.name().to_string(),
+                reference: ReferenceEngine.name().to_string(),
+                workload: cell.bench.benchmark.name().to_string(),
+                scheme: cell.scheme,
+                got,
+                expected,
+            }));
         }
     }
-    Ok(reference.map(|(_, m)| m).unwrap_or_default())
+    Ok(expected)
 }
 
 #[cfg(test)]
@@ -273,7 +248,7 @@ mod tests {
                     scheme,
                 };
                 let agreed = cross_check(&engines, &cell).expect("engines agree");
-                assert_eq!(agreed, run_scheme(&bench.trace, &scheme));
+                assert_eq!(agreed, reference::run_scheme(&bench.trace, &scheme));
                 assert!(cell.events() > 0);
             }
         }
@@ -295,7 +270,7 @@ mod tests {
             // Each row builds an adapter that answers to its own name.
             assert_eq!((spec.build)(2).name(), name);
         }
-        assert_eq!(ENGINE_NAMES[0], "naive", "ratio denominator comes first");
+        assert_eq!(ENGINE_NAMES[0], "reference", "the oracle comes first");
     }
 
     #[test]
@@ -312,7 +287,10 @@ mod tests {
                     prepared: &prepared,
                     scheme: s.parse().expect("notation"),
                 };
-                assert_eq!(engine.eval(&cell), run_scheme(&bench.trace, &cell.scheme));
+                assert_eq!(
+                    engine.eval(&cell),
+                    reference::run_scheme(&bench.trace, &cell.scheme)
+                );
             }
         }
     }
@@ -320,7 +298,7 @@ mod tests {
     #[test]
     fn divergence_reports_name_the_cell() {
         // A fake engine that always returns zeros must be caught against
-        // the naive reference on any non-trivial trace.
+        // the reference on any non-trivial trace.
         struct Zero;
         impl Engine for Zero {
             fn name(&self) -> &'static str {
@@ -338,10 +316,10 @@ mod tests {
             prepared: &prepared,
             scheme: "union(pid+pc8)2[direct]".parse().expect("notation"),
         };
-        let engines: Vec<Box<dyn Engine>> = vec![Box::new(NaiveEngine), Box::new(Zero)];
+        let engines: Vec<Box<dyn Engine>> = vec![Box::new(SimdEngine), Box::new(Zero)];
         let err = cross_check(&engines, &cell).expect_err("zero engine diverges");
         assert_eq!(err.engine, "zero");
-        assert_eq!(err.reference, "naive");
+        assert_eq!(err.reference, "reference");
         assert!(err.to_string().contains("diverged"), "{err}");
     }
 }

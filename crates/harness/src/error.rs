@@ -57,12 +57,6 @@ pub enum HarnessError {
         /// Human-readable description of the first divergence.
         first: String,
     },
-    /// An engine-benchmark failure: a malformed baseline report, or a
-    /// measured regression past the allowed tolerance.
-    Bench {
-        /// What went wrong (or regressed).
-        detail: String,
-    },
     /// A suite is missing the trace for `benchmark`.
     MissingBenchmark(Benchmark),
     /// A family sweep was asked for a prediction function it does not
@@ -95,9 +89,6 @@ impl fmt::Display for HarnessError {
                     f,
                     "online engine diverged from offline on {count} cell(s); first: {first}"
                 )
-            }
-            HarnessError::Bench { detail } => {
-                write!(f, "engine bench: {detail}")
             }
             HarnessError::MissingBenchmark(b) => {
                 write!(f, "suite has no trace for benchmark {b}")

@@ -13,12 +13,10 @@
 //!   `*_checkpointed` runners;
 //! * [`error`] — the structured [`error::HarnessError`] the library
 //!   surfaces instead of panicking;
-//! * [`bench_engine`] — the naive-vs-prepared engine benchmark behind
-//!   `csp-repro --bench-engine` and the CI regression gate;
 //! * [`engines`] — the [`engines::Engine`] adapter layer putting the
-//!   naive, prepared, and sharded-serve execution paths behind one
-//!   trait with bit-identity cross-checks, shared by the benchmark
-//!   barometer (`csp-bar`);
+//!   reference evaluator, the production kernel and the sharded serving
+//!   engine behind one trait with bit-identity cross-checks, shared by
+//!   the benchmark barometer (`csp-bar`);
 //! * [`serve`] — serve-backed evaluation through the online sharded
 //!   engine (`csp-serve`) and the online == offline equivalence check
 //!   behind `csp-repro --verify-serve`;
@@ -40,7 +38,6 @@
 // tests opt back in where unwrapping is the assertion.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod bench_engine;
 pub mod cache;
 pub mod checkpoint;
 pub mod engines;
@@ -51,7 +48,6 @@ pub mod runner;
 pub mod serve;
 pub mod space;
 
-pub use bench_engine::{run_engine_bench, run_engine_bench_warm, EngineBenchReport};
 pub use cache::{CacheOutcome, TraceCache};
 pub use error::HarnessError;
 pub use runner::{PreparedSuite, SchemeStats, Suite, SweepFailure, SweepOutcome};

@@ -368,8 +368,8 @@ where
 }
 
 /// Evaluates one scheme over every benchmark (sequentially, preparing
-/// each trace per call — the naive reference path; sweeps should prepare
-/// once via [`PreparedSuite`] / [`evaluate_scheme_prepared`]).
+/// each trace per call; sweeps should prepare once via [`PreparedSuite`]
+/// / [`evaluate_scheme_prepared`]).
 pub fn evaluate_scheme(suite: &Suite, scheme: &Scheme) -> SchemeStats {
     let per_benchmark = suite
         .traces
@@ -836,8 +836,8 @@ mod tests {
     }
 
     #[test]
-    fn grouped_sweep_matches_naive_per_cell_runs() {
-        use csp_core::engine::run_history_family;
+    fn grouped_sweep_matches_reference_per_cell_runs() {
+        use csp_core::reference;
         let suite = tiny_suite();
         let indexes = [
             IndexSpec::new(true, 2, false, 0),
@@ -854,17 +854,25 @@ mod tests {
         let cells = outcome.into_complete().unwrap();
         assert_eq!(cells.len(), indexes.len() * updates.len());
         // Cell order is index-major, update-minor, and every cell is
-        // bit-identical to a naive single-cell evaluation.
+        // bit-identical to the reference evaluating each scheme alone.
         for (c, cell) in cells.iter().enumerate() {
             assert_eq!(cell.index, indexes[c / updates.len()]);
             assert_eq!(cell.update, updates[c % updates.len()]);
             for (b, bench) in suite.traces().iter().enumerate() {
-                assert_eq!(
-                    cell.per_benchmark[b],
-                    run_history_family(&bench.trace, cell.index, cell.update, 3),
-                    "cell {c} benchmark {}",
-                    bench.benchmark
-                );
+                for depth in 1..=3 {
+                    for (func, got) in [
+                        (PredictionFunction::Union, &cell.per_benchmark[b].union),
+                        (PredictionFunction::Inter, &cell.per_benchmark[b].inter),
+                    ] {
+                        let scheme = Scheme::new(func, cell.index, depth, cell.update);
+                        assert_eq!(
+                            got[depth - 1],
+                            reference::run_scheme(&bench.trace, &scheme),
+                            "cell {c} {scheme} on {}",
+                            bench.benchmark
+                        );
+                    }
+                }
             }
         }
     }

@@ -2,14 +2,14 @@
 //! sharded engine (`csp-serve`) instead of the offline single-threaded
 //! engine, and verifies the two agree bit for bit.
 //!
-//! The offline engine is the methodological ground truth (it is what
-//! every table and figure of the paper reproduction uses); the sharded
-//! engine is what a deployment would run. This module is the bridge that
-//! proves switching to the deployment path changes *nothing*: same
-//! confusion counts, same screening rates, on every benchmark.
+//! The reference evaluator ([`csp_core::reference`]) is the
+//! methodological ground truth; the sharded engine is what a deployment
+//! would run. This module is the bridge that proves switching to the
+//! deployment path changes *nothing*: same confusion counts, same
+//! screening rates, on every benchmark.
 
 use crate::runner::{SchemeStats, Suite};
-use csp_core::engine::run_scheme;
+use csp_core::reference::run_scheme;
 use csp_core::Scheme;
 use csp_metrics::ConfusionMatrix;
 use csp_serve::ShardedEngine;
@@ -42,7 +42,7 @@ pub struct ServeDivergence {
     pub benchmark: Benchmark,
     /// What the sharded online engine counted.
     pub online: ConfusionMatrix,
-    /// What the offline reference engine counted.
+    /// What the reference evaluator counted.
     pub offline: ConfusionMatrix,
 }
 
@@ -57,7 +57,7 @@ impl fmt::Display for ServeDivergence {
 }
 
 /// Replays every benchmark through the online engine for each scheme and
-/// compares against the offline engine. An empty return means the
+/// compares against the reference evaluator. An empty return means the
 /// online == offline proof holds for the whole grid.
 pub fn verify_online_equivalence(
     suite: &Suite,
@@ -90,8 +90,8 @@ pub fn verify_online_equivalence(
 /// for every benchmark, a leader journals half the trace, a follower
 /// bootstraps from the frozen snapshot, the remainder streams through
 /// the replication log in [`MAX_SEGMENT_OPS`]-bounded segments — and the
-/// follower must end bit-identical to both the leader and the offline
-/// reference engine.
+/// follower must end bit-identical to both the leader and the reference
+/// evaluator.
 ///
 /// [`MAX_SEGMENT_OPS`]: csp_serve::MAX_SEGMENT_OPS
 ///

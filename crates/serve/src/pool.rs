@@ -51,7 +51,7 @@ struct PoolWorker {
 /// ```
 /// use csp_serve::ShardPool;
 /// use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
-/// use csp_core::{engine::run_scheme, PreparedTrace};
+/// use csp_core::{reference::run_scheme, PreparedTrace};
 ///
 /// let mut trace = Trace::new(16);
 /// let readers = SharingBitmap::from_nodes(&[NodeId(1)]);
@@ -69,7 +69,7 @@ struct PoolWorker {
 /// let prepared = PreparedTrace::new(&trace);
 /// let scheme = "last(pid+pc8)1[direct]".parse().unwrap();
 /// // The same pool serves many replays; each is bit-identical to the
-/// // offline engine.
+/// // reference evaluator.
 /// for _ in 0..3 {
 ///     assert_eq!(pool.replay_prepared(&prepared, &scheme), run_scheme(&trace, &scheme));
 /// }
@@ -206,7 +206,7 @@ fn pool_worker(rx: Receiver<PoolMsg>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_core::engine::run_scheme;
+    use csp_core::reference::run_scheme;
     use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {

@@ -293,7 +293,8 @@ pub(crate) const INBOX_DEPTH: usize = 64;
 pub(crate) const REPLAY_CHUNK: usize = 8192;
 
 /// Emits the operations replay dispatches for events `range`, in
-/// emission order, mirroring `csp_core::engine::run_scheme` exactly —
+/// emission order, mirroring the event-order definition of
+/// `csp_core::reference` exactly —
 /// the single definition both local replay and the push-producer path
 /// ([`crate::replication::trace_to_ops`]) share.
 #[allow(clippy::too_many_arguments)]
@@ -765,14 +766,13 @@ impl ShardedEngine {
     }
 
     /// Replays a full recorded trace through the engine, updating *and
-    /// scoring* every decision exactly as the offline engine
-    /// (`csp_core::engine::run_scheme`) does — including the two-pass
+    /// scoring* every decision exactly as the reference evaluator
+    /// (`csp_core::reference::run_scheme`) does — including the two-pass
     /// `ordered` oracle, whose ground truth the trace supplies.
     ///
     /// After this returns (it flushes internally), the engine's
     /// [`stats`](Self::stats) confusion counters are bit-identical to the
-    /// offline run's confusion matrix, and its tables are bit-identical
-    /// to the offline tables — see `tests/equivalence.rs`.
+    /// reference's confusion matrix — see `tests/equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -1264,7 +1264,7 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_core::engine::run_scheme;
+    use csp_core::reference::run_scheme;
     use csp_trace::{LineAddr, NodeId, Pc};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {

@@ -11,7 +11,7 @@
 
 #![cfg(unix)]
 
-use csp_core::engine::run_scheme;
+use csp_core::reference::run_scheme;
 use csp_core::Scheme;
 use csp_serve::wire::StatsReply;
 use csp_serve::Client;

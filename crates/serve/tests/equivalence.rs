@@ -1,15 +1,15 @@
 //! The online == offline proof, end to end: replaying every benchmark of
 //! the paper's suite through the sharded online engine must produce
-//! screening statistics *bit-identical* to the offline evaluation engine
-//! (`csp_core::engine::run_scheme`), for every prediction function family
-//! and update mode the paper simulates.
+//! screening statistics *bit-identical* to the reference evaluator
+//! (`csp_core::reference::run_scheme`), for every prediction function
+//! family and update mode the paper simulates.
 //!
 //! This is the guarantee that makes the serving layer trustworthy: the
 //! numbers a deployment reports are the numbers the paper's methodology
 //! defines, with sharding and batching changing nothing but wall-clock
 //! interleaving.
 
-use csp_core::engine::run_scheme;
+use csp_core::reference::run_scheme;
 use csp_core::Scheme;
 use csp_serve::ShardedEngine;
 use csp_workloads::generate_suite;

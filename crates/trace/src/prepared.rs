@@ -3,11 +3,11 @@
 //!
 //! Every evaluation of a scheme over a [`Trace`] needs the same three
 //! per-event facts: the ground-truth *actual* bitmap, the invalidation
-//! feedback, and whether the event has a previous writer. The naive path
-//! recomputes the actuals (a full [`Trace::resolve_actuals`] pass with a
-//! hash map over lines) on *every* call, even though a design-space sweep
-//! evaluates hundreds of schemes over the same trace. [`ResolvedTrace`]
-//! hoists that work out of the loop: it resolves the actuals once and lays
+//! feedback, and whether the event has a previous writer. Resolving the
+//! actuals is a full [`Trace::resolve_actuals`] pass with a hash map over
+//! lines, and a design-space sweep evaluates hundreds of schemes over the
+//! same trace. [`ResolvedTrace`] hoists that work out of the per-scheme
+//! loop: it resolves the actuals once and lays
 //! the three columns out as flat, cache-friendly vectors that any number
 //! of scheme evaluations can then share by reference.
 //!
