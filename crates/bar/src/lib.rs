@@ -45,7 +45,7 @@ pub mod report;
 pub mod runner;
 
 pub use defs::{BarDefs, CellKey, RatioGate};
-pub use record::{prune_records, read_records, BarRecord, RECORD_MAGIC, SCHEMA_VERSION};
+pub use record::{prune_records, read_records, BarRecord, SCHEMA_VERSION, TRAJECTORY_FORMAT};
 pub use report::{check, diff, history, rank, CheckReport, HistoryReport};
 pub use runner::{run_matrix, RunMeta};
 

@@ -1,13 +1,11 @@
 //! The captured-measurement record format.
 //!
-//! A trajectory file is a CRC32c-framed append-only log (via
-//! [`csp_trace::io::ChecksumWriter`]): an 8-byte magic (`CSPBAR1\n`)
-//! followed by its CRC, then per record `len[4] json crc[4]` with the
-//! CRC32c covering everything since the previous checksum. One JSON
-//! object per run of one (engine, workload, scheme) cell. A torn tail —
-//! a record cut off mid-append by a crash — terminates a read cleanly
-//! with every fully-checksummed prefix record intact; corruption *in* a
-//! complete record is an error, never silently skipped.
+//! A trajectory file is a [`csp_trace::frame`] log (`CSPBAR1`): an
+//! 8-byte magic and its CRC, then one frame per record holding a JSON
+//! object — one per run of one (engine, workload, scheme) cell. A torn
+//! tail — a record cut off mid-append by a crash — ends a read cleanly
+//! with every whole record intact, and the next append cuts it off;
+//! any other damage is an error, never silently skipped.
 //!
 //! Records carry the matrix fingerprint of the definitions they were
 //! measured under ([`crate::BarDefs::fingerprint`]); readers gating
@@ -16,23 +14,25 @@
 //! comparison. See `crates/bar/FORMAT.md` for the full schema.
 
 use crate::BarError;
-use csp_trace::io::{ChecksumReader, ChecksumWriter};
+use csp_trace::frame::{self, Format, FrameReader, FrameWriter};
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
-/// Magic bytes opening every trajectory file.
-pub const RECORD_MAGIC: &[u8; 8] = b"CSPBAR1\n";
+/// The trajectory file format: no header fields, one JSON record per
+/// frame, each at most 64 KiB (a wild length in a torn tail is not a
+/// 4 GiB allocation).
+pub const TRAJECTORY_FORMAT: Format = Format {
+    name: "csp-bar trajectory",
+    magic: *b"CSPBAR1\n",
+    header_len: 0,
+    max_body: 1 << 16,
+};
 
 /// The record schema version this crate writes. Version 2 added
 /// `samples` (every timed iteration, not just the fastest); version-1
 /// records read back with an empty sample list.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Longest JSON body a record may claim; a wild length prefix in a torn
-/// tail is treated as the end of the log, not a 4 GiB allocation.
-const MAX_RECORD_BYTES: u32 = 1 << 16;
 
 /// One captured measurement: a single (engine, workload, scheme) cell
 /// of one `csp-bar run` invocation.
@@ -323,84 +323,38 @@ fn f64_array_field(text: &str, key: &str) -> Result<Vec<f64>, BarError> {
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_records<W: Write>(w: W, records: &[BarRecord]) -> io::Result<()> {
-    let mut w = ChecksumWriter::new(w);
-    w.write_all(RECORD_MAGIC)?;
-    w.write_section_crc()?;
-    write_record_frames(&mut w, records)
+    FrameWriter::create(w, &TRAJECTORY_FORMAT, &[])?.write_encoded(&encode_records(records))
 }
 
-fn write_record_frames<W: Write>(
-    w: &mut ChecksumWriter<W>,
-    records: &[BarRecord],
-) -> io::Result<()> {
+fn encode_records(records: &[BarRecord]) -> Vec<u8> {
+    let mut frames = Vec::with_capacity(records.len() * 512);
     for record in records {
-        let line = record.to_json();
-        w.write_all(&(line.len() as u32).to_le_bytes())?;
-        w.write_all(line.as_bytes())?;
-        w.write_section_crc()?;
+        frame::encode_frame(&mut frames, |body| {
+            body.extend_from_slice(record.to_json().as_bytes());
+        });
     }
-    Ok(())
+    frames
 }
 
 /// Reads every record from a trajectory stream written by
 /// [`write_records`] / [`append_records_file`].
 ///
-/// A torn tail terminates the read cleanly: every fully-checksummed
-/// prefix record is returned. Records with a schema version newer than
-/// [`SCHEMA_VERSION`] are skipped (forward compatibility); a record
-/// that fails its checksum mid-file, or whose JSON is malformed, is an
-/// error.
+/// A torn tail ends the read cleanly: every whole record is returned.
+/// Records with a schema version newer than [`SCHEMA_VERSION`] are
+/// skipped (forward compatibility); any other damage, or a whole record
+/// whose JSON is malformed, is an error.
 ///
 /// # Errors
 ///
-/// Returns [`BarError::Record`] on bad magic or malformed complete
-/// records, [`BarError::Io`]-free `Record` variants throughout (the
-/// caller owns path context).
+/// Returns [`BarError::Record`] on a damaged header, damage other than
+/// a torn tail, or malformed records (the caller owns path context).
 pub fn read_records<R: Read>(r: R) -> Result<Vec<BarRecord>, BarError> {
-    let mut r = ChecksumReader::new(BufReader::new(r));
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|e| record_err(&format!("unreadable header: {e}")))?;
-    if &magic != RECORD_MAGIC {
-        return Err(record_err("bad magic; not a csp-bar trajectory file"));
-    }
-    r.check_section_crc("trajectory header")
-        .map_err(|e| record_err(&e.to_string()))?;
+    let io_err = |e: io::Error| record_err(&e.to_string());
+    let mut frames = FrameReader::open(BufReader::new(r), &TRAJECTORY_FORMAT).map_err(io_err)?;
     let mut records = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match read_fully(&mut r, &mut len_bytes) {
-            ReadOutcome::Done | ReadOutcome::Torn => break,
-            ReadOutcome::Err(e) => return Err(record_err(&e.to_string())),
-            ReadOutcome::Ok => {}
-        }
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_RECORD_BYTES {
-            // A wild length means the tail bytes are garbage, not a
-            // record; treat like a torn tail.
-            break;
-        }
-        let mut body = vec![0u8; len as usize];
-        match read_fully(&mut r, &mut body) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Err(e) => return Err(record_err(&e.to_string())),
-            _ => break, // torn mid-record
-        }
-        if let Err(e) = r.check_section_crc("measurement record") {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                break; // CRC itself truncated: torn append
-            }
-            // The CRC is present but wrong. On the very last frame that
-            // is a partially-flushed append (tolerate); with data still
-            // following it is corruption of a complete record (fatal).
-            let mut probe = [0u8; 1];
-            match r.read(&mut probe) {
-                Ok(0) => break,
-                _ => return Err(record_err(&e.to_string())),
-            }
-        }
-        let text =
-            String::from_utf8(body).map_err(|_| record_err("checksummed record is not UTF-8"))?;
+    for frame in frames.by_ref() {
+        let text = String::from_utf8(frame.map_err(io_err)?)
+            .map_err(|_| record_err("checksummed record is not UTF-8"))?;
         let schema = u64_field(&text, "schema")?;
         if schema > u64::from(SCHEMA_VERSION) {
             continue; // a future writer's record; skip, don't guess
@@ -408,27 +362,6 @@ pub fn read_records<R: Read>(r: R) -> Result<Vec<BarRecord>, BarError> {
         records.push(BarRecord::from_json(&text)?);
     }
     Ok(records)
-}
-
-enum ReadOutcome {
-    Ok,
-    Done,
-    Torn,
-    Err(io::Error),
-}
-
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return ReadOutcome::Done,
-            Ok(0) => return ReadOutcome::Torn,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadOutcome::Err(e),
-        }
-    }
-    ReadOutcome::Ok
 }
 
 /// Reads a trajectory file from disk.
@@ -448,49 +381,30 @@ pub fn read_records_file(path: &Path) -> Result<Vec<BarRecord>, BarError> {
 }
 
 /// Appends `records` to the trajectory file at `path`, creating it
-/// (with parent directories and the file header) if needed. Existing
-/// files must open with the right magic — appending measurement frames
-/// to some other format would corrupt both.
+/// (with parent directories and the file header) if needed. An existing
+/// file must be an intact trajectory — appending measurement frames to
+/// some other format, or past corruption, would damage both — and a
+/// torn tail is cut off first, so the new records never land behind it.
 ///
 /// # Errors
 ///
 /// Returns [`BarError::Io`] on filesystem failures and
-/// [`BarError::Record`] if an existing file is not a trajectory.
+/// [`BarError::Record`] if an existing file is not an intact trajectory.
 pub fn append_records_file(path: &Path, records: &[BarRecord]) -> Result<(), BarError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| BarError::io(parent, e))?;
+    let keep = |bytes: &[u8]| {
+        let mut frames = FrameReader::open(bytes, &TRAJECTORY_FORMAT)?;
+        for frame in frames.by_ref() {
+            frame?;
         }
-    }
-    let existing = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    if existing == 0 {
-        let file = std::fs::File::create(path).map_err(|e| BarError::io(path, e))?;
-        let mut w = BufWriter::new(file);
-        write_records(&mut w, records).map_err(|e| BarError::io(path, e))?;
-        w.flush().map_err(|e| BarError::io(path, e))?;
-        return Ok(());
-    }
-    // Verify the magic before appending frames to a non-empty file.
-    {
-        let mut file = std::fs::File::open(path).map_err(|e| BarError::io(path, e))?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)
-            .map_err(|e| BarError::io(path, e))?;
-        if &magic != RECORD_MAGIC {
-            return Err(record_err(&format!(
-                "{} exists but is not a csp-bar trajectory file",
-                path.display()
-            )));
-        }
-    }
-    let file = OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| BarError::io(path, e))?;
-    let mut w = ChecksumWriter::new(BufWriter::new(file));
-    write_record_frames(&mut w, records).map_err(|e| BarError::io(path, e))?;
-    w.flush().map_err(|e| BarError::io(path, e))?;
-    Ok(())
+        Ok(frames.whole_len())
+    };
+    let wrap = |e: io::Error| match e.kind() {
+        io::ErrorKind::InvalidData => record_err(&format!("{}: {e}", path.display())),
+        _ => BarError::io(path, e),
+    };
+    frame::open_append(path, &TRAJECTORY_FORMAT, &[], keep)
+        .and_then(|mut w| w.write_encoded(&encode_records(records)))
+        .map_err(wrap)
 }
 
 /// Keeps only the newest `keep_last` records of each (engine, workload,
@@ -707,12 +621,6 @@ mod tests {
             fingerprint_mismatches(std::slice::from_ref(&a), !a.fingerprint).len(),
             1
         );
-    }
-
-    #[test]
-    fn bad_magic_is_an_error() {
-        let err = read_records(&b"NOTABAR1xxxx"[..]).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Robustness tests for the trajectory record codec: property-based
-//! round-trips over adversarial field contents, torn-tail tolerance at
-//! every byte boundary, and fingerprint gatekeeping against a
-//! definitions file.
+//! round-trips over adversarial field contents, appending after a torn
+//! tail, and fingerprint gatekeeping against a definitions file. Torn
+//! tails and corruption at every byte are covered for every framed
+//! format by the root `durable_formats` suite.
 
 use csp_bar::record::{
     append_records_file, read_records, read_records_file, require_fingerprint, write_records,
@@ -147,65 +148,6 @@ proptest! {
     }
 }
 
-/// A crash mid-append may truncate the file at ANY byte. Everything
-/// after the 12-byte header (magic + CRC) must read back as a clean
-/// prefix of fully-checksummed records — never an error, never a
-/// half-parsed record.
-#[test]
-fn torn_tail_at_every_byte_boundary_yields_a_clean_prefix() {
-    let records: Vec<BarRecord> = (0..3)
-        .map(|i| {
-            let mut r = sample(i);
-            r.run = format!("torn-{i}");
-            r
-        })
-        .collect();
-    let mut buf = Vec::new();
-    write_records(&mut buf, &records).expect("in-memory write");
-    let header = csp_bar::RECORD_MAGIC.len() + 4;
-
-    // Frame boundaries: after the header, then after each record frame.
-    let mut boundaries = vec![header];
-    for r in &records {
-        let frame = 4 + r.to_json().len() + 4;
-        boundaries.push(boundaries.last().copied().unwrap_or(0) + frame);
-    }
-    assert_eq!(*boundaries.last().expect("nonempty"), buf.len());
-
-    for cut in 0..=buf.len() {
-        let torn = &buf[..cut];
-        if cut < header {
-            // Inside the header there is no trajectory to salvage.
-            assert!(read_records(torn).is_err(), "cut {cut} should be fatal");
-            continue;
-        }
-        let got = read_records(torn).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        let complete = boundaries
-            .iter()
-            .filter(|&&b| b > header && b <= cut)
-            .count();
-        assert_eq!(got.len(), complete, "cut {cut}");
-        for (a, b) in records.iter().take(complete).zip(&got) {
-            assert_eq!(a.run, b.run, "cut {cut}");
-        }
-    }
-}
-
-/// Corruption *inside* a complete record (not at the tail) must be an
-/// error — torn-tail tolerance must never become silent data loss.
-#[test]
-fn mid_file_corruption_is_fatal_not_skipped() {
-    let records = vec![sample(1), sample(2), sample(3)];
-    let mut buf = Vec::new();
-    write_records(&mut buf, &records).expect("in-memory write");
-    // Flip a byte inside the first record's JSON body (well past the
-    // header, well before the tail).
-    let at = csp_bar::RECORD_MAGIC.len() + 4 + 4 + 10;
-    buf[at] ^= 0x40;
-    let err = read_records(&buf[..]).expect_err("corruption must surface");
-    assert!(err.to_string().contains("measurement record"), "{err}");
-}
-
 /// Records measured under a different matrix shape are rejected against
 /// the definitions file's fingerprint.
 #[test]
@@ -229,20 +171,21 @@ fn fingerprint_mismatch_against_defs_is_rejected() {
     assert!(msg.contains("record 1"), "{msg}");
 }
 
-/// The on-disk append path tolerates a torn tail and keeps accepting
-/// appends afterwards (the reader simply stops at the tear).
+/// Appending after a torn tail cuts the tear off first: the new record
+/// lands on a frame boundary, and the whole file keeps reading.
 #[test]
-fn torn_file_on_disk_still_reads_its_prefix() {
+fn append_after_a_torn_tail_keeps_every_record() {
     let dir = std::env::temp_dir().join(format!("csp-bar-torn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("trajectory.bar");
     append_records_file(&path, &[sample(1), sample(2)]).expect("create");
-    // Tear the file mid-way through the second record.
+    // Tear the file 7 bytes into the second record's frame.
     let bytes = std::fs::read(&path).expect("read file");
-    let first_frame_end = csp_bar::RECORD_MAGIC.len() + 4 + 4 + sample(1).to_json().len() + 4;
+    let first_frame_end = csp_bar::TRAJECTORY_FORMAT.header_bytes() + sample(1).to_json().len() + 8;
     std::fs::write(&path, &bytes[..first_frame_end + 7]).expect("tear");
-    let got = read_records_file(&path).expect("prefix survives");
-    assert_eq!(got.len(), 1);
+    append_records_file(&path, &[sample(3)]).expect("append after the tear");
+    let got = read_records_file(&path).expect("the whole file reads");
+    assert_eq!(got, [sample(1), sample(3)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -25,7 +25,8 @@
 
 use crate::error::HarnessError;
 use csp_sim::SimStats;
-use csp_trace::{crc32c, io as trace_io};
+use csp_trace::frame::{u64_at, Format};
+use csp_trace::io as trace_io;
 use csp_workloads::{generate_benchmark, Benchmark, BenchmarkTrace};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,8 +43,14 @@ pub enum CacheOutcome {
     Quarantined,
 }
 
-/// Magic prefix of the stats sidecar file.
-const STATS_MAGIC: &[u8; 8] = b"CSPSTAT\x01";
+/// The stats sidecar file: a [`csp_trace::frame`] header whose fields
+/// are the fifteen `SimStats` counters, with no frames after it.
+const STATS_FORMAT: Format = Format {
+    name: "stats sidecar",
+    magic: *b"CSPSTAT\x01",
+    header_len: 15 * 8,
+    max_body: 0,
+};
 
 /// Counts one lookup outcome in the process-global metrics registry
 /// (`csp_cache_lookups_total{outcome=...}`).
@@ -269,41 +276,20 @@ fn stats_fields(s: &SimStats) -> [u64; 15] {
 }
 
 fn encode_stats(stats: &SimStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 15 * 8 + 4);
-    out.extend_from_slice(STATS_MAGIC);
-    for field in stats_fields(stats) {
-        out.extend_from_slice(&field.to_le_bytes());
-    }
-    let crc = crc32c::checksum(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let fields: Vec<u8> = stats_fields(stats)
+        .iter()
+        .flat_map(|f| f.to_le_bytes())
+        .collect();
+    let mut out = Vec::with_capacity(STATS_FORMAT.header_bytes());
+    STATS_FORMAT.encode_header(&fields, &mut out);
     out
 }
 
 fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
-    let expected = 8 + 15 * 8 + 4;
-    if bytes.len() != expected {
-        return Err(format!("stats: {} bytes, expected {expected}", bytes.len()));
-    }
-    let (payload, crc_bytes) = bytes.split_at(expected - 4);
-    if !payload.starts_with(STATS_MAGIC) {
-        return Err("stats: bad magic".into());
-    }
-    let mut crc = [0u8; 4];
-    crc.copy_from_slice(crc_bytes);
-    let stored = u32::from_le_bytes(crc);
-    let computed = crc32c::checksum(payload);
-    if stored != computed {
-        return Err(format!(
-            "stats: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        ));
-    }
-    let mut fields = [0u64; 15];
-    let mut cursor = payload[8..].chunks_exact(8);
-    for f in &mut fields {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(cursor.next().ok_or("stats: short payload")?);
-        *f = u64::from_le_bytes(b);
-    }
+    let payload = STATS_FORMAT
+        .decode_header(bytes)
+        .map_err(|e| e.to_string())?;
+    let fields: [u64; 15] = std::array::from_fn(|i| u64_at(payload, 8 * i));
     let [reads, writes, l1_hits, l2_hits, read_misses, write_hits, write_misses, write_upgrades, silent_upgrades, invalidations_sent, writebacks, l2_evictions, lines_touched, max_static_stores_per_node, miss_latency_cycles] =
         fields;
     Ok(SimStats {

@@ -9,34 +9,43 @@
 //!
 //! # File layout
 //!
+//! A checkpoint is a [`csp_trace::frame`] log:
+//!
 //! ```text
-//! header:  "CSPCKPT\x01"  kind[4]  fingerprint u64-le
-//! record:  index u32-le  len u32-le  payload[len]  crc32c u32-le
+//! header:  "CSPCKPT\x02"  kind[4]  fingerprint u64-le  crc32c u32-le
+//! record:  len u32-le  index u32-le  payload[len - 4]  crc32c u32-le
 //! ```
 //!
 //! The `kind` tags the payload type; the `fingerprint` hashes everything
 //! the results depend on (suite key, work-item list, code version tag).
-//! A checkpoint whose header does not match the running sweep is
-//! discarded and restarted — stale results are never resumed into a
-//! different sweep. The record CRC covers index, length and payload, so a
-//! torn tail (crash mid-append) or bit rot truncates the log at the last
-//! good record instead of resurrecting garbage.
+//! A checkpoint whose header does not match the running sweep — another
+//! fingerprint, another kind, an older format version or a damaged
+//! header — is discarded and restarted: stale results are never resumed
+//! into a different sweep. The checkpoint is a recomputable cache, so
+//! damaged records are not an error either: a torn tail, bit rot, or a
+//! payload that does not decode truncates the log at the last good
+//! record, and the sweep recomputes the rest.
 
 use crate::error::HarnessError;
 use csp_core::engine::FamilyResult;
 use csp_core::{IndexSpec, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use csp_trace::frame::{self, u32_at, Format, FrameReader, FrameWriter};
+use std::fs::File;
+use std::io::BufWriter;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use crate::runner::{FamilyCell, SchemeStats};
 
-const MAGIC: &[u8; 8] = b"CSPCKPT\x01";
-const HEADER_LEN: u64 = 8 + 4 + 8;
-/// Upper bound on one record's payload; anything larger is corruption.
-const MAX_PAYLOAD: u32 = 1 << 24;
+/// The checkpoint file format: `kind` and `fingerprint` in the header,
+/// `index ‖ payload` in each frame. A payload is at most 16 MiB.
+pub const CHECKPOINT_FORMAT: Format = Format {
+    name: "sweep checkpoint",
+    magic: *b"CSPCKPT\x02",
+    header_len: 12,
+    max_body: 4 + (1 << 24),
+};
 
 /// A result type that can be persisted into a sweep checkpoint.
 pub trait CheckpointPayload: Sized {
@@ -87,7 +96,7 @@ impl Fingerprint {
 /// An append-only log of completed sweep cells.
 #[derive(Debug)]
 pub struct SweepCheckpoint<T> {
-    file: File,
+    writer: FrameWriter<BufWriter<File>>,
     path: PathBuf,
     _payload: PhantomData<T>,
 }
@@ -97,46 +106,40 @@ impl<T: CheckpointPayload> SweepCheckpoint<T> {
     /// by `fingerprint`, returning the handle plus every `(index, value)`
     /// already completed.
     ///
-    /// A file with a different fingerprint, kind or corrupt header is
-    /// restarted from scratch; a corrupt record tail is truncated at the
-    /// last good record (both are recovery, not errors).
+    /// A file with a different fingerprint, kind, format version or a
+    /// damaged header is restarted from scratch; damaged records are
+    /// truncated at the last good one (both are recovery, not errors).
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Io`] on filesystem failures and
-    /// [`HarnessError::Checkpoint`] when the path exists but cannot be
-    /// restarted.
+    /// Returns [`HarnessError::Io`] on filesystem failures.
     pub fn open(path: &Path, fingerprint: u64) -> Result<(Self, Vec<(usize, T)>), HarnessError> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| HarnessError::io(parent, e))?;
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| HarnessError::io(path, e))?;
-
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| HarnessError::io(path, e))?;
-
-        let (completed, good_len) = parse_log::<T>(&bytes, fingerprint);
-        if completed.is_empty() && good_len == 0 {
-            // Fresh, stale or unusable: restart the log.
-            file.set_len(0).map_err(|e| HarnessError::io(path, e))?;
-            write_header::<T>(&mut file, fingerprint).map_err(|e| HarnessError::io(path, e))?;
-        } else if (good_len as u64) < bytes.len() as u64 {
-            // Torn tail: drop it, keep the good prefix.
-            file.set_len(good_len as u64)
-                .map_err(|e| HarnessError::io(path, e))?;
-        }
-        file.seek(SeekFrom::End(0))
+        let mut fields = [0u8; 12];
+        fields[..4].copy_from_slice(&T::KIND);
+        fields[4..].copy_from_slice(&fingerprint.to_le_bytes());
+        let mut completed = Vec::new();
+        let keep = |bytes: &[u8]| {
+            let Ok(mut frames) = FrameReader::open(bytes, &CHECKPOINT_FORMAT) else {
+                return Ok(0);
+            };
+            if frames.header() != fields {
+                return Ok(0);
+            }
+            let mut good = frames.whole_len();
+            while let Some(Ok(body)) = frames.next() {
+                let Some(value) = body.get(4..).and_then(T::decode) else {
+                    break;
+                };
+                completed.push((u32_at(&body, 0) as usize, value));
+                good = frames.whole_len();
+            }
+            Ok(good)
+        };
+        let writer = frame::open_append(path, &CHECKPOINT_FORMAT, &fields, keep)
             .map_err(|e| HarnessError::io(path, e))?;
         Ok((
             SweepCheckpoint {
-                file,
+                writer,
                 path: path.to_path_buf(),
                 _payload: PhantomData,
             },
@@ -154,69 +157,17 @@ impl<T: CheckpointPayload> SweepCheckpoint<T> {
     pub fn record(&mut self, index: usize, value: &T) -> Result<(), HarnessError> {
         let mut payload = Vec::new();
         value.encode(&mut payload);
-        debug_assert!(payload.len() < MAX_PAYLOAD as usize);
-        let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&(index as u32).to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        let crc = csp_trace::crc32c::checksum(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
         let wrap = |e| HarnessError::io(&self.path, e);
-        self.file.write_all(&record).map_err(wrap)?;
-        self.file.sync_data().map_err(wrap)
+        self.writer
+            .append(&[&(index as u32).to_le_bytes(), &payload])
+            .map_err(wrap)?;
+        self.writer.get_ref().get_ref().sync_data().map_err(wrap)
     }
 
     /// The checkpoint's path.
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-fn write_header<T: CheckpointPayload>(w: &mut File, fingerprint: u64) -> std::io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&T::KIND)?;
-    w.write_all(&fingerprint.to_le_bytes())?;
-    w.sync_data()
-}
-
-/// Parses a checkpoint log. Returns the completed cells and the byte
-/// length of the valid prefix (0 when the header itself is unusable).
-fn parse_log<T: CheckpointPayload>(bytes: &[u8], fingerprint: u64) -> (Vec<(usize, T)>, usize) {
-    if bytes.len() < HEADER_LEN as usize
-        || &bytes[..8] != MAGIC
-        || bytes[8..12] != T::KIND
-        || bytes[12..20] != fingerprint.to_le_bytes()
-    {
-        return (Vec::new(), 0);
-    }
-    let mut completed = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    while pos < bytes.len() {
-        let Some(rest) = bytes.get(pos..) else { break };
-        if rest.len() < 12 {
-            break; // torn tail
-        }
-        let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_PAYLOAD {
-            break;
-        }
-        let total = 8 + len as usize + 4;
-        let Some(record) = rest.get(..total) else {
-            break;
-        };
-        let (body, crc_bytes) = record.split_at(total - 4);
-        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if csp_trace::crc32c::checksum(body) != stored {
-            break;
-        }
-        let index = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-        let Some(value) = T::decode(&body[8..]) else {
-            break;
-        };
-        completed.push((index, value));
-        pos += total;
-    }
-    (completed, pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -490,46 +441,6 @@ mod tests {
         }
         let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 2).unwrap();
         assert!(done.is_empty(), "stale checkpoint must not resume");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_clean_prefix_survives() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (mut ckpt, _) = SweepCheckpoint::<SchemeStats>::open(&path, 7).unwrap();
-            ckpt.record(0, &sample_stats(1)).unwrap();
-            ckpt.record(1, &sample_stats(2)).unwrap();
-        }
-        // Tear the last record in half.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let (mut ckpt, done) = SweepCheckpoint::<SchemeStats>::open(&path, 7).unwrap();
-        assert_eq!(done.len(), 1, "only the intact record survives");
-        // The log keeps working after recovery.
-        ckpt.record(1, &sample_stats(2)).unwrap();
-        drop(ckpt);
-        let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 7).unwrap();
-        assert_eq!(done.len(), 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_record_stops_replay_at_last_good() {
-        let path = temp_path("bitrot");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (mut ckpt, _) = SweepCheckpoint::<SchemeStats>::open(&path, 9).unwrap();
-            ckpt.record(0, &sample_stats(1)).unwrap();
-            ckpt.record(1, &sample_stats(2)).unwrap();
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 20] ^= 0xFF; // inside the second record
-        std::fs::write(&path, &bytes).unwrap();
-        let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 9).unwrap();
-        assert_eq!(done.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -31,13 +31,6 @@ pub enum HarnessError {
         /// What the reader objected to.
         detail: String,
     },
-    /// A checkpoint file was unusable and could not be restarted.
-    Checkpoint {
-        /// The checkpoint file.
-        path: PathBuf,
-        /// What went wrong.
-        detail: String,
-    },
     /// A sweep worker panicked on the same work item twice (once plus one
     /// retry). The rest of the sweep still completed; this reports the
     /// casualties.
@@ -72,9 +65,6 @@ impl fmt::Display for HarnessError {
             }
             HarnessError::CorruptTrace { path, detail } => {
                 write!(f, "corrupt trace {}: {detail}", path.display())
-            }
-            HarnessError::Checkpoint { path, detail } => {
-                write!(f, "checkpoint {}: {detail}", path.display())
             }
             HarnessError::WorkerPanic { labels, message } => {
                 write!(

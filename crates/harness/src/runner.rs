@@ -431,9 +431,8 @@ pub fn evaluate_schemes(suite: &Suite, schemes: &[Scheme]) -> Vec<SchemeStats> {
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Io`]/[`HarnessError::Checkpoint`] on
-/// checkpoint failures. Worker panics are *not* errors; they are reported
-/// in the outcome.
+/// Returns [`HarnessError::Io`] on checkpoint failures. Worker panics
+/// are *not* errors; they are reported in the outcome.
 pub fn evaluate_schemes_checkpointed(
     suite: &Suite,
     schemes: &[Scheme],
@@ -456,7 +455,7 @@ pub fn evaluate_schemes_checkpointed(
 
 /// One cell of a family sweep: all `union`/`inter` depths for one
 /// `(index, update)` point, per benchmark.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FamilyCell {
     /// The index specification.
     pub index: IndexSpec,
@@ -674,9 +673,8 @@ pub fn sweep_families(
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Io`]/[`HarnessError::Checkpoint`] on
-/// checkpoint failures. Worker panics are reported in the outcome, not as
-/// errors.
+/// Returns [`HarnessError::Io`] on checkpoint failures. Worker panics
+/// are reported in the outcome, not as errors.
 pub fn sweep_families_checkpointed(
     suite: &Suite,
     indexes: &[IndexSpec],

@@ -9,12 +9,10 @@
 //! a [`TraceRing`] — a bounded, drop-oldest buffer, so tracing cost is
 //! O(1) and memory is fixed no matter how long the process runs.
 //!
-//! Ring dumps reuse the workspace's CRC32c section framing
-//! ([`csp_trace::io::ChecksumWriter`]): the file starts with a
-//! checksummed magic, then each record is a length-prefixed JSON line
-//! followed by its section CRC. A crash mid-write therefore loses at
-//! most the torn tail — every earlier span is still verifiable, the
-//! same durability story the snapshot store tells.
+//! Ring dumps are a [`csp_trace::frame`] log (`CSPOBSR1`): a checksummed
+//! magic, then one frame per record holding its JSON line. A crash
+//! mid-write therefore loses at most the torn tail — every earlier span
+//! is still verifiable, the same durability story the journal tells.
 //!
 //! Recording is *disabled by default*: an idle `TraceRing` costs one
 //! relaxed atomic load per span, which keeps instrumented hot paths
@@ -27,13 +25,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use csp_trace::io::{ChecksumReader, ChecksumWriter};
+use csp_trace::frame::{self, Format, FrameReader, FrameWriter};
 
-/// Magic bytes opening a span-ring dump.
-pub const RING_MAGIC: &[u8; 8] = b"CSPOBSR1";
-
-/// Longest JSON line accepted when reading a dump back.
-const MAX_LINE: u32 = 1 << 16;
+/// The span-ring dump format: no header fields, one JSON line per frame.
+pub const RING_FORMAT: Format = Format {
+    name: "span-ring dump",
+    magic: *b"CSPOBSR1",
+    header_len: 0,
+    max_body: 1 << 16,
+};
 
 /// One completed span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,102 +154,58 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// Serializes the buffered spans to `w` as checksummed JSONL: a
-    /// CRC-framed magic header, then per record `len[4] json crc[4]`
-    /// with CRC32c over everything since the previous checksum.
+    /// Serializes the buffered spans to `w` as a [`RING_FORMAT`] log:
+    /// one frame per record holding its JSON line.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn dump<W: Write>(&self, w: W) -> io::Result<()> {
-        let records = self.drain_snapshot();
-        let mut w = ChecksumWriter::new(w);
-        w.write_all(RING_MAGIC)?;
-        w.write_section_crc()?;
-        for record in &records {
-            let line = record.to_json();
-            w.write_all(&(line.len() as u32).to_le_bytes())?;
-            w.write_all(line.as_bytes())?;
-            w.write_section_crc()?;
+        let mut frames = Vec::new();
+        for record in self.drain_snapshot() {
+            frame::encode_frame(&mut frames, |body| {
+                body.extend_from_slice(record.to_json().as_bytes());
+            });
         }
-        Ok(())
+        FrameWriter::create(w, &RING_FORMAT, &[])?.write_encoded(&frames)
     }
 }
 
-/// Reads a span-ring dump written by [`TraceRing::dump`], returning the
-/// verified JSON lines in order.
+/// A span-ring dump read back by [`read_dump`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RingDump {
+    /// The verified JSON lines, oldest first.
+    pub lines: Vec<String>,
+    /// Whether a torn final record was discarded.
+    pub torn: bool,
+}
+
+/// Reads a span-ring dump written by [`TraceRing::dump`].
 ///
-/// A torn tail — a record cut off mid-write by a crash — terminates the
-/// read cleanly: every fully-checksummed prefix record is returned. A
-/// bad magic or a checksum mismatch on a *complete* record is an error.
+/// A torn tail — a record cut off mid-write by a crash — ends the read
+/// cleanly with every whole record returned and
+/// [`RingDump::torn`] set; the rule is [`csp_trace::frame`]'s.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad magic or corrupt
-/// header, and propagates I/O errors other than a clean mid-record EOF.
-pub fn read_dump<R: Read>(r: R) -> io::Result<Vec<String>> {
-    let mut r = ChecksumReader::new(r);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != RING_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad magic; not a span-ring dump",
-        ));
-    }
-    r.check_section_crc("ring header")?;
+/// [`io::ErrorKind::InvalidData`] on a damaged header, a record that is
+/// not UTF-8, or damage anywhere but a torn tail; transport errors
+/// propagate.
+pub fn read_dump<R: Read>(r: R) -> io::Result<RingDump> {
+    let mut frames = FrameReader::open(r, &RING_FORMAT)?;
     let mut lines = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match read_fully(&mut r, &mut len_bytes) {
-            ReadOutcome::Done => break, // clean end
-            ReadOutcome::Torn => break, // torn tail: keep prefix
-            ReadOutcome::Err(e) => return Err(e),
-            ReadOutcome::Ok => {}
-        }
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_LINE {
-            // A wild length means the tail bytes are garbage, not a
-            // record; treat like a torn tail.
-            break;
-        }
-        let mut line = vec![0u8; len as usize];
-        match read_fully(&mut r, &mut line) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Err(e) => return Err(e),
-            _ => break,
-        }
-        if r.check_section_crc("span record").is_err() {
-            // Bad or missing CRC on the final record: torn tail.
-            break;
-        }
-        match String::from_utf8(line) {
-            Ok(s) => lines.push(s),
-            Err(_) => break,
-        }
+    while let Some(frame) = frames.next() {
+        let body = frame?;
+        let len = body.len();
+        lines.push(
+            String::from_utf8(body)
+                .map_err(|_| frames.corrupt_body(len, "span record is not UTF-8"))?,
+        );
     }
-    Ok(lines)
-}
-
-enum ReadOutcome {
-    Ok,
-    Done,
-    Torn,
-    Err(io::Error),
-}
-
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return ReadOutcome::Done,
-            Ok(0) => return ReadOutcome::Torn,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadOutcome::Err(e),
-        }
-    }
-    ReadOutcome::Ok
+    Ok(RingDump {
+        lines,
+        torn: frames.torn(),
+    })
 }
 
 /// The process-wide span ring (capacity 4096), shared by all
@@ -390,60 +346,14 @@ mod tests {
         }
         let mut buf = Vec::new();
         ring.dump(&mut buf).unwrap();
-        let lines = read_dump(buf.as_slice()).unwrap();
+        let dump = read_dump(buf.as_slice()).unwrap();
+        assert!(!dump.torn);
+        let lines = dump.lines;
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"name\":\"serve.request\""));
         assert!(lines[0].contains("\"start_ns\":0"));
         assert!(!lines[0].contains("parent"));
         assert!(lines[1].contains("\"parent\":\"serve.connection\""));
-    }
-
-    #[test]
-    fn torn_tail_keeps_verified_prefix() {
-        let ring = TraceRing::new(8);
-        ring.set_enabled(true);
-        for i in 0..3u64 {
-            ring.push(SpanRecord {
-                name: "s",
-                parent: None,
-                thread: 0,
-                start_ns: i,
-                dur_ns: 1,
-            });
-        }
-        let mut buf = Vec::new();
-        ring.dump(&mut buf).unwrap();
-        // Cut into the last record's payload: first two survive.
-        let torn = &buf[..buf.len() - 5];
-        let lines = read_dump(torn).unwrap();
-        assert_eq!(lines.len(), 2);
-    }
-
-    #[test]
-    fn corrupt_record_is_dropped_with_prefix_kept() {
-        let ring = TraceRing::new(8);
-        ring.set_enabled(true);
-        for i in 0..2u64 {
-            ring.push(SpanRecord {
-                name: "s",
-                parent: None,
-                thread: 0,
-                start_ns: i,
-                dur_ns: 1,
-            });
-        }
-        let mut buf = Vec::new();
-        ring.dump(&mut buf).unwrap();
-        let last = buf.len() - 6; // inside record 1's payload
-        buf[last] ^= 0xFF;
-        let lines = read_dump(buf.as_slice()).unwrap();
-        assert_eq!(lines.len(), 1, "corrupt final record must not surface");
-    }
-
-    #[test]
-    fn bad_magic_is_an_error() {
-        let err = read_dump(&b"NOTARING00000000"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// Tests touching the process-wide ring serialize through this.

@@ -43,7 +43,7 @@ use crate::shard::{apply_op, replay_ops, ShardState, ShardedEngine};
 use crate::snapshot::EngineState;
 use csp_core::{shard_of_key, version_fingerprint, PreparedTrace, Scheme};
 use csp_obs::Registry;
-use csp_trace::audit::{sample_keeps, AuditHeader, AuditRecord, AuditWriter, RECORD_LEN};
+use csp_trace::audit::{sample_keeps, AuditHeader, AuditRecord, AuditWriter};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::File;
@@ -272,10 +272,8 @@ impl AuditSink {
             inner.base += 1;
         }
         self.records_total.store(inner.head, Ordering::SeqCst);
-        // Framing: each segment carries a 4-byte count and 4-byte CRC.
-        let segments = records.len().div_ceil(csp_trace::audit::MAX_AUDIT_SEGMENT) as u64;
         self.bytes_total.fetch_add(
-            (records.len() * RECORD_LEN) as u64 + segments * 8,
+            csp_trace::audit::framed_len(records.len()) as u64,
             Ordering::Relaxed,
         );
         drop(inner);
@@ -956,6 +954,39 @@ mod tests {
         }
     }
 
+    /// Records whose key is their `seq`, with empty bitmaps.
+    fn blank_records(seqs: std::ops::Range<u64>) -> Vec<AuditRecord> {
+        let record = |seq| AuditRecord {
+            seq,
+            key: seq,
+            predicted: SharingBitmap::empty(),
+            actual: SharingBitmap::empty(),
+            epoch: 0,
+            shard: 0,
+        };
+        seqs.map(record).collect()
+    }
+
+    /// `csp_audit_bytes_total` counts exactly the framed bytes the file
+    /// sink writes after its header, segment splits included.
+    #[test]
+    fn bytes_total_matches_the_framed_file() {
+        let scheme: Scheme = "inter(pid+pc8)2[direct]".parse().unwrap();
+        let path =
+            std::env::temp_dir().join(format!("csp-audit-bytes-{}.cspaud", std::process::id()));
+        let sink = AuditSink::to_file(&path, &scheme, 16, 2, 1).expect("sink");
+        let mut scratch = Vec::new();
+        for batch in [1, 7, csp_trace::audit::MAX_AUDIT_SEGMENT + 3] {
+            let records = blank_records(0..batch as u64);
+            sink.append_buffered(&records, &mut scratch)
+                .expect("append");
+        }
+        let file_len = std::fs::metadata(&path).expect("log").len();
+        let header = csp_trace::audit::AUDIT_FORMAT.header_bytes() as u64;
+        assert_eq!(sink.bytes_total.load(Ordering::Relaxed), file_len - header);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn wait_records_streams_heartbeats_and_typed_refusals() {
         let scheme: Scheme = "inter(pid+pc8)2[direct]".parse().unwrap();
@@ -990,16 +1021,7 @@ mod tests {
     fn ring_eviction_reports_too_old() {
         let scheme: Scheme = "inter(pid+pc8)2[direct]".parse().unwrap();
         let sink = AuditSink::in_memory(&scheme, 16, 1, 1);
-        let records: Vec<AuditRecord> = (0..(RING_CAP as u64 + 10))
-            .map(|seq| AuditRecord {
-                seq,
-                key: seq,
-                predicted: SharingBitmap::empty(),
-                actual: SharingBitmap::empty(),
-                epoch: 0,
-                shard: 0,
-            })
-            .collect();
+        let records = blank_records(0..(RING_CAP as u64 + 10));
         sink.append(&records).expect("append");
         match sink.wait_records(0, 16, Duration::from_millis(10)) {
             Err(AuditStreamError::TooOld { oldest }) => assert_eq!(oldest, 10),
@@ -1014,16 +1036,7 @@ mod tests {
         assert_eq!(sink.lag(), 0);
         let a = sink.subscribe();
         let b = sink.subscribe();
-        let records: Vec<AuditRecord> = (0..100)
-            .map(|seq| AuditRecord {
-                seq,
-                key: seq,
-                predicted: SharingBitmap::empty(),
-                actual: SharingBitmap::empty(),
-                epoch: 0,
-                shard: 0,
-            })
-            .collect();
+        let records = blank_records(0..100);
         sink.append(&records).expect("append");
         sink.advance(a, 100);
         sink.advance(b, 60);

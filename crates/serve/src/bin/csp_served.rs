@@ -1359,12 +1359,17 @@ fn cmd_spans(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage_err("spans takes exactly one <FILE>"));
     };
     let file = File::open(path).map_err(|e| rt(format!("open {path}: {e}")))?;
-    let lines =
+    let dump =
         csp_obs::read_dump(BufReader::new(file)).map_err(|e| rt(format!("read {path}: {e}")))?;
-    for line in &lines {
+    for line in &dump.lines {
         println!("{line}");
     }
-    eprintln!("{} spans", lines.len());
+    let torn = if dump.torn {
+        "; torn tail discarded"
+    } else {
+        ""
+    };
+    eprintln!("{} spans{torn}", dump.lines.len());
     Ok(ExitCode::SUCCESS)
 }
 

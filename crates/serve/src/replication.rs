@@ -723,7 +723,7 @@ pub struct Recovered {
     /// Every durable operation from `base`, in log order.
     pub ops: Vec<ReplOp>,
     /// The highest fencing epoch any journal file was written under
-    /// (0 for pre-epoch `CSPJRNL1` journals and empty directories).
+    /// (0 for an empty directory).
     pub epoch: u64,
 }
 
@@ -799,12 +799,18 @@ impl JournalStore {
     /// Replays every retained journal file into one contiguous operation
     /// list, verifying fingerprints, file continuity, and segment
     /// checksums. A torn tail on the *newest* file is tolerated (the
-    /// crash the journal exists for); damage anywhere else is an error.
+    /// crash the journal exists for), under the torn-tail rule of
+    /// [`csp_trace::frame`]. Any other damage is an error, including a
+    /// damaged segment in the newest file that whole segments follow:
+    /// those are acknowledged operations, and dropping them silently
+    /// would lose them.
     ///
     /// # Errors
     ///
     /// [`ServeError::Replication`] on foreign fingerprints, offset gaps,
-    /// or mid-history damage; [`ServeError::Io`] on transport failures.
+    /// a torn tail on any file but the newest, or damage anywhere else,
+    /// naming the file and byte offset; [`ServeError::Io`] on transport
+    /// failures.
     pub fn recover_all(&self) -> Result<Recovered, ServeError> {
         let files = self.list()?;
         let Some(&(base, _)) = files.first() else {
@@ -824,8 +830,15 @@ impl JournalStore {
                 });
             }
             let file = File::open(path).map_err(|e| ServeError::io(path, e))?;
-            let contents =
-                read_journal(BufReader::new(file)).map_err(|e| ServeError::io(path, e))?;
+            let contents = read_journal(BufReader::new(file)).map_err(|e| {
+                if e.kind() == io::ErrorKind::InvalidData {
+                    ServeError::Replication {
+                        detail: format!("{}: {e}", path.display()),
+                    }
+                } else {
+                    ServeError::io(path, e)
+                }
+            })?;
             if contents.header.fingerprint != self.fingerprint {
                 return Err(ServeError::Replication {
                     detail: format!(
@@ -1507,19 +1520,26 @@ mod tests {
         assert_eq!(store.recover_all().unwrap().head(), 50);
     }
 
-    #[test]
-    fn torn_journal_tail_recovers_the_clean_prefix() {
-        let dir = TempDir::new("torn");
-        let batch = ops(13, 30);
+    /// Journals 30 ops as three 10-op segments of one file in `dir`;
+    /// returns the ops, the reopened store and the file's path.
+    fn three_segment_journal(dir: &TempDir, seed: u64) -> (Vec<ReplOp>, JournalStore, PathBuf) {
+        let batch = ops(seed, 30);
         let store = JournalStore::open(dir.path(), 7).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
         for chunk in batch.chunks(10) {
             log.append_with(chunk, || ()).unwrap();
         }
         drop(log);
-        // Tear the tail of the newest file mid-segment.
         let store = JournalStore::open(dir.path(), 7).unwrap();
         let (_, path) = store.list().unwrap().pop().unwrap();
+        (batch, store, path)
+    }
+
+    #[test]
+    fn torn_journal_tail_recovers_the_clean_prefix() {
+        let dir = TempDir::new("torn");
+        let (batch, store, path) = three_segment_journal(&dir, 13);
+        // Tear the tail of the newest file mid-segment.
         let bytes = fs::read(&path).unwrap();
         let cut = Mutation::Truncate {
             len: bytes.len() - 9,
@@ -1530,6 +1550,25 @@ mod tests {
         // The last 10-op segment is gone; the first 20 survive intact.
         assert_eq!(recovered.head(), 20);
         assert_eq!(recovered.ops, batch[..20]);
+    }
+
+    #[test]
+    fn mid_file_journal_damage_is_a_typed_error() {
+        let dir = TempDir::new("midfile");
+        let (_, store, path) = three_segment_journal(&dir, 19);
+        // Flip one byte inside the first of the newest file's three
+        // segments: the two whole segments after it prove this is not a
+        // torn tail, so recovery must refuse rather than drop them.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[csp_trace::journal::JOURNAL_FORMAT.header_bytes() + 12] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
+        match store.recover_all() {
+            Err(ServeError::Replication { detail }) => {
+                assert!(detail.contains("journal-"), "{detail}");
+                assert!(detail.contains("at byte 32"), "{detail}");
+            }
+            other => panic!("expected a replication error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -361,7 +361,10 @@ fn corrupted_log_is_rejected_with_a_typed_error() {
 
     let (ok, out, err) = audit_verify(SCHEME, &log, None, &trace);
     assert!(!ok, "corrupted log must be refused:\n{out}");
-    assert!(err.contains("audit segment"), "untyped rejection: {err}");
+    assert!(
+        err.contains("audit log at byte"),
+        "untyped rejection: {err}"
+    );
 }
 
 /// A log recorded under one scheme must be refused by a verifier running

@@ -65,8 +65,9 @@ pub const LEGACY_VERSION: u8 = 1;
 
 /// A writer wrapper that checksums everything written through it.
 ///
-/// The building block of every checksummed format in the workspace: the
-/// trace format here, and the `csp-serve` snapshot format. Write section
+/// The building block of the sectioned whole-file formats: the trace
+/// format here, and the `csp-serve` snapshot format (append-only logs
+/// use [`crate::frame`] instead). Write section
 /// bytes through the wrapper, then call
 /// [`write_section_crc`](Self::write_section_crc) to emit the CRC32c of
 /// the section and start the next one.
@@ -95,12 +96,6 @@ impl<W: Write> ChecksumWriter<W> {
         self.inner.write_all(&crc.to_le_bytes())?;
         self.hasher = crc32c::Hasher::new();
         Ok(())
-    }
-
-    /// Unwraps the inner writer, discarding any unfinalized section
-    /// state. Callers should emit the final section CRC first.
-    pub fn into_inner(self) -> W {
-        self.inner
     }
 }
 

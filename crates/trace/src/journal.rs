@@ -1,37 +1,31 @@
-//! Durable journal segment framing: the append-only on-disk log format
-//! replication builds on (`csp-serve`).
+//! Durable journal segments: the append-only on-disk log replication
+//! builds on (`csp-serve`).
 //!
-//! A journal file is a header followed by CRC32c-framed *segments*, each
-//! carrying an opaque batch of fixed- or variable-width records the
-//! caller defines:
+//! A journal file is a [`crate::frame`] log. Each frame is one
+//! *segment*: an opaque batch of records the caller defines.
 //!
 //! ```text
 //! file:
-//!   magic "CSPJRNL2"
+//!   magic "CSPJRNL3"
 //!   header: fingerprint u32 | start_offset u64 | epoch u64 | crc u32
-//!           (crc over the 20 header bytes)
-//! segment (repeated):
-//!   count u32 | len u32 | records[len] | crc u32           (crc over count, len and records)
+//!           (crc over the magic and the 20 header bytes)
+//! segment (one frame, repeated):
+//!   len u32 | count u32 | records[len - 4] | crc u32     (crc over len, count and records)
 //! ```
 //!
-//! The original `CSPJRNL1` layout (no `epoch` field — a 12-byte header)
-//! is still read, reporting `epoch = 0`; new files are always written as
-//! `CSPJRNL2`. The epoch is an opaque caller-defined term — replication
-//! uses it to fence writes from a deposed leader across a failover.
-//!
-//! All integers are little-endian, checksums are CRC32c
-//! ([`crate::crc32c`]) — the same conventions as the trace format.
+//! The epoch is an opaque caller-defined term; replication uses it to
+//! fence writes from a deposed leader across a failover.
 //!
 //! # Failure model
 //!
 //! The writer flushes after every appended segment, so a process killed
 //! hard (SIGKILL, power loss short of media failure) leaves at most one
-//! *torn* segment at the tail. [`read_journal`] tolerates exactly that:
-//! it returns every segment up to the first one that is short or fails
-//! its checksum and reports the cut with [`JournalContents::torn`] —
-//! corruption truncates the log, it never yields bogus records. A new
-//! writer then starts a *new* file at the recovered offset instead of
-//! appending past the tear.
+//! *torn* segment at the tail. [`read_journal`] applies the frame
+//! layer's torn-tail rule: it returns every whole segment and reports a
+//! torn tail with [`JournalContents::torn`]; any other damage, such as a
+//! flipped byte followed by whole segments, is an error naming the byte
+//! offset. A new writer then starts a *new* file at the recovered offset
+//! instead of appending past the tear.
 //!
 //! # Example
 //!
@@ -51,21 +45,21 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use crate::crc32c;
+use crate::frame::{u32_at, u64_at, Format, FrameReader, FrameWriter};
 use std::io::{self, Read, Write};
-
-/// Identifies a journal file written by this crate (format version 2,
-/// with an epoch field in the header).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"CSPJRNL2";
-
-/// The original format-version-1 magic: same framing, but a 12-byte
-/// header with no epoch field. Still readable ([`read_journal`] reports
-/// `epoch = 0`); never written.
-pub const JOURNAL_MAGIC_V1: &[u8; 8] = b"CSPJRNL1";
 
 /// Hard ceiling on one segment's record bytes: bounds what a corrupt
 /// length field can make the reader allocate.
 pub const MAX_SEGMENT_BYTES: usize = 1 << 24;
+
+/// The journal file format (version 3: the header CRC covers the magic
+/// and the segment count sits inside the frame body).
+pub const JOURNAL_FORMAT: Format = Format {
+    name: "journal",
+    magic: *b"CSPJRNL3",
+    header_len: 20,
+    max_body: 4 + MAX_SEGMENT_BYTES as u32,
+};
 
 /// The self-describing prefix of a journal file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +70,7 @@ pub struct JournalHeader {
     /// The logical offset (in records) of the first record in this file.
     pub start_offset: u64,
     /// Caller-defined epoch (fencing term) the records were written
-    /// under. `0` for files recovered from the v1 format.
+    /// under.
     pub epoch: u64,
 }
 
@@ -97,27 +91,16 @@ pub struct JournalContents {
     pub header: JournalHeader,
     /// Whole, checksum-verified segments, in append order.
     pub segments: Vec<JournalSegment>,
-    /// `true` when the file ended in a torn or corrupt segment that was
-    /// discarded — the recovered prefix is still trustworthy.
+    /// `true` when the file ended in a torn segment that was discarded;
+    /// the recovered prefix is still trustworthy.
     pub torn: bool,
 }
 
-impl JournalContents {
-    /// Total records across the recovered segments.
-    pub fn record_count(&self) -> u64 {
-        self.segments.iter().map(|s| u64::from(s.count)).sum()
-    }
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Appends CRC32c-framed segments to a journal, flushing after each so a
-/// hard kill loses at most the segment being written.
+/// Appends segments to a journal, flushing after each so a hard kill
+/// loses at most the segment being written.
 #[derive(Debug)]
 pub struct SegmentWriter<W: Write> {
-    inner: W,
+    inner: FrameWriter<W>,
 }
 
 impl<W: Write> SegmentWriter<W> {
@@ -127,16 +110,14 @@ impl<W: Write> SegmentWriter<W> {
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
-    pub fn create(mut inner: W, header: &JournalHeader) -> io::Result<Self> {
-        inner.write_all(JOURNAL_MAGIC)?;
+    pub fn create(inner: W, header: &JournalHeader) -> io::Result<Self> {
         let mut fields = [0u8; 20];
         fields[..4].copy_from_slice(&header.fingerprint.to_le_bytes());
         fields[4..12].copy_from_slice(&header.start_offset.to_le_bytes());
         fields[12..].copy_from_slice(&header.epoch.to_le_bytes());
-        inner.write_all(&fields)?;
-        inner.write_all(&crc32c::checksum(&fields).to_le_bytes())?;
-        inner.flush()?;
-        Ok(SegmentWriter { inner })
+        Ok(SegmentWriter {
+            inner: FrameWriter::create(inner, &JOURNAL_FORMAT, &fields)?,
+        })
     }
 
     /// Appends one segment of `count` records packed into `records` and
@@ -148,306 +129,47 @@ impl<W: Write> SegmentWriter<W> {
     /// Rejects segments over [`MAX_SEGMENT_BYTES`]; propagates I/O
     /// errors.
     pub fn append(&mut self, count: u32, records: &[u8]) -> io::Result<()> {
-        if records.len() > MAX_SEGMENT_BYTES {
-            return Err(bad(format!(
-                "segment of {} bytes exceeds the {MAX_SEGMENT_BYTES}-byte limit",
-                records.len()
-            )));
-        }
-        let mut head = [0u8; 8];
-        head[..4].copy_from_slice(&count.to_le_bytes());
-        head[4..].copy_from_slice(&(records.len() as u32).to_le_bytes());
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&head);
-        crc.update(records);
-        self.inner.write_all(&head)?;
-        self.inner.write_all(records)?;
-        self.inner.write_all(&crc.finalize().to_le_bytes())?;
-        self.inner.flush()
+        self.inner.append(&[&count.to_le_bytes(), records])
     }
-
-    /// Unwraps the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-fn read_exact_or_torn<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::CleanEnd
-                } else {
-                    ReadOutcome::Torn
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Whole)
-}
-
-enum ReadOutcome {
-    Whole,
-    CleanEnd,
-    Torn,
 }
 
 /// Reads a journal, tolerating a torn tail: every whole, checksummed
-/// segment before the first damaged one is returned and the damage is
-/// reported as [`JournalContents::torn`].
+/// segment is returned and a torn tail is reported as
+/// [`JournalContents::torn`].
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] when the magic or the *header* is bad
-/// (nothing can be trusted then); transport errors propagate. Segment
-/// damage is not an error — it truncates.
-pub fn read_journal<R: Read>(mut r: R) -> io::Result<JournalContents> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    let header_len = if &magic == JOURNAL_MAGIC {
-        20
-    } else if &magic == JOURNAL_MAGIC_V1 {
-        12
-    } else {
-        return Err(bad("not a journal file (bad magic)"));
-    };
-    let mut fields = [0u8; 20];
-    r.read_exact(&mut fields[..header_len])?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    if u32::from_le_bytes(crc_bytes) != crc32c::checksum(&fields[..header_len]) {
-        return Err(bad("journal header checksum mismatch"));
-    }
+/// [`io::ErrorKind::InvalidData`] when the header is bad (nothing can be
+/// trusted then) or a segment is damaged anywhere but a torn tail, with
+/// the byte offset in the message; transport errors propagate.
+pub fn read_journal<R: Read>(r: R) -> io::Result<JournalContents> {
+    let mut frames = FrameReader::open(r, &JOURNAL_FORMAT)?;
+    let fields = frames.header();
     let header = JournalHeader {
-        fingerprint: u32::from_le_bytes([fields[0], fields[1], fields[2], fields[3]]),
-        start_offset: u64::from_le_bytes([
-            fields[4], fields[5], fields[6], fields[7], fields[8], fields[9], fields[10],
-            fields[11],
-        ]),
-        // v1 headers stop at the start offset; they predate epochs.
-        epoch: u64::from_le_bytes([
-            fields[12], fields[13], fields[14], fields[15], fields[16], fields[17], fields[18],
-            fields[19],
-        ]),
+        fingerprint: u32_at(fields, 0),
+        start_offset: u64_at(fields, 4),
+        epoch: u64_at(fields, 12),
     };
     let mut segments = Vec::new();
-    let mut torn = false;
-    loop {
-        let mut head = [0u8; 8];
-        match read_exact_or_torn(&mut r, &mut head)? {
-            ReadOutcome::CleanEnd => break,
-            ReadOutcome::Torn => {
-                torn = true;
-                break;
-            }
-            ReadOutcome::Whole => {}
+    while let Some(frame) = frames.next() {
+        let mut records = frame?;
+        if records.len() < 4 {
+            return Err(frames.corrupt_body(records.len(), "segment has no record count"));
         }
-        let count = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-        if len > MAX_SEGMENT_BYTES {
-            // A plausible header never claims this; the tail is garbage.
-            torn = true;
-            break;
-        }
-        let mut records = vec![0u8; len];
-        if !matches!(
-            read_exact_or_torn(&mut r, &mut records)?,
-            ReadOutcome::Whole
-        ) {
-            torn = true;
-            break;
-        }
-        let mut crc_bytes = [0u8; 4];
-        if !matches!(
-            read_exact_or_torn(&mut r, &mut crc_bytes)?,
-            ReadOutcome::Whole
-        ) {
-            torn = true;
-            break;
-        }
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&head);
-        crc.update(&records);
-        if u32::from_le_bytes(crc_bytes) != crc.finalize() {
-            torn = true;
-            break;
-        }
+        let count = u32_at(&records, 0);
+        records.drain(..4);
         segments.push(JournalSegment { count, records });
     }
     Ok(JournalContents {
         header,
         segments,
-        torn,
+        torn: frames.torn(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{all_single_byte_flips, Mutation};
-
-    fn sample() -> Vec<u8> {
-        let mut bytes = Vec::new();
-        let header = JournalHeader {
-            fingerprint: 0xDEAD_BEEF,
-            start_offset: 1_000,
-            epoch: 7,
-        };
-        let mut w = SegmentWriter::create(&mut bytes, &header).unwrap();
-        w.append(3, b"aaabbbccc").unwrap();
-        w.append(1, b"dd").unwrap();
-        w.append(2, b"eeee").unwrap();
-        bytes
-    }
-
-    #[test]
-    fn round_trips_header_and_segments() {
-        let back = read_journal(sample().as_slice()).unwrap();
-        assert_eq!(back.header.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(back.header.start_offset, 1_000);
-        assert_eq!(back.header.epoch, 7);
-        assert!(!back.torn);
-        assert_eq!(back.record_count(), 6);
-        assert_eq!(
-            back.segments,
-            vec![
-                JournalSegment {
-                    count: 3,
-                    records: b"aaabbbccc".to_vec()
-                },
-                JournalSegment {
-                    count: 1,
-                    records: b"dd".to_vec()
-                },
-                JournalSegment {
-                    count: 2,
-                    records: b"eeee".to_vec()
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_journal_is_valid() {
-        let mut bytes = Vec::new();
-        let header = JournalHeader {
-            fingerprint: 7,
-            start_offset: 0,
-            epoch: 1,
-        };
-        SegmentWriter::create(&mut bytes, &header).unwrap();
-        let back = read_journal(bytes.as_slice()).unwrap();
-        assert!(back.segments.is_empty());
-        assert!(!back.torn);
-    }
-
-    /// Hand-writes a v1 file (12-byte header, `CSPJRNL1` magic) and
-    /// requires the reader to recover it with `epoch = 0`.
-    #[test]
-    fn v1_journals_still_read_with_epoch_zero() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOURNAL_MAGIC_V1);
-        let mut fields = [0u8; 12];
-        fields[..4].copy_from_slice(&0xFEED_FACEu32.to_le_bytes());
-        fields[4..].copy_from_slice(&99u64.to_le_bytes());
-        bytes.extend_from_slice(&fields);
-        bytes.extend_from_slice(&crc32c::checksum(&fields).to_le_bytes());
-        // Segment framing is identical in both versions.
-        let mut head = [0u8; 8];
-        head[..4].copy_from_slice(&2u32.to_le_bytes());
-        head[4..].copy_from_slice(&4u32.to_le_bytes());
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&head);
-        crc.update(b"wxyz");
-        bytes.extend_from_slice(&head);
-        bytes.extend_from_slice(b"wxyz");
-        bytes.extend_from_slice(&crc.finalize().to_le_bytes());
-        let back = read_journal(bytes.as_slice()).unwrap();
-        assert_eq!(back.header.fingerprint, 0xFEED_FACE);
-        assert_eq!(back.header.start_offset, 99);
-        assert_eq!(back.header.epoch, 0);
-        assert!(!back.torn);
-        assert_eq!(back.segments.len(), 1);
-        assert_eq!(back.segments[0].records, b"wxyz");
-    }
-
-    #[test]
-    fn every_tail_truncation_recovers_a_clean_prefix() {
-        let bytes = sample();
-        // The file prefix before segments: magic + header + header crc.
-        let header_len = 8 + 20 + 4;
-        for len in header_len..bytes.len() {
-            let cut = Mutation::Truncate { len }.apply(&bytes);
-            let back = read_journal(cut.as_slice()).unwrap();
-            // Either the cut landed exactly on a segment boundary (clean)
-            // or the tail segment was discarded (torn) — never a partial
-            // or corrupt segment in the output.
-            assert!(back.segments.len() <= 3);
-            for (i, seg) in back.segments.iter().enumerate() {
-                let reference = [b"aaabbbccc".as_slice(), b"dd", b"eeee"];
-                assert_eq!(seg.records, reference[i], "truncated to {len}");
-            }
-            if len < bytes.len() {
-                assert!(
-                    back.torn || back.segments.len() < 3 || len == bytes.len(),
-                    "cut at {len} claimed a whole file"
-                );
-            }
-        }
-        // Truncating into the header itself is a hard error.
-        for len in 0..header_len {
-            assert!(read_journal(Mutation::Truncate { len }.apply(&bytes).as_slice()).is_err());
-        }
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_detected_or_truncates() {
-        let bytes = sample();
-        let clean = read_journal(bytes.as_slice()).unwrap();
-        for m in all_single_byte_flips(&bytes, 0x04) {
-            let hurt = m.apply(&bytes);
-            match read_journal(hurt.as_slice()) {
-                // Header damage: the whole file is rejected.
-                Err(_) => {}
-                // Segment damage: the log is truncated at the flip, and
-                // every surviving segment is bit-identical to the clean
-                // read's prefix.
-                Ok(back) => {
-                    assert!(
-                        back.torn || back.segments == clean.segments,
-                        "{m:?} silently altered the recovered log"
-                    );
-                    for (a, b) in back.segments.iter().zip(&clean.segments) {
-                        assert_eq!(a, b, "{m:?} corrupted a recovered segment");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_segment_length_truncates_instead_of_allocating() {
-        let mut bytes = Vec::new();
-        let header = JournalHeader {
-            fingerprint: 1,
-            start_offset: 0,
-            epoch: 1,
-        };
-        let mut w = SegmentWriter::create(&mut bytes, &header).unwrap();
-        w.append(1, b"x").unwrap();
-        // Forge a segment header claiming u32::MAX record bytes.
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(b"garbage");
-        let back = read_journal(bytes.as_slice()).unwrap();
-        assert_eq!(back.segments.len(), 1);
-        assert!(back.torn);
-    }
 
     #[test]
     fn oversized_append_is_rejected() {

@@ -12,8 +12,10 @@
 //!   bitmap of every event,
 //! * [`TraceStats`] — the per-benchmark statistics of Table 5 of the paper,
 //! * a compact self-describing binary on-disk format ([`io`]),
-//! * durable CRC32c-framed journal segments ([`journal`]) — the on-disk
-//!   log replicated serving is built on,
+//! * the one CRC32c frame codec ([`frame`]) under every append-only log,
+//!   with a single torn-tail rule,
+//! * durable journal segments ([`journal`]) — the on-disk log replicated
+//!   serving is built on,
 //! * the canonical per-decision audit record codec ([`audit`]) that makes
 //!   a deployed engine's predictions byte-for-byte replayable.
 //!
@@ -60,6 +62,7 @@ mod bitmap;
 pub mod crc32c;
 mod event;
 pub mod fault;
+pub mod frame;
 mod ids;
 pub mod io;
 pub mod journal;

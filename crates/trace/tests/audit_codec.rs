@@ -1,18 +1,13 @@
-//! Robustness tests for the audit-record codec: property-based
-//! round-trips over adversarial field contents, torn-tail tolerance at
-//! every byte boundary, and version-fingerprint gatekeeping — the same
-//! battery `crates/bar/tests/record_codec.rs` runs for trajectory
-//! records.
+//! Property tests for the audit-record codec: round-trips over
+//! adversarial field contents, the sampling predicate, and
+//! version-fingerprint gatekeeping. Torn tails and corruption are
+//! covered for every framed format by the root `durable_formats` suite.
 
 use csp_trace::audit::{
-    read_audit_log, sample_keeps, AuditHeader, AuditRecord, AuditWriter, MAX_AUDIT_SEGMENT,
-    RECORD_LEN,
+    read_audit_log, sample_keeps, AuditHeader, AuditRecord, AuditWriter, RECORD_LEN,
 };
 use csp_trace::SharingBitmap;
 use proptest::prelude::*;
-
-/// Magic + fingerprint + shards + sample + CRC.
-const HEADER_LEN: usize = 8 + 4 + 2 + 4 + 4;
 
 /// Keys, bitmaps, and epochs drawn from the full u64 range plus the
 /// classic boundary values the generators rarely hit on their own.
@@ -109,99 +104,6 @@ proptest! {
     }
 }
 
-/// A kill-9 mid-append may truncate the log at ANY byte. Everything
-/// after the header must read back as a clean prefix of fully
-/// checksummed segments — never an error, never a half-parsed record —
-/// with the tear reported via `torn`.
-#[test]
-fn torn_tail_at_every_byte_boundary_yields_a_clean_prefix() {
-    let header = AuditHeader {
-        fingerprint: 0xfeed_0001,
-        shards: 3,
-        sample: 1,
-    };
-    let records: Vec<AuditRecord> = (0..5)
-        .map(|i| AuditRecord {
-            seq: i,
-            key: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            predicted: SharingBitmap::from_bits(!i),
-            actual: SharingBitmap::from_bits(i << 7),
-            epoch: 2,
-            shard: (i % 3) as u16,
-        })
-        .collect();
-    // Three segments of sizes 2, 2, 1 — several CRC boundaries to tear.
-    let mut buf = Vec::new();
-    let mut w = AuditWriter::create(&mut buf, &header).expect("create");
-    w.append(&records[..2]).expect("append");
-    w.append(&records[2..4]).expect("append");
-    w.append(&records[4..]).expect("append");
-
-    // Segment boundaries: header, then count + records + CRC per append.
-    let seg = |n: usize| 4 + n * RECORD_LEN + 4;
-    let boundaries = [
-        HEADER_LEN,
-        HEADER_LEN + seg(2),
-        HEADER_LEN + seg(2) * 2,
-        HEADER_LEN + seg(2) * 2 + seg(1),
-    ];
-    assert_eq!(*boundaries.last().expect("nonempty"), buf.len());
-
-    for cut in 0..=buf.len() {
-        let torn = &buf[..cut];
-        if cut < HEADER_LEN {
-            // Inside the header there is no stream to salvage.
-            assert!(
-                read_audit_log(torn, None).is_err(),
-                "cut {cut} should be fatal"
-            );
-            continue;
-        }
-        let log = read_audit_log(torn, Some(header.fingerprint))
-            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        let complete = boundaries
-            .iter()
-            .filter(|&&b| b > HEADER_LEN && b <= cut)
-            .count();
-        let expected = [0usize, 2, 4, 5][complete];
-        assert_eq!(log.records.len(), expected, "cut {cut}");
-        assert!(records.starts_with(&log.records), "cut {cut}");
-        let at_boundary = boundaries.contains(&cut);
-        assert_eq!(log.torn, !at_boundary, "cut {cut}");
-    }
-}
-
-/// Corruption *inside* a complete segment (not at the tail) must be an
-/// error — torn-tail tolerance must never become silent data loss.
-#[test]
-fn mid_file_corruption_is_fatal_not_skipped() {
-    let header = AuditHeader {
-        fingerprint: 0xfeed_0002,
-        shards: 2,
-        sample: 1,
-    };
-    let records: Vec<AuditRecord> = (0..4)
-        .map(|i| AuditRecord {
-            seq: i,
-            key: i * 31,
-            predicted: SharingBitmap::from_bits(i),
-            actual: SharingBitmap::from_bits(i + 1),
-            epoch: 0,
-            shard: (i % 2) as u16,
-        })
-        .collect();
-    let mut buf = Vec::new();
-    let mut w = AuditWriter::create(&mut buf, &header).expect("create");
-    w.append(&records[..2]).expect("append");
-    w.append(&records[2..]).expect("append");
-    // Flip a byte inside the first segment's records: the intact second
-    // segment proves this is corruption, not truncation.
-    buf[HEADER_LEN + 4 + 11] ^= 0x20;
-    let err = read_audit_log(buf.as_slice(), None).expect_err("corruption must surface");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("audit segment"), "{err}");
-}
-
 /// A log recorded under a different version fingerprint is rejected at
 /// the header, before any record is read, naming both values.
 #[test]
@@ -221,26 +123,4 @@ fn fingerprint_mismatch_is_rejected_with_both_values() {
         msg.contains("0x11112222") && msg.contains("0x33334444"),
         "{msg}"
     );
-}
-
-/// A hostile segment count (far past `MAX_AUDIT_SEGMENT`) is refused
-/// before any count-sized allocation.
-#[test]
-fn hostile_segment_count_is_rejected() {
-    let header = AuditHeader {
-        fingerprint: 7,
-        shards: 1,
-        sample: 1,
-    };
-    for hostile in [0u32, MAX_AUDIT_SEGMENT as u32 + 1, u32::MAX] {
-        let mut buf = encode_log(&header, &[]);
-        buf.extend_from_slice(&hostile.to_le_bytes());
-        buf.extend_from_slice(&[0u8; RECORD_LEN]);
-        let err = read_audit_log(buf.as_slice(), None).expect_err("hostile count must be refused");
-        assert_eq!(
-            err.kind(),
-            std::io::ErrorKind::InvalidData,
-            "count {hostile}"
-        );
-    }
 }
