@@ -389,8 +389,9 @@ scheme union(dir+add8)2[ordered]
 # catches systematic collapse.
 gate ratio simd/reference min 10.0
 gate regression default 0.5
-# The sharded engine measures routing and channel cost over a
-# persistent worker pool; its relative throughput is still noisy
+# The sharded engine replays through the supervised workers a server
+# runs (one engine, reset per cell), so it times routing, channel and
+# the production apply path; its relative throughput is still noisy
 # across runner core counts.
 gate regression engine sharded 0.85
 ";

@@ -17,12 +17,12 @@
 //! guarantee that each call performs the full end-to-end evaluation the
 //! engine would pay in production, nothing cached across calls beyond
 //! what the engine's own architecture shares (the kernel's key streams
-//! are its architecture; the sharded engine's persistent worker pool is
-//! its architecture too — see [`ShardedServeEngine`]).
+//! are its architecture; the serving engine's long-lived worker threads
+//! are its architecture too — see [`ShardedServeEngine`]).
 
 use csp_core::{engine, reference, PreparedTrace, Scheme};
 use csp_metrics::ConfusionMatrix;
-use csp_serve::ShardPool;
+use csp_serve::ShardedEngine;
 use csp_workloads::BenchmarkTrace;
 use std::fmt;
 use std::sync::Mutex;
@@ -89,21 +89,24 @@ impl Engine for SimdEngine {
 }
 
 /// The in-process sharded serving engine (`csp-serve`): per-key routing
-/// over worker threads with bounded-channel backpressure. The adapter
-/// holds a persistent [`ShardPool`] — worker threads live for the whole
-/// benchmark matrix and each eval re-tasks them with a fresh session,
-/// so the measured region is routing, channel, and apply cost (the
-/// steady state of a running service), not thread spawn/join. Bounded
-/// inboxes still backpressure inside the measurement.
+/// over the supervised worker threads a server runs, with bounded-channel
+/// backpressure. The adapter keeps one [`ShardedEngine`] for the whole
+/// benchmark matrix and [`reset`](ShardedEngine::reset)s it per cell, so
+/// the measured region is routing, channel, and the production worker's
+/// apply path (checkpoint journal, instruments, `catch_unwind`), not
+/// thread spawn/join. The engine is built at the first cell and rebuilt
+/// only when a cell's machine width differs.
 pub struct ShardedServeEngine {
-    pool: Mutex<ShardPool>,
+    shards: usize,
+    engine: Mutex<Option<ShardedEngine>>,
 }
 
 impl ShardedServeEngine {
-    /// Creates the adapter with a persistent pool of `shards` workers.
+    /// Creates the adapter; its `shards` workers spawn at the first eval.
     pub fn new(shards: usize) -> Self {
         ShardedServeEngine {
-            pool: Mutex::new(ShardPool::new(shards)),
+            shards,
+            engine: Mutex::new(None),
         }
     }
 }
@@ -114,8 +117,21 @@ impl Engine for ShardedServeEngine {
     }
 
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        let pool = self.pool.lock().expect("no panic holds the pool lock");
-        pool.replay_prepared(cell.prepared, &cell.scheme)
+        let mut slot = self.engine.lock().expect("no panic holds the engine lock");
+        let nodes = cell.prepared.nodes();
+        let engine = match slot.as_mut() {
+            Some(engine) if engine.nodes() == nodes => {
+                engine
+                    .reset(cell.scheme)
+                    .expect("no log or sink is attached");
+                engine
+            }
+            _ => slot.insert(ShardedEngine::new(cell.scheme, nodes, self.shards)),
+        };
+        engine
+            .replay_prepared(cell.prepared)
+            .expect("the engine is as wide as the trace");
+        engine.stats().confusion
     }
 }
 
@@ -274,10 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_adapter_pool_survives_reuse_across_cells() {
+    fn sharded_adapter_engine_survives_reuse_across_cells() {
         let suite = Suite::generate(0.01, 7);
         let engine = ShardedServeEngine::new(3);
-        // The same pooled adapter must stay bit-identical across cells
+        // The same re-tasked adapter must stay bit-identical across cells
         // with different schemes and traces (sessions fully reset).
         for bench in suite.traces().iter().take(2) {
             let prepared = PreparedTrace::new(&bench.trace);

@@ -3,9 +3,9 @@
 //!
 //! Every instrument is a handful of [`AtomicU64`]/[`AtomicI64`] cells —
 //! recording never takes a lock, never allocates, and never blocks, so
-//! instruments can sit directly on serving hot paths (see
-//! `benches/obs.rs` in `csp-bench` for the measured cost). Reading is
-//! equally lock-free: a reader snapshots the atomics and derives
+//! instruments can sit directly on serving hot paths. (Their cost on
+//! the served path is not measured yet; ROADMAP item 1's overhead gates
+//! will measure it.) Reading is equally lock-free: a reader snapshots the atomics and derives
 //! quantiles from the bucket counts.
 //!
 //! # Histogram bucketing

@@ -16,7 +16,7 @@
 //!
 //! Recording is *disabled by default*: an idle `TraceRing` costs one
 //! relaxed atomic load per span, which keeps instrumented hot paths
-//! near-free when nobody is watching (see `benches/obs.rs`).
+//! near-free when nobody is watching.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

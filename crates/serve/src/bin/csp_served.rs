@@ -202,7 +202,8 @@ fn parse_sample(spec: &str) -> Result<u32, CliError> {
 }
 
 /// Options shared by the subcommands, parsed from `--flag value` pairs;
-/// anything unflagged lands in `positional`.
+/// anything unflagged lands in `positional`, and an unknown `--flag` is a
+/// usage error.
 struct Options {
     scheme: Option<String>,
     nodes: usize,
@@ -442,10 +443,25 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                         .map_err(|_| usage_err("--to-event needs an event index"))?,
                 )
             }
+            flag if flag.starts_with("--") => {
+                return Err(usage_err(format!("unknown flag {flag}")));
+            }
             other => o.positional.push(other.to_string()),
         }
     }
     Ok(o)
+}
+
+/// [`parse_options`] for a subcommand that takes flags only: a stray
+/// positional argument is a usage error, not silently ignored.
+fn parse_flags_only(cmd: &str, args: &[String]) -> Result<Options, CliError> {
+    let o = parse_options(args)?;
+    match o.positional.first() {
+        Some(stray) => Err(usage_err(format!(
+            "{cmd} takes no positional arguments (got {stray:?})"
+        ))),
+        None => Ok(o),
+    }
 }
 
 fn build_engine(o: &Options, default_scheme: &str) -> Result<Arc<ShardedEngine>, CliError> {
@@ -494,7 +510,7 @@ fn save_snapshot(store: &SnapshotStore, engine: &ShardedEngine, seq: u64) -> Res
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
+    let o = parse_flags_only("serve", args)?;
     if o.scheme.is_none() {
         return Err(usage_err(
             "serve needs --scheme (e.g. --scheme 'inter(pid+pc8)2[direct]')",
@@ -1027,7 +1043,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
+    let o = parse_flags_only("bench", args)?;
     let opts = LoadOptions {
         batch: o.batch,
         frames: o.frames,
@@ -1129,7 +1145,7 @@ fn cmd_push(args: &[String]) -> Result<ExitCode, CliError> {
 /// leader's pushes are refused as `fenced` from then on. `--scheme` and
 /// `--nodes` must match the replica's (they form the fingerprint).
 fn cmd_promote(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
+    let o = parse_flags_only("promote", args)?;
     let addr = o
         .addr
         .as_deref()
@@ -1150,7 +1166,7 @@ fn cmd_promote(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
+    let o = parse_flags_only("metrics", args)?;
     let addr = o
         .addr
         .as_deref()
@@ -1320,7 +1336,7 @@ fn render_top(rows: &[TopRow], samples: &[csp_obs::Sample]) -> String {
 }
 
 fn cmd_top(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
+    let o = parse_flags_only("top", args)?;
     let addr = o
         .addr
         .as_deref()

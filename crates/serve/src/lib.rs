@@ -10,10 +10,9 @@
 //!   inboxes (backpressure), batched ingest, and no global lock. Sharding
 //!   is *exact*: replaying a trace yields bit-identical screening
 //!   statistics to the offline engine (see `tests/equivalence.rs`).
-//! * [`ShardPool`] — the same shard workers with a persistent
-//!   lifecycle: threads live across many replays and are re-tasked per
-//!   session, for callers (like the `csp-bar` barometer) that replay
-//!   hundreds of short cells and must not measure thread spawn.
+//!   [`ShardedEngine::reset`] re-tasks the running workers with a fresh
+//!   session, so a caller that replays hundreds of short cells (the
+//!   `csp-bar` barometer) times the supervised workers, not thread spawn.
 //! * [`wire`] — a length-prefixed, CRC32c-checksummed binary protocol
 //!   (the same checksum conventions as the on-disk trace format), spoken
 //!   over TCP or Unix sockets by [`server`] and [`client`].
@@ -76,7 +75,6 @@ pub mod audit;
 pub mod bench;
 pub mod client;
 pub mod error;
-pub mod pool;
 pub mod replication;
 pub mod server;
 pub mod shard;
@@ -90,7 +88,6 @@ pub use audit::{
 pub use bench::{probe_stream, run_load, LoadOptions, LoadReport};
 pub use client::Client;
 pub use error::ServeError;
-pub use pool::ShardPool;
 pub use replication::{
     CompactStats, FollowerOptions, JournalStore, LeaseId, Recovered, ReplOp, ReplicaStatus,
     ReplicationLog, DEFAULT_LEASE, MAX_SEGMENT_OPS,

@@ -101,6 +101,11 @@ enum ShardMsg {
     /// captured state reflects exactly the messages sent before it on
     /// this shard's inbox. Doubles as the worker's recovery checkpoint.
     Snapshot { reply: Sender<ShardState> },
+    /// Start a new session: replace the state, the recovery checkpoint
+    /// and the journal. In-band, so FIFO inbox order guarantees no
+    /// operation sent before it leaks into the new session, and none sent
+    /// after it lands in the old one.
+    Reset(Box<ShardState>),
 }
 
 /// Point-in-time state of one shard: its table partition plus its share
@@ -285,12 +290,12 @@ impl ShardInstruments {
 /// How many messages a shard inbox buffers before senders block
 /// (backpressure: a slow shard throttles ingest instead of ballooning
 /// memory).
-pub(crate) const INBOX_DEPTH: usize = 64;
+const INBOX_DEPTH: usize = 64;
 
 /// Events per replay chunk: each chunk becomes one ordered ingest batch
 /// (and, on a replicating leader, one journal append of at most twice
 /// this many operations).
-pub(crate) const REPLAY_CHUNK: usize = 8192;
+const REPLAY_CHUNK: usize = 8192;
 
 /// Emits the operations replay dispatches for events `range`, in
 /// emission order, mirroring the event-order definition of
@@ -880,6 +885,38 @@ impl ShardedEngine {
             .collect()
     }
 
+    /// Re-tasks the running workers with a fresh session for `scheme`,
+    /// keeping the engine's width, shard count and threads: every shard's
+    /// state, recovery checkpoint and journal are replaced in-band, so
+    /// operations sent after this call see only the new session. The
+    /// barometer uses it to replay many short cells through the one
+    /// supervised worker without timing thread spawn and join.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Replication`] or [`ServeError::Audit`] when a
+    /// replication log or audit sink is attached: their journal-before-
+    /// effect order cannot survive a session swap. The engine is left
+    /// untouched and keeps serving.
+    pub fn reset(&mut self, scheme: Scheme) -> Result<(), ServeError> {
+        if self.replication.get().is_some() {
+            return Err(ServeError::Replication {
+                detail: "cannot reset an engine with a replication log attached".to_string(),
+            });
+        }
+        if self.audit.get().is_some() {
+            return Err(ServeError::Audit {
+                detail: "cannot reset an engine with an audit sink attached".to_string(),
+            });
+        }
+        for s in 0..self.shards.len() {
+            let fresh = Box::new(ShardState::empty(&scheme, self.nodes));
+            self.send(s, ShardMsg::Reset(fresh));
+        }
+        self.scheme = scheme;
+        Ok(())
+    }
+
     /// Predicts the reader bitmap for one probe.
     pub fn predict(&self, probe: &Probe) -> SharingBitmap {
         self.predict_keys(&[self.key_of(probe)])[0]
@@ -1255,6 +1292,14 @@ fn shard_worker(
                 journal.clear();
                 let _ = reply.send(checkpoint.clone());
             }
+            ShardMsg::Reset(fresh) => {
+                // A recovery must roll back to the new session, never
+                // replay the old one's journal into it.
+                state = *fresh;
+                checkpoint = state.clone();
+                journal.clear();
+                audited = state.scored;
+            }
         }
         publish(counters, &state);
     }
@@ -1513,6 +1558,111 @@ mod tests {
         match ShardedEngine::with_state(scheme, 32, states) {
             Err(ServeError::SnapshotMismatch { .. }) => {}
             other => panic!("expected SnapshotMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reset_replay_is_bit_identical_to_offline_across_sessions() {
+        let trace = busy_trace(500);
+        let prepared = PreparedTrace::new(&trace);
+        let mut engine = ShardedEngine::new("last(pid)1[direct]".parse().unwrap(), 16, 3);
+        // Re-tasking the same workers with different schemes (different
+        // storage families, update modes) must leak nothing across
+        // sessions.
+        for spec in [
+            "last(pid+pc8)1[direct]",
+            "union(pid+pc8)2[forwarded]",
+            "union(dir+add8)2[ordered]",
+            "pas(pid+pc4)2[direct]",
+            "last(pid+pc8)1[direct]", // repeat: session reset is exact
+        ] {
+            let scheme: Scheme = spec.parse().unwrap();
+            engine.reset(scheme).unwrap();
+            engine.replay_prepared(&prepared).unwrap();
+            let snap = engine.stats();
+            assert_eq!(snap.confusion, run_scheme(&trace, &scheme), "{spec}");
+            assert_eq!(snap.scored, trace.len() as u64, "{spec}");
+            assert_eq!(engine.scheme(), &scheme);
+            assert_eq!(engine.shard_count(), 3);
+        }
+    }
+
+    #[test]
+    fn empty_trace_replays_to_empty_counts() {
+        let mut engine = ShardedEngine::new("union(pid+pc8)2[direct]".parse().unwrap(), 16, 2);
+        engine.replay_trace(&busy_trace(100)).unwrap();
+        engine
+            .reset("last(pid+pc8)1[direct]".parse().unwrap())
+            .unwrap();
+        engine.replay_trace(&Trace::new(16)).unwrap();
+        let snap = engine.stats();
+        assert_eq!(snap.confusion.decisions(), 0);
+        assert_eq!((snap.updates, snap.scored, snap.entries), (0, 0, 0));
+        assert_eq!(engine.shard_count(), 2);
+    }
+
+    #[test]
+    fn poison_after_reset_recovers_to_the_new_session() {
+        let trace = busy_trace(400);
+        let prepared = PreparedTrace::new(&trace);
+        // The old session leaves a non-empty checkpoint (the snapshot)
+        // and journal behind: a recovery that rolls back into either one
+        // counts the old session or runs the new ops on the old table.
+        let mut engine = ShardedEngine::new("union(pid+pc8)3[forwarded]".parse().unwrap(), 16, 3);
+        engine.replay_range(&prepared, 0..200).unwrap();
+        engine.snapshot_state();
+        engine.replay_range(&prepared, 200..trace.len()).unwrap();
+
+        let scheme: Scheme = "last(pid+pc8)1[direct]".parse().unwrap();
+        engine.reset(scheme).unwrap();
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        engine.replay_range(&prepared, 0..150).unwrap();
+        engine.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        engine.replay_range(&prepared, 150..trace.len()).unwrap();
+        std::panic::set_hook(hook);
+
+        let snap = engine.stats();
+        assert_eq!(snap.confusion, run_scheme(&trace, &scheme));
+        assert_eq!(snap.scored, trace.len() as u64);
+        assert_eq!(snap.total_restarts(), 1, "restarts: {:?}", snap.restarts);
+    }
+
+    #[test]
+    fn reset_is_refused_with_a_log_or_sink_attached() {
+        let trace = busy_trace(300);
+        let scheme: Scheme = "last(pid+pc8)1[direct]".parse().unwrap();
+        let other: Scheme = "union(pid+pc8)2[direct]".parse().unwrap();
+        let offline = run_scheme(&trace, &scheme);
+
+        let mut leader = ShardedEngine::new(scheme, trace.nodes(), 2);
+        let fp = crate::replication::fingerprint(&scheme, trace.nodes());
+        leader
+            .attach_replication(ReplicationLog::in_memory(fp))
+            .unwrap();
+        leader.replay_trace(&trace).unwrap();
+        match leader.reset(other) {
+            Err(ServeError::Replication { .. }) => {}
+            other => panic!("expected a Replication error, got {other:?}"),
+        }
+        let mut audited = ShardedEngine::new(scheme, trace.nodes(), 2);
+        let sink = AuditSink::in_memory(&scheme, trace.nodes(), 2, 1);
+        audited.attach_audit(Arc::new(sink)).unwrap();
+        audited.replay_trace(&trace).unwrap();
+        match audited.reset(other) {
+            Err(ServeError::Audit { .. }) => {}
+            other => panic!("expected an Audit error, got {other:?}"),
+        }
+        // Both engines keep their session and keep serving it.
+        let nb = node_bits(trace.nodes());
+        let key = scheme.index.key_of(&trace.events()[0], nb);
+        for engine in [&leader, &audited] {
+            assert_eq!(engine.scheme(), &scheme);
+            assert_eq!(engine.stats().confusion, offline);
+            engine.predict_keys(&[key]);
+            assert_eq!(engine.stats().queries, 1);
+            engine.replay_trace(&trace).unwrap();
+            assert_eq!(engine.stats().scored, 2 * trace.len() as u64);
         }
     }
 

@@ -6,7 +6,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const SCHEME: &str = "union(pid+pc8)2[direct]";
 const SHARDS: &str = "3";
@@ -163,6 +163,21 @@ fn usage_errors_exit_2_runtime_errors_exit_1() {
     // Usage: unknown subcommand.
     let status = Command::new(bin()).arg("transmogrify").status().unwrap();
     assert_eq!(status.code(), Some(2));
+    // Usage: a misspelled flag is refused, not served with defaults or
+    // opened as a trace path. Stdin is null so a `serve` that wrongly
+    // started would shut down and exit 0 instead of hanging.
+    for args in [
+        &["serve", "--scheme", SCHEME, "--shardz", "9"][..],
+        &["replay", "--scheme", SCHEME, "--shardz", "3", "x.csptrc"],
+        &["metrics", "--addr", "127.0.0.1:1", "stray"],
+    ] {
+        let status = Command::new(bin())
+            .args(args)
+            .stdin(Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{args:?}");
+    }
     // Runtime: a trace that does not exist.
     let status = Command::new(bin())
         .args(["replay", "--scheme", SCHEME, "/definitely/not/here.csptrc"])
