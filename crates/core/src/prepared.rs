@@ -7,24 +7,39 @@
 //! actuals and recompute `key_of`/`forward_key_of` for every event. This
 //! module computes both once:
 //!
+//! * the *tuple table* of a trace — the distinct `(writer, pc, home,
+//!   line)` tuples its events index the predictor through (each event's
+//!   own tuple, then its previous writer's), in first-occurrence order,
+//!   plus each event's tuple ids. Every [`IndexSpec::key`] is a function
+//!   of one tuple, so the table refines every spec, and a spec's
+//!   *signature* — the dense slot of each tuple — costs `O(tuples)`, not
+//!   `O(events)`;
 //! * [`KeyStream`] — the predictor keys (and forward keys) of every event
-//!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus a dense
-//!   slot remap and the slot-major views the kernel walks;
+//!   under one [`IndexSpec`], gathered through the tuple ids from the
+//!   spec's per-tuple keys and slots, plus the slot-major views the
+//!   kernel walks;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
-//!   previous-writer columns, resolved once) plus a concurrent cache of
-//!   [`KeyStream`]s keyed by [`IndexSpec`], shared by reference across
-//!   every scheme in a sweep.
+//!   previous-writer columns, resolved once), the lazily built tuple
+//!   table, and a concurrent cache of [`KeyStream`]s keyed by
+//!   [`IndexSpec`], shared by reference across every scheme in a sweep.
+//!
+//! The kernel reads a stream's event→slot partition, never its key
+//! values, so two specs with equal signatures score identically under
+//! every function, depth and update mode.
+//! [`PreparedTrace::partition_classes`] groups a spec list by signature,
+//! and the sweep planner scores one representative per class.
 //!
 //! The engine entry points ([`crate::engine::run_scheme_prepared`],
 //! [`crate::engine::run_history_family_prepared`]) consume these columns
-//! and are bit-identical to the reference — the equivalence suite in
-//! `tests/prepared_equivalence.rs` pins that.
+//! and are bit-identical to the reference — the equivalence suites in
+//! `tests/prepared_equivalence.rs` and `tests/partition_classes.rs` pin
+//! that.
 
 use crate::hash::FxBuildHasher;
 use crate::IndexSpec;
-use csp_trace::{ResolvedTrace, SharingBitmap, Trace};
+use csp_trace::{LineAddr, NodeId, Pc, ResolvedTrace, SharingBitmap, Trace};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Most key streams a [`PreparedTrace`] keeps cached at once. Sized for
 /// the sweep planners, which walk the design space in index clusters and
@@ -33,7 +48,7 @@ use std::sync::{Arc, Mutex};
 const STREAM_CACHE_CAP: usize = 8;
 
 /// The key columns of one trace under one [`IndexSpec`]: everything the
-/// per-event loop needs from the access axis, computed in a single pass.
+/// per-event loop needs from the access axis.
 ///
 /// # Example
 ///
@@ -77,112 +92,108 @@ pub struct SlotData {
     pub has_prev: bool,
 }
 
-impl KeyStream {
-    /// Computes the key columns of `trace` under `index`: one
-    /// [`IndexSpec::key_of`] / [`IndexSpec::forward_key_of`] pass.
-    ///
-    /// This is the *single* key-derivation implementation in the
-    /// workspace: the offline engine, the sweep planner and the online
-    /// serving engine (`csp-serve`) all replay keys from here, so they
-    /// cannot drift apart.
-    pub fn compute(trace: &Trace, index: IndexSpec) -> Self {
-        Self::compute_with_actuals(trace, index, &trace.resolve_actuals())
+/// The fields an [`IndexSpec`] can read: one predictor entry's identity
+/// before truncation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Tuple {
+    writer: NodeId,
+    pc: Pc,
+    home: NodeId,
+    line: LineAddr,
+}
+
+/// The distinct tuples of a trace, in first-occurrence order (each
+/// event's predictor tuple, then its forward tuple), and the tuple ids of
+/// every event.
+#[derive(Debug)]
+struct TupleTable {
+    tuples: Vec<Tuple>,
+    /// The predictor tuple of each event.
+    ids: Vec<u32>,
+    /// The forward tuple of each event, or `tuples.len()` — a sentinel
+    /// whose key and slot are 0 — where the event has no previous writer.
+    forward_ids: Vec<u32>,
+}
+
+impl TupleTable {
+    fn new(trace: &Trace) -> Self {
+        let mut seen: HashMap<Tuple, u32, FxBuildHasher> = HashMap::default();
+        let mut tuples = Vec::new();
+        let mut id_of = |tuple: Tuple| {
+            *seen.entry(tuple).or_insert_with(|| {
+                tuples.push(tuple);
+                tuples.len() as u32 - 1
+            })
+        };
+        let mut ids = Vec::with_capacity(trace.len());
+        let mut prev = Vec::with_capacity(trace.len());
+        for e in trace.events() {
+            ids.push(id_of(Tuple {
+                writer: e.writer,
+                pc: e.pc,
+                home: e.home,
+                line: e.line,
+            }));
+            prev.push(e.prev_writer.map(|(writer, pc)| {
+                id_of(Tuple {
+                    writer,
+                    pc,
+                    home: e.home,
+                    line: e.line,
+                })
+            }));
+        }
+        let sentinel = tuples.len() as u32;
+        let forward_ids = prev.into_iter().map(|id| id.unwrap_or(sentinel)).collect();
+        TupleTable {
+            tuples,
+            ids,
+            forward_ids,
+        }
     }
 
-    /// [`KeyStream::compute`] with the trace's actuals already resolved —
-    /// the entry point [`PreparedTrace::key_stream`] uses so that one
-    /// resolution pass serves every index of a sweep. `actuals` must be
-    /// `trace.resolve_actuals()` (one bitmap per event).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actuals` is not one bitmap per trace event.
-    pub fn compute_with_actuals(
-        trace: &Trace,
-        index: IndexSpec,
-        actuals: &[SharingBitmap],
-    ) -> Self {
-        assert_eq!(
-            actuals.len(),
-            trace.len(),
-            "actuals must be one bitmap per event"
-        );
-        let node_bits = crate::index::node_bits(trace.nodes());
-        let mut keys = Vec::with_capacity(trace.len());
-        let mut forward_keys = Vec::with_capacity(trace.len());
-        let mut slots = Vec::with_capacity(trace.len());
-        let mut forward_slots = Vec::with_capacity(trace.len());
-        // One remap over the *union* of predictor and forward keys assigns
-        // each distinct key a dense slot id: a forwarded update and a later
-        // prediction through the same index value must land on the same
-        // entry, so both key kinds share one id space.
-        let mut remap: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        let mut has_prev = Vec::with_capacity(trace.len());
-        for event in trace.events() {
-            let key = index.key_of(event, node_bits);
+    /// `index`'s key and dense slot for every tuple, with the sentinel's
+    /// `(0, 0)` appended, and the number of slots. Slots are numbered by
+    /// first occurrence in tuple order, which is first occurrence in
+    /// event order (predictor key, then forward key, per event): exactly
+    /// the numbering a per-event remap over the union of both key columns
+    /// would assign. A forwarded update and a later prediction through
+    /// the same index value must land on the same entry, so both key
+    /// kinds share one slot space.
+    fn keys_and_slots(&self, index: IndexSpec, node_bits: u32) -> (Vec<u64>, Vec<u32>, usize) {
+        let mut remap: HashMap<u64, u32, FxBuildHasher> =
+            HashMap::with_capacity_and_hasher(self.tuples.len(), FxBuildHasher::default());
+        let mut keys = Vec::with_capacity(self.tuples.len() + 1);
+        let mut slots = Vec::with_capacity(self.tuples.len() + 1);
+        for t in &self.tuples {
+            let key = index.key(t.writer, t.pc, t.home, t.line, node_bits);
             let next = remap.len() as u32;
-            let slot = *remap.entry(key).or_insert(next);
             keys.push(key);
-            slots.push(slot);
-            // Slots without a previous writer hold 0 and are never read:
-            // every consumer gates on the event's `has_prev` column.
-            match index.forward_key_of(event, node_bits) {
-                Some(fkey) => {
-                    let next = remap.len() as u32;
-                    let fslot = *remap.entry(fkey).or_insert(next);
-                    forward_keys.push(fkey);
-                    forward_slots.push(fslot);
-                    has_prev.push(true);
-                }
-                None => {
-                    forward_keys.push(0);
-                    forward_slots.push(0);
-                    has_prev.push(false);
-                }
-            }
+            slots.push(*remap.entry(key).or_insert(next));
         }
-        let slot_count = remap.len();
-        let (slot_starts, slot_events) = events_by_slot(&slots, slot_count);
-        let (op_starts, ops) = ops_by_slot(&slots, &forward_slots, &has_prev, slot_count);
-        // Gather the per-event payloads into slot/op order once, so the
-        // slot-major loops stream through contiguous memory instead of
-        // scattering loads across the event-order columns for every
-        // scheme of the sweep.
-        let events = trace.events();
-        let slot_data = slot_events
-            .iter()
-            .map(|&e| {
-                let e = e as usize;
-                SlotData {
-                    actual: actuals[e],
-                    feedback: events[e].invalidated,
-                    has_prev: has_prev[e],
-                }
-            })
-            .collect();
-        let op_data = ops
-            .iter()
-            .map(|&op| {
-                let e = (op >> 1) as usize;
-                if op & 1 == 0 {
-                    events[e].invalidated
-                } else {
-                    actuals[e]
-                }
-            })
-            .collect();
-        KeyStream {
-            index,
-            keys,
-            forward_keys,
-            slot_count,
-            slot_starts,
-            slot_events,
-            slot_data,
-            op_starts,
-            ops,
-            op_data,
-        }
+        keys.push(0);
+        slots.push(0);
+        (keys, slots, remap.len())
+    }
+}
+
+/// `table[id]` for every id: the branch-free per-event half of a stream
+/// build.
+fn gather<T: Copy>(table: &[T], ids: &[u32]) -> Vec<T> {
+    ids.iter().map(|&id| table[id as usize]).collect()
+}
+
+impl KeyStream {
+    /// Computes the key columns of `trace` under `index`.
+    ///
+    /// This is the *single* key-derivation implementation in the
+    /// workspace: it prepares `trace` and builds the stream exactly as
+    /// [`PreparedTrace::key_stream`] does — per-tuple keys and slots for
+    /// `index`, gathered to every event through the trace's tuple ids — so
+    /// the offline engine, the sweep planner and the online serving engine
+    /// (`csp-serve`) cannot drift apart.
+    pub fn compute(trace: &Trace, index: IndexSpec) -> Self {
+        PreparedTrace::new(trace).build_stream(index)
     }
 
     /// The index specification this stream was computed for.
@@ -323,7 +334,8 @@ fn ops_by_slot(
 }
 
 /// A trace prepared for repeated evaluation: ground truth resolved once,
-/// key streams computed once per [`IndexSpec`] and shared by reference.
+/// the tuple table built once on first use, key streams computed once per
+/// [`IndexSpec`] and shared by reference.
 ///
 /// A `PreparedTrace` is `Sync`: sweep workers on different threads share
 /// one instance per benchmark, and the key-stream cache hands each of them
@@ -349,6 +361,7 @@ fn ops_by_slot(
 pub struct PreparedTrace<'t> {
     resolved: ResolvedTrace<'t>,
     node_bits: u32,
+    tuples: OnceLock<TupleTable>,
     streams: Mutex<HashMap<IndexSpec, Arc<KeyStream>>>,
 }
 
@@ -359,6 +372,7 @@ impl<'t> PreparedTrace<'t> {
         PreparedTrace {
             resolved: ResolvedTrace::new(trace),
             node_bits: crate::index::node_bits(trace.nodes()),
+            tuples: OnceLock::new(),
             streams: Mutex::new(HashMap::new()),
         }
     }
@@ -431,11 +445,7 @@ impl<'t> PreparedTrace<'t> {
         // Compute outside the lock: a long build must not serialize other
         // indexes' lookups. Two threads racing on the same index both
         // compute; the first insert wins and both results are identical.
-        let computed = Arc::new(KeyStream::compute_with_actuals(
-            self.trace(),
-            index,
-            self.actuals(),
-        ));
+        let computed = Arc::new(self.build_stream(index));
         let mut cache = self.streams.lock().expect("key-stream cache poisoned");
         // Bound the cache: a full design-space sweep visits hundreds of
         // indexes, and an unbounded cache would hold every one of their
@@ -446,6 +456,112 @@ impl<'t> PreparedTrace<'t> {
             cache.clear();
         }
         Arc::clone(cache.entry(index).or_insert(computed))
+    }
+
+    /// Groups `specs` by the slot partition they induce on this trace:
+    /// entry `i` of the result is the position in `specs` of the first
+    /// spec whose signature (the dense slot of every tuple, see the
+    /// module docs) equals spec `i`'s, so a spec that starts its own class
+    /// maps to itself.
+    ///
+    /// Specs in one class give every event the same slot and forward
+    /// slot, so their key streams differ only in key values, which no
+    /// kernel reads: every scheme over them scores identically. Specs in
+    /// different classes differ in the slot of at least one tuple, hence
+    /// of at least one event. Classes are decided by exact equality of
+    /// the signature vectors; a hash only picks the candidates.
+    pub fn partition_classes(&self, specs: &[IndexSpec]) -> Vec<usize> {
+        let table = self.tuples();
+        // A field truncated to at least its widest value's bit length
+        // keeps every value, so such a spec induces the same partition as
+        // its narrowest such truncation: specs that agree after clamping
+        // share a class without a second signature.
+        let widest = |v: u64| (u64::BITS - v.leading_zeros()) as u8;
+        let pc_width = widest(
+            table
+                .tuples
+                .iter()
+                .map(|t| u64::from(t.pc.0))
+                .max()
+                .unwrap_or(0),
+        );
+        let line_width = widest(table.tuples.iter().map(|t| t.line.0).max().unwrap_or(0));
+        let mut by_clamped: HashMap<IndexSpec, usize, FxBuildHasher> = HashMap::default();
+        let mut by_signature: HashMap<Vec<u32>, usize, FxBuildHasher> = HashMap::default();
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &spec)| {
+                let clamped = IndexSpec {
+                    pc_bits: spec.pc_bits.min(pc_width),
+                    addr_bits: spec.addr_bits.min(line_width),
+                    ..spec
+                };
+                *by_clamped.entry(clamped).or_insert_with(|| {
+                    let (_, signature, _) = table.keys_and_slots(spec, self.node_bits);
+                    *by_signature.entry(signature).or_insert(i)
+                })
+            })
+            .collect()
+    }
+
+    /// The tuple table, built on first use.
+    fn tuples(&self) -> &TupleTable {
+        self.tuples.get_or_init(|| TupleTable::new(self.trace()))
+    }
+
+    /// Builds the key stream for `index` (uncached): the spec's per-tuple
+    /// keys and slots, gathered to every event through the tuple ids.
+    fn build_stream(&self, index: IndexSpec) -> KeyStream {
+        let table = self.tuples();
+        let (tuple_keys, tuple_slots, slot_count) = table.keys_and_slots(index, self.node_bits);
+        let slots = gather(&tuple_slots, &table.ids);
+        // Forward columns of events without a previous writer hold the
+        // sentinel's 0 and are never read: every consumer gates on the
+        // event's `has_prev` column.
+        let forward_slots = gather(&tuple_slots, &table.forward_ids);
+        let has_prev = self.has_prev();
+        let (slot_starts, slot_events) = events_by_slot(&slots, slot_count);
+        let (op_starts, ops) = ops_by_slot(&slots, &forward_slots, has_prev, slot_count);
+        // Gather the per-event payloads into slot/op order once, so the
+        // slot-major loops stream through contiguous memory instead of
+        // scattering loads across the event-order columns for every
+        // scheme of the sweep.
+        let (actuals, invalidated) = (self.actuals(), self.invalidated());
+        let slot_data = slot_events
+            .iter()
+            .map(|&e| {
+                let e = e as usize;
+                SlotData {
+                    actual: actuals[e],
+                    feedback: invalidated[e],
+                    has_prev: has_prev[e],
+                }
+            })
+            .collect();
+        let op_data = ops
+            .iter()
+            .map(|&op| {
+                let e = (op >> 1) as usize;
+                if op & 1 == 0 {
+                    invalidated[e]
+                } else {
+                    actuals[e]
+                }
+            })
+            .collect();
+        KeyStream {
+            index,
+            keys: gather(&tuple_keys, &table.ids),
+            forward_keys: gather(&tuple_keys, &table.forward_ids),
+            slot_count,
+            slot_starts,
+            slot_events,
+            slot_data,
+            op_starts,
+            ops,
+            op_data,
+        }
     }
 
     /// Drops the cached key stream for `index`, if any, returning whether
