@@ -94,13 +94,19 @@ pub fn forwarding(suite: &Suite) -> String {
 
 /// Extension: history-depth ablation 1..8 — does the paper's depth-4 cap
 /// leave accuracy on the table? (Section 5.4.3 studies only 2 vs 4.)
+/// PAs rides along at the same index, which pins every PAs history depth
+/// in the committed reproduction.
 pub fn depth_ablation(suite: &Suite) -> String {
     let ix = IndexSpec::new(true, 0, false, 6); // the Table 8 winner's index
     let max_depth = csp_core::MAX_DEPTH;
     let cells = sweep_families(suite, &[ix], &[UpdateMode::Direct], max_depth);
     let cell = &cells[0];
+    let pas: Vec<Scheme> = (1..=max_depth)
+        .map(|d| Scheme::new(PredictionFunction::Pas, ix, d, UpdateMode::Direct))
+        .collect();
+    let pas = evaluate_schemes(suite, &pas);
     let mut rows = Vec::new();
-    for d in 1..=max_depth {
+    for (d, p) in (1..=max_depth).zip(&pas) {
         let u = cell.mean(PredictionFunction::Union, d);
         let i = cell.mean(PredictionFunction::Inter, d);
         rows.push(vec![
@@ -109,6 +115,8 @@ pub fn depth_ablation(suite: &Suite) -> String {
             rate(u.pvp),
             rate(i.sensitivity),
             rate(i.pvp),
+            rate(p.mean.sensitivity),
+            rate(p.mean.pvp),
         ]);
     }
     table(
@@ -119,6 +127,8 @@ pub fn depth_ablation(suite: &Suite) -> String {
             "union pvp",
             "inter sens",
             "inter pvp",
+            "pas sens",
+            "pas pvp",
         ],
         &rows,
     )
