@@ -1,6 +1,6 @@
 //! Predictor entry state: bitmap histories and two-level PAs state.
 
-use csp_trace::{NodeId, SharingBitmap};
+use csp_trace::{SharingBitmap, MAX_NODES};
 
 /// Maximum supported history depth.
 pub const MAX_DEPTH: usize = 8;
@@ -213,13 +213,171 @@ impl HistoryEntry {
     }
 }
 
+/// Depths up to which a PAs step visits every history pattern
+/// (`2^D <= 8`): branch-free, and measured cheaper than finding the
+/// patterns the nodes hold. Deeper entries visit only those (see
+/// [`Held`]), which measured faster from depth 4 on.
+const ENUMERATE_MAX_DEPTH: usize = 3;
+
+/// PAs state as bit planes over nodes, so one bitwise operation covers
+/// every node of the machine:
+///
+/// * `hist[k]` holds bit `k` of every node's history register (bit 0 is
+///   the newest feedback);
+/// * `counters[p]` holds, as `[hi, lo]` planes, the two-bit counter every
+///   node with history pattern `p` selects.
+///
+/// Only the first `D` planes and `2^D` patterns of a depth-`D` entry are
+/// used. Feedback is masked to the machine's nodes, so bits past the last
+/// node stay zero and equal state has one representation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct PasPlanes {
+    hist: [u64; MAX_DEPTH],
+    counters: Vec<[u64; 2]>,
+    /// The machine's nodes.
+    nodes: u64,
+}
+
+impl PasPlanes {
+    /// Cold state for `nodes` nodes and `2^depth` patterns.
+    pub(crate) fn cold(nodes: usize, depth: usize) -> Self {
+        PasPlanes {
+            hist: [0; MAX_DEPTH],
+            counters: vec![[0; 2]; 1 << depth],
+            nodes: SharingBitmap::all(nodes).bits(),
+        }
+    }
+
+    /// Makes the state cold again, keeping its allocation.
+    #[inline(always)]
+    pub(crate) fn reset(&mut self) {
+        self.hist = [0; MAX_DEPTH];
+        self.counters.fill([0; 2]);
+    }
+
+    /// The predicted reader bitmap, `OR_p (holders_p & hi[p])` over the
+    /// patterns `held` lists.
+    #[inline(always)]
+    pub(crate) fn predict<const D: usize>(&self, held: &Held) -> u64 {
+        let counters = &self.counters[..1 << D];
+        if D <= ENUMERATE_MAX_DEPTH {
+            held.holders
+                .iter()
+                .zip(counters)
+                .fold(0, |acc, (&m, c)| acc | (m & c[0]))
+        } else {
+            held.parts()
+                .fold(0, |acc, (m, p)| acc | (m & counters[p & ((1 << D) - 1)][0]))
+        }
+    }
+
+    /// Trains on `feedback`: steps each node's selected counter toward its
+    /// bit, then shifts the bit into its history register. `held` must
+    /// describe the histories before the shift; refresh it afterwards.
+    #[inline(always)]
+    pub(crate) fn train<const D: usize>(&mut self, feedback: u64, held: &Held) {
+        let f = feedback & self.nodes;
+        let counters = &mut self.counters[..1 << D];
+        if D <= ENUMERATE_MAX_DEPTH {
+            for (&m, c) in held.holders.iter().zip(counters) {
+                step(c, m, f);
+            }
+        } else {
+            for (m, p) in held.parts() {
+                step(&mut counters[p & ((1 << D) - 1)], m, f);
+            }
+        }
+        self.hist.copy_within(0..D - 1, 1);
+        self.hist[0] = f;
+    }
+}
+
+/// One masked saturating step of the counter planes `c`: the nodes in `m`
+/// count up where `f` has their bit and down where it does not; the rest
+/// keep their counters.
+#[inline(always)]
+fn step(c: &mut [u64; 2], m: u64, f: u64) {
+    let [hi, lo] = *c;
+    let up_hi = (hi & lo) | (f & (hi | lo));
+    let up_lo = (!lo & hi) | (f & (!lo | hi));
+    *c = [hi ^ ((hi ^ up_hi) & m), lo ^ ((lo ^ up_lo) & m)];
+}
+
+/// Which nodes of a [`PasPlanes`] hold which history pattern, computed
+/// once per history change:
+///
+/// * up to [`ENUMERATE_MAX_DEPTH`], `holders[p]` for every pattern
+///   `p < 2^D`, many of them empty;
+/// * deeper, only the patterns some node holds: `len` parts of
+///   `(holders, patterns)`, at most `min(nodes, 2^D)`.
+pub(crate) struct Held {
+    len: usize,
+    holders: [u64; MAX_NODES],
+    patterns: [u8; MAX_NODES],
+}
+
+impl Held {
+    pub(crate) const EMPTY: Held = Held {
+        len: 0,
+        holders: [0; MAX_NODES],
+        patterns: [0; MAX_NODES],
+    };
+
+    /// Recomputes the patterns from `planes`' histories.
+    #[inline(always)]
+    pub(crate) fn refresh<const D: usize>(&mut self, planes: &PasPlanes) {
+        if D <= ENUMERATE_MAX_DEPTH {
+            // Each plane splits every pattern so far in two.
+            self.holders[0] = planes.nodes;
+            for k in 0..D {
+                let half = 1 << k;
+                for p in 0..half {
+                    self.holders[p + half] = self.holders[p] & planes.hist[k];
+                    self.holders[p] &= !planes.hist[k];
+                }
+            }
+            return;
+        }
+        // Each part takes the lowest node left and every node left with
+        // the same pattern.
+        let mut len = 0;
+        let mut rest = planes.nodes;
+        while rest != 0 {
+            let node = rest.trailing_zeros();
+            let mut pattern = 0;
+            let mut same = rest;
+            for k in 0..D {
+                let bit = (planes.hist[k] >> node) & 1;
+                pattern |= bit << k;
+                // All-ones when the bit is clear: the nodes that agree.
+                same &= planes.hist[k] ^ bit.wrapping_sub(1);
+            }
+            self.holders[len] = same;
+            self.patterns[len] = pattern as u8;
+            len += 1;
+            rest &= !same;
+        }
+        self.len = len;
+    }
+
+    #[inline(always)]
+    fn parts(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.holders[..self.len]
+            .iter()
+            .zip(&self.patterns[..self.len])
+            .map(|(&m, &p)| (m, p as usize))
+    }
+}
+
 /// Two-level PAs state for one predictor entry (paper Section 3.2,
 /// after Yeh & Patt).
 ///
 /// Per potential reader: a `depth`-bit history register of that reader's
 /// recent actual-sharing bits, indexing a private pattern table of
 /// `2^depth` two-bit saturating counters. The aggregate of the per-reader
-/// binary predictions is the predicted bitmap.
+/// binary predictions is the predicted bitmap. The state is stored as bit
+/// planes over nodes (see [`PasPlanes`]), one runtime depth dispatch per
+/// call; the kernel runs the same routines at a const depth.
 ///
 /// # Example
 ///
@@ -230,16 +388,13 @@ impl HistoryEntry {
 /// let mut e = PasEntry::new(16, 2);
 /// let readers = SharingBitmap::from_nodes(&[NodeId(3)]);
 /// for _ in 0..4 {
-///     e.update(readers, 16);
+///     e.update(readers);
 /// }
-/// assert!(e.predict(16).contains(NodeId(3)));
+/// assert!(e.predict().contains(NodeId(3)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PasEntry {
-    /// Per-node history registers (low `depth` bits used).
-    hist: Vec<u8>,
-    /// `nodes << depth` two-bit counters, stored one per byte.
-    counters: Vec<u8>,
+    planes: PasPlanes,
     depth: u8,
 }
 
@@ -255,24 +410,55 @@ pub struct RawPasEntry {
     pub depth: u8,
 }
 
-impl PasEntry {
-    /// Counter threshold at or above which a bit predicts "will read".
-    const TAKEN: u8 = 2;
+fn predict_at<const D: usize>(planes: &PasPlanes) -> u64 {
+    let mut held = Held::EMPTY;
+    held.refresh::<D>(planes);
+    planes.predict::<D>(&held)
+}
 
+fn update_at<const D: usize>(planes: &mut PasPlanes, feedback: u64) {
+    let mut held = Held::EMPTY;
+    held.refresh::<D>(planes);
+    planes.train::<D>(feedback, &held);
+}
+
+/// [`PasEntry`]'s routines, by depth − 1.
+const PREDICT_AT: [fn(&PasPlanes) -> u64; MAX_DEPTH] = [
+    predict_at::<1>,
+    predict_at::<2>,
+    predict_at::<3>,
+    predict_at::<4>,
+    predict_at::<5>,
+    predict_at::<6>,
+    predict_at::<7>,
+    predict_at::<8>,
+];
+const UPDATE_AT: [fn(&mut PasPlanes, u64); MAX_DEPTH] = [
+    update_at::<1>,
+    update_at::<2>,
+    update_at::<3>,
+    update_at::<4>,
+    update_at::<5>,
+    update_at::<6>,
+    update_at::<7>,
+    update_at::<8>,
+];
+
+impl PasEntry {
     /// Creates cold PAs state for `nodes` potential readers with a
     /// `depth`-bit history.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero or exceeds [`MAX_DEPTH`].
+    /// Panics if `depth` is zero or exceeds [`MAX_DEPTH`], or if `nodes`
+    /// exceeds [`MAX_NODES`].
     pub fn new(nodes: usize, depth: usize) -> Self {
         assert!(
             (1..=MAX_DEPTH).contains(&depth),
             "PAs history depth must be in 1..={MAX_DEPTH}, got {depth}"
         );
         PasEntry {
-            hist: vec![0; nodes],
-            counters: vec![0; nodes << depth],
+            planes: PasPlanes::cold(nodes, depth),
             depth: depth as u8,
         }
     }
@@ -282,11 +468,25 @@ impl PasEntry {
         self.depth as usize
     }
 
-    /// The raw two-level state, for serialization (e.g. table snapshots).
+    /// The raw two-level state, for serialization (e.g. table snapshots):
+    /// one history byte per node, and per node its `2^depth` counters.
     pub fn to_raw(&self) -> RawPasEntry {
+        let nodes = self.planes.nodes.count_ones() as usize;
+        let depth = self.depth();
+        let bit = |plane: u64, node: usize| ((plane >> node) & 1) as u8;
+        let hist = (0..nodes)
+            .map(|i| (0..depth).fold(0, |h, k| h | (bit(self.planes.hist[k], i) << k)))
+            .collect();
+        let counters = (0..nodes)
+            .flat_map(|i| {
+                self.planes.counters[..1 << depth]
+                    .iter()
+                    .map(move |&[hi, lo]| (bit(hi, i) << 1) | bit(lo, i))
+            })
+            .collect();
         RawPasEntry {
-            hist: self.hist.clone(),
-            counters: self.counters.clone(),
+            hist,
+            counters,
             depth: self.depth,
         }
     }
@@ -297,13 +497,17 @@ impl PasEntry {
     /// # Errors
     ///
     /// Rejects state no sequence of [`update`](Self::update) calls could
-    /// have produced: a depth outside `1..=MAX_DEPTH`, vector lengths
-    /// that disagree with `nodes`/`depth`, a counter above the two-bit
-    /// saturation ceiling, or history bits outside the register width.
+    /// have produced: a depth outside `1..=MAX_DEPTH`, a machine wider
+    /// than [`MAX_NODES`], vector lengths that disagree with
+    /// `nodes`/`depth`, a counter above the two-bit saturation ceiling, or
+    /// history bits outside the register width.
     pub fn from_raw(raw: RawPasEntry, nodes: usize) -> Result<Self, String> {
         let depth = raw.depth as usize;
         if !(1..=MAX_DEPTH).contains(&depth) {
             return Err(format!("PAs depth {depth} outside 1..={MAX_DEPTH}"));
+        }
+        if nodes > MAX_NODES {
+            return Err(format!("PAs entry for {nodes} nodes exceeds {MAX_NODES}"));
         }
         if raw.hist.len() != nodes {
             return Err(format!(
@@ -325,52 +529,35 @@ impl PasEntry {
         if raw.hist.iter().any(|&h| h & !mask != 0) {
             return Err("PAs history register bits outside the width".into());
         }
+        let mut planes = PasPlanes::cold(nodes, depth);
+        for (i, &h) in raw.hist.iter().enumerate() {
+            for k in 0..depth {
+                planes.hist[k] |= u64::from((h >> k) & 1) << i;
+            }
+        }
+        for (i, table) in raw.counters.chunks(1 << depth).enumerate() {
+            for (c, &v) in planes.counters.iter_mut().zip(table) {
+                c[0] |= u64::from(v >> 1) << i;
+                c[1] |= u64::from(v & 1) << i;
+            }
+        }
         Ok(PasEntry {
-            hist: raw.hist,
-            counters: raw.counters,
+            planes,
             depth: raw.depth,
         })
     }
 
-    /// Makes the entry cold again, keeping its allocation.
-    pub(crate) fn clear(&mut self) {
-        self.hist.fill(0);
-        self.counters.fill(0);
-    }
-
     /// The predicted reader bitmap.
     #[inline]
-    pub fn predict(&self, nodes: usize) -> SharingBitmap {
-        let mut b = SharingBitmap::empty();
-        for i in 0..nodes {
-            let idx = (i << self.depth) | self.hist[i] as usize;
-            if self.counters[idx] >= Self::TAKEN {
-                b.insert(NodeId(i as u8));
-            }
-        }
-        b
+    pub fn predict(&self) -> SharingBitmap {
+        SharingBitmap::from_bits(PREDICT_AT[self.depth() - 1](&self.planes))
     }
 
     /// Trains on a feedback bitmap: bumps each node's selected counter
     /// toward its actual bit and shifts the bit into its history register.
     #[inline]
-    pub fn update(&mut self, feedback: SharingBitmap, nodes: usize) {
-        let mask = if self.depth as u32 >= 8 {
-            0xFF
-        } else {
-            (1u8 << self.depth) - 1
-        };
-        for i in 0..nodes {
-            let bit = u8::from(feedback.contains(NodeId(i as u8)));
-            let idx = (i << self.depth) | self.hist[i] as usize;
-            let c = &mut self.counters[idx];
-            if bit == 1 {
-                *c = (*c + 1).min(3);
-            } else {
-                *c = c.saturating_sub(1);
-            }
-            self.hist[i] = ((self.hist[i] << 1) | bit) & mask;
-        }
+    pub fn update(&mut self, feedback: SharingBitmap) {
+        UPDATE_AT[self.depth() - 1](&mut self.planes, feedback.bits());
     }
 }
 
@@ -394,6 +581,7 @@ pub(crate) fn entry_bits(function: crate::PredictionFunction, depth: usize, node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csp_trace::NodeId;
     use proptest::prelude::*;
 
     fn bm(nodes: &[u8]) -> SharingBitmap {
@@ -520,11 +708,11 @@ mod tests {
     fn pas_learns_stable_reader() {
         let mut e = PasEntry::new(16, 2);
         let readers = bm(&[5, 9]);
-        assert_eq!(e.predict(16), SharingBitmap::empty()); // cold
+        assert_eq!(e.predict(), SharingBitmap::empty()); // cold
         for _ in 0..4 {
-            e.update(readers, 16);
+            e.update(readers);
         }
-        assert_eq!(e.predict(16), readers);
+        assert_eq!(e.predict(), readers);
     }
 
     #[test]
@@ -535,27 +723,27 @@ mod tests {
         let on = bm(&[3]);
         let off = SharingBitmap::empty();
         for _ in 0..12 {
-            e.update(on, 16);
-            e.update(off, 16);
+            e.update(on);
+            e.update(off);
         }
         // After an `off` the history is ..10 -> next is `on`.
-        assert!(e.predict(16).contains(NodeId(3)));
-        e.update(on, 16); // history ..01 -> next is `off`
-        assert!(!e.predict(16).contains(NodeId(3)));
+        assert!(e.predict().contains(NodeId(3)));
+        e.update(on); // history ..01 -> next is `off`
+        assert!(!e.predict().contains(NodeId(3)));
     }
 
     #[test]
     fn pas_counters_saturate() {
         let mut e = PasEntry::new(4, 1);
         for _ in 0..100 {
-            e.update(bm(&[0]), 4);
+            e.update(bm(&[0]));
         }
-        assert!(e.predict(4).contains(NodeId(0)));
+        assert!(e.predict().contains(NodeId(0)));
         // One disagreement must not unlearn the saturated pattern: once the
         // sharing context recurs, the prediction persists.
-        e.update(SharingBitmap::empty(), 4);
-        e.update(bm(&[0]), 4);
-        assert!(e.predict(4).contains(NodeId(0)));
+        e.update(SharingBitmap::empty());
+        e.update(bm(&[0]));
+        assert!(e.predict().contains(NodeId(0)));
     }
 
     #[test]
@@ -598,7 +786,7 @@ mod tests {
     fn pas_raw_round_trip_is_exact() {
         let mut e = PasEntry::new(8, 3);
         for i in 0..20u8 {
-            e.update(bm(&[i % 8, (i * 3) % 8]), 8);
+            e.update(bm(&[i % 8, (i * 3) % 8]));
             let back = PasEntry::from_raw(e.to_raw(), 8).expect("own raw state is valid");
             assert_eq!(back, e, "step {i}");
         }
@@ -617,6 +805,15 @@ mod tests {
         let mut short = good;
         short.counters.pop();
         assert!(PasEntry::from_raw(short, 4).is_err(), "short pattern table");
+        let too_wide = RawPasEntry {
+            hist: vec![0; MAX_NODES + 1],
+            counters: vec![0; (MAX_NODES + 1) << 1],
+            depth: 1,
+        };
+        assert!(
+            PasEntry::from_raw(too_wide, MAX_NODES + 1).is_err(),
+            "machine wider than a bitmap"
+        );
     }
 
     #[test]
@@ -644,6 +841,41 @@ mod tests {
             }
             prop_assert!(h.inter(k).is_subset(h.last()));
             prop_assert!(h.last().is_subset(h.union(k)));
+        }
+
+        /// After any update sequence, at any depth and width, the bit
+        /// planes convert to the per-node raw state a plain model of the
+        /// paper's PAs holds, predict what that model predicts, and come
+        /// back from it unchanged.
+        #[test]
+        fn prop_pas_planes_match_per_node_model(
+            feedbacks in proptest::collection::vec(any::<u64>(), 0..40),
+            depth in 1usize..=MAX_DEPTH,
+            width in 0usize..4,
+        ) {
+            let nodes = [1, 5, 16, 64][width];
+            let mut e = PasEntry::new(nodes, depth);
+            let mut model = RawPasEntry {
+                hist: vec![0; nodes],
+                counters: vec![0; nodes << depth],
+                depth: depth as u8,
+            };
+            for f in feedbacks {
+                let predicted = (0..nodes)
+                    .filter(|&i| model.counters[(i << depth) | model.hist[i] as usize] >= 2)
+                    .fold(0u64, |b, i| b | (1 << i));
+                prop_assert_eq!(e.predict().bits(), predicted);
+                e.update(SharingBitmap::from_bits(f));
+                for i in 0..nodes {
+                    let bit = ((f >> i) & 1) as u8;
+                    let c = &mut model.counters[(i << depth) | model.hist[i] as usize];
+                    *c = if bit == 1 { (*c + 1).min(3) } else { c.saturating_sub(1) };
+                    model.hist[i] = (((u16::from(model.hist[i]) << 1) | u16::from(bit))
+                        & ((1 << depth) - 1)) as u8;
+                }
+                prop_assert_eq!(e.to_raw(), model.clone());
+                prop_assert_eq!(PasEntry::from_raw(e.to_raw(), nodes).expect("own raw state"), e.clone());
+            }
         }
 
         /// Deeper unions only grow; deeper intersections only shrink.

@@ -21,8 +21,9 @@
 //! * [`Family`] — every `union`/`inter` depth of one index at once, with
 //!   the per-decision fold unrolled over a const depth.
 
+use crate::entry::{Held, PasPlanes};
 use crate::simd::{prefetch_next, BatchAcc};
-use crate::{KeyStream, PasEntry, PredictionFunction, Scheme, UpdateMode, MAX_DEPTH};
+use crate::{KeyStream, PredictionFunction, Scheme, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::SharingBitmap;
 use std::marker::PhantomData;
@@ -224,29 +225,43 @@ impl<const D: usize, F: Fold> Entry for History<D, F> {
     }
 }
 
-/// PAs: one [`PasEntry`] reused for every slot, cleared in between, so
-/// the walk allocates once per scheme instead of once per entry.
-pub(crate) struct Pas {
-    entry: PasEntry,
-    nodes: usize,
+/// PAs at a const history depth `D`: the bit planes of [`PasPlanes`]
+/// and which nodes hold which pattern ([`Held`]), recomputed once per
+/// history change.
+pub(crate) struct Pas<const D: usize> {
+    planes: PasPlanes,
+    held: Held,
 }
 
-impl State for Pas {
-    #[inline]
+impl<const D: usize> Pas<D> {
+    fn cold(nodes: usize) -> Self {
+        let mut pas = Pas {
+            planes: PasPlanes::cold(nodes, D),
+            held: Held::EMPTY,
+        };
+        pas.held.refresh::<D>(&pas.planes);
+        pas
+    }
+}
+
+impl<const D: usize> State for Pas<D> {
+    #[inline(always)]
     fn reset(&mut self) {
-        self.entry.clear();
+        self.planes.reset();
+        self.held.refresh::<D>(&self.planes);
     }
 
-    #[inline]
+    #[inline(always)]
     fn train(&mut self, feedback: SharingBitmap) {
-        self.entry.update(feedback, self.nodes);
+        self.planes.train::<D>(feedback.bits(), &self.held);
+        self.held.refresh::<D>(&self.planes);
     }
 }
 
-impl Entry for Pas {
-    #[inline]
+impl<const D: usize> Entry for Pas<D> {
+    #[inline(always)]
     fn predict(&self) -> SharingBitmap {
-        self.entry.predict(self.nodes)
+        SharingBitmap::from_bits(self.planes.predict::<D>(&self.held))
     }
 }
 
@@ -270,10 +285,17 @@ pub(crate) fn with_entry<J: WithEntry>(scheme: &Scheme, nodes: usize, job: J) ->
         PredictionFunction::OverlapLast => job.run(History::<2, OverlapFold>::cold()),
         PredictionFunction::Union => by_depth::<UnionFold, J>(scheme.depth, job),
         PredictionFunction::Inter => by_depth::<InterFold, J>(scheme.depth, job),
-        PredictionFunction::Pas => job.run(Pas {
-            entry: PasEntry::new(nodes, scheme.depth),
-            nodes,
-        }),
+        PredictionFunction::Pas => match scheme.depth {
+            1 => job.run(Pas::<1>::cold(nodes)),
+            2 => job.run(Pas::<2>::cold(nodes)),
+            3 => job.run(Pas::<3>::cold(nodes)),
+            4 => job.run(Pas::<4>::cold(nodes)),
+            5 => job.run(Pas::<5>::cold(nodes)),
+            6 => job.run(Pas::<6>::cold(nodes)),
+            7 => job.run(Pas::<7>::cold(nodes)),
+            8 => job.run(Pas::<8>::cold(nodes)),
+            depth => panic!("PAs history depth must be in 1..={MAX_DEPTH}, got {depth}"),
+        },
     }
 }
 

@@ -122,7 +122,7 @@ impl PredictorTable {
             },
             Storage::Pas(map) => map
                 .get(&key)
-                .map(|e| e.predict(self.nodes))
+                .map(PasEntry::predict)
                 .unwrap_or(SharingBitmap::empty()),
         }
     }
@@ -138,7 +138,7 @@ impl PredictorTable {
             Storage::Pas(map) => {
                 map.entry(key)
                     .or_insert_with(|| PasEntry::new(self.nodes, self.depth))
-                    .update(feedback, self.nodes);
+                    .update(feedback);
             }
         }
     }

@@ -8,11 +8,12 @@
 //! None of the kernel's machinery may change a single count or a single
 //! per-event prediction relative to it: these properties pin that across
 //! random small traces, all three update modes, every prediction
-//! function, and both accumulator backends.
+//! function, and both accumulator backends; PAs at every history depth
+//! and at machine widths up to a full 64-bit word.
 
 use csp_core::{
     engine, reference, IndexSpec, PredictionFunction, PredictorTable, PreparedTrace, Scheme,
-    SimdBackend, UpdateMode,
+    SimdBackend, UpdateMode, MAX_DEPTH,
 };
 use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 use proptest::collection::vec;
@@ -22,25 +23,30 @@ use std::collections::HashMap;
 const NODES: usize = 8;
 
 /// One raw generated event: `(line, writer, pc, feedback_bits, final_bits)`.
-type RawEvent = (u64, u8, u32, u8, u8);
+type RawEvent = (u64, u8, u32, u64, u64);
 
-/// Builds a trace with *consistent* per-line previous-writer chains (the
-/// invariant real traces have and `forward_key_of` relies on): each
-/// event's `prev_writer` is the line's actual previous writer, and only
-/// events with a previous writer carry invalidation feedback.
+/// Builds an 8-node trace (see [`build_trace_at`]).
 fn build_trace(raw: &[RawEvent]) -> Trace {
-    let mut t = Trace::new(NODES);
+    build_trace_at(raw, NODES)
+}
+
+/// Builds a `nodes`-wide trace with *consistent* per-line previous-writer
+/// chains (the invariant real traces have and `forward_key_of` relies
+/// on): each event's `prev_writer` is the line's actual previous writer,
+/// and only events with a previous writer carry invalidation feedback.
+fn build_trace_at(raw: &[RawEvent], nodes: usize) -> Trace {
+    let mut t = Trace::new(nodes);
     let mut last: HashMap<u64, (NodeId, Pc)> = HashMap::new();
     for &(line, writer, pc, bits, _) in raw {
-        let writer = NodeId(writer % NODES as u8);
+        let writer = NodeId(writer % nodes as u8);
         let pc = Pc(pc % 16);
         let prev = last.get(&line).copied();
         let invalidated = if prev.is_some() {
-            SharingBitmap::from_bits(u64::from(bits)).masked(NODES)
+            SharingBitmap::from_bits(bits).masked(nodes)
         } else {
             SharingBitmap::empty()
         };
-        let dir = NodeId((line % NODES as u64) as u8);
+        let dir = NodeId((line % nodes as u64) as u8);
         t.push(SharingEvent::new(
             writer,
             pc,
@@ -54,7 +60,7 @@ fn build_trace(raw: &[RawEvent]) -> Trace {
     for &(line, _, _, _, final_bits) in raw {
         t.set_final_readers(
             LineAddr(line),
-            SharingBitmap::from_bits(u64::from(final_bits)).masked(NODES),
+            SharingBitmap::from_bits(final_bits).masked(nodes),
         );
     }
     t
@@ -95,7 +101,7 @@ proptest! {
     /// random consistent traces.
     #[test]
     fn kernel_scheme_matches_reference(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..40),
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
@@ -118,7 +124,7 @@ proptest! {
     /// it reports.
     #[test]
     fn kernel_family_matches_reference(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..40),
         max_depth in 1usize..=4,
     ) {
         let trace = build_trace(&raw);
@@ -143,7 +149,7 @@ proptest! {
     /// same decisions to the reference's matrix.
     #[test]
     fn kernel_predictions_match_reference(
-        raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
+        raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
@@ -173,36 +179,10 @@ proptest! {
     /// batched counters must reproduce exactly.
     #[test]
     fn kernel_matches_reference_across_node_counts(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),
         nodes in 1usize..=16,
     ) {
-        // Rebuild the trace at this width (build_trace pins NODES=8).
-        let mut t = Trace::new(nodes);
-        let mut last: HashMap<u64, (NodeId, Pc)> = HashMap::new();
-        for &(line, writer, pc, bits, _) in &raw {
-            let writer = NodeId(writer % nodes as u8);
-            let prev = last.get(&line).copied();
-            let invalidated = if prev.is_some() {
-                SharingBitmap::from_bits(u64::from(bits)).masked(nodes)
-            } else {
-                SharingBitmap::empty()
-            };
-            t.push(SharingEvent::new(
-                writer,
-                Pc(pc % 16),
-                LineAddr(line),
-                NodeId((line % nodes as u64) as u8),
-                invalidated,
-                prev,
-            ));
-            last.insert(line, (writer, Pc(pc % 16)));
-        }
-        for &(line, _, _, _, final_bits) in &raw {
-            t.set_final_readers(
-                LineAddr(line),
-                SharingBitmap::from_bits(u64::from(final_bits)).masked(nodes),
-            );
-        }
+        let t = build_trace_at(&raw, nodes);
         let prepared = PreparedTrace::new(&t);
         for update in UpdateMode::ALL {
             for scheme in scheme_points(IndexSpec::new(true, 2, true, 2), update) {
@@ -211,6 +191,41 @@ proptest! {
                     reference::run_scheme(&t, &scheme),
                     "scheme {} nodes {}", scheme, nodes
                 );
+            }
+        }
+    }
+
+    /// PAs at every history depth, under every update mode: per-event
+    /// predictions and matrices through both accumulator backends equal
+    /// the reference. The widths cover a lone node, a mask ending
+    /// mid-byte, the paper's machine and a full word (bit 63 set, no bits
+    /// past the last node to mask).
+    #[test]
+    fn pas_matches_reference_at_every_depth_and_width(
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..40),
+    ) {
+        for nodes in [1, 5, 16, 64] {
+            let trace = build_trace_at(&raw, nodes);
+            let prepared = PreparedTrace::new(&trace);
+            for index in index_points() {
+                for update in UpdateMode::ALL {
+                    for depth in 1..=MAX_DEPTH {
+                        let scheme = Scheme::new(PredictionFunction::Pas, index, depth, update);
+                        prop_assert_eq!(
+                            engine::predictions_for_prepared(&prepared, &scheme),
+                            reference::predictions(&trace, &scheme),
+                            "scheme {} nodes {}", scheme, nodes
+                        );
+                        let expected = reference::run_scheme(&trace, &scheme);
+                        for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
+                            prop_assert_eq!(
+                                engine::run_scheme_with_backend(&prepared, &scheme, backend),
+                                expected,
+                                "scheme {} nodes {} via {}", scheme, nodes, backend.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -250,7 +265,7 @@ proptest! {
     /// per-event predictions and actuals.
     #[test]
     fn compare_matches_reference(
-        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
@@ -284,8 +299,8 @@ fn exhaustive_fixed_trace_sweep() {
                 i % 3,
                 (i * 5 % 7) as u8,
                 (i * 11 % 5) as u32,
-                (i * 37 % 251) as u8,
-                (i * 13 % 251) as u8,
+                i * 37 % 251,
+                i * 13 % 251,
             )
         })
         .collect();
