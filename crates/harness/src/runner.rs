@@ -27,6 +27,7 @@ use csp_core::engine::{
 use csp_core::{IndexSpec, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::{ConfusionMatrix, Screening};
 use csp_workloads::{generate_suite, Benchmark, BenchmarkTrace};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -398,14 +399,56 @@ pub fn evaluate_scheme_prepared(prepared: &PreparedSuite<'_>, scheme: &Scheme) -
 /// evaluation panics (twice) is reported in the outcome's `failures`, the
 /// rest still complete. The suite is prepared once and shared by every
 /// worker.
+///
+/// Work is planned as one item per `(index, benchmark)` group, index-major
+/// over the list's distinct indexes: each group builds the index's key
+/// stream once, scores every listed scheme on that index while the stream
+/// is hot, then evicts it. Results fan out to the schemes in list order (a
+/// scheme listed twice is scored once). A group that panics twice fails
+/// every scheme of its index, with the group's panic message.
 pub fn try_evaluate_schemes(suite: &Suite, schemes: &[Scheme]) -> SweepOutcome<SchemeStats> {
-    let prepared = PreparedSuite::new(suite);
-    let todo: Vec<usize> = (0..schemes.len()).collect();
-    run_indices(
-        schemes.len(),
-        &todo,
-        &|i| evaluate_scheme_prepared(&prepared, &schemes[i]),
-        &|i| schemes[i].to_string(),
+    evaluate_grouped(suite, schemes, &|pt, scheme| {
+        run_scheme_prepared(pt, scheme)
+    })
+}
+
+/// [`try_evaluate_schemes`] with the per-scheme work as a parameter.
+fn evaluate_grouped<S>(suite: &Suite, schemes: &[Scheme], score: &S) -> SweepOutcome<SchemeStats>
+where
+    S: Fn(&PreparedTrace<'_>, &Scheme) -> ConfusionMatrix + Sync,
+{
+    // The distinct indexes in list order, each with its distinct schemes.
+    let mut indexes: Vec<IndexSpec> = Vec::new();
+    let mut columns: Vec<Vec<Scheme>> = Vec::new();
+    let mut position: HashMap<IndexSpec, usize> = HashMap::new();
+    let cells = schemes
+        .iter()
+        .map(|scheme| {
+            let i = *position.entry(scheme.index).or_insert_with(|| {
+                indexes.push(scheme.index);
+                columns.push(Vec::new());
+                indexes.len() - 1
+            });
+            let column = &mut columns[i];
+            let j = column.iter().position(|s| s == scheme).unwrap_or_else(|| {
+                column.push(*scheme);
+                column.len() - 1
+            });
+            (i, j)
+        })
+        .collect();
+    let plan = GroupPlan {
+        indexes: &indexes,
+        cells,
+        classify: false,
+        kind: "scheme",
+    };
+    sweep_groups(
+        suite,
+        &plan,
+        &|pt, i| columns[i].iter().map(|s| score(pt, s)).collect(),
+        |c, per_benchmark| SchemeStats::from_matrices(schemes[c], per_benchmark),
+        |c| schemes[c].to_string(),
     )
 }
 
@@ -598,58 +641,115 @@ where
     G: Fn(&PreparedTrace<'_>, IndexSpec) -> Vec<FamilyResult> + Sync,
 {
     let cells = family_cells(indexes, updates);
-    if cells.is_empty() {
+    let plan = GroupPlan {
+        indexes,
+        cells: (0..cells.len())
+            .map(|c| (c / updates.len(), c % updates.len()))
+            .collect(),
+        classify: true,
+        kind: "family_group",
+    };
+    sweep_groups(
+        suite,
+        &plan,
+        &|pt, i| run_group(pt, indexes[i]),
+        |c, per_benchmark| {
+            let (index, update) = cells[c];
+            FamilyCell {
+                index,
+                update,
+                per_benchmark,
+            }
+        },
+        |c| {
+            let (index, update) = cells[c];
+            format!("family({index})[{update}]")
+        },
+    )
+}
+
+/// A grouped sweep's plan (see [`sweep_groups`]).
+struct GroupPlan<'a> {
+    /// The distinct indexes, one group per index and benchmark.
+    indexes: &'a [IndexSpec],
+    /// Per output cell, `(i, j)`: the cell reads result `j` of index
+    /// `i`'s groups.
+    cells: Vec<(usize, usize)>,
+    /// Whether indexes that induce the same slot partition on a benchmark
+    /// share one group there.
+    classify: bool,
+    /// The `csp_harness_eval_ns` kind each scoring group is timed under.
+    kind: &'static str,
+}
+
+/// Runs a grouped sweep: one panic-isolated work item per `(index,
+/// benchmark)` group, index-major (group `g` is index `g / benchmarks` on
+/// benchmark `g % benchmarks`). `run_group` gets the prepared trace and
+/// the index's position and returns the index's results on that trace;
+/// the group then evicts the index's key stream, which no other group
+/// needs, keeping a long sweep's footprint at O(live groups).
+///
+/// With `plan.classify`, the first group to reach a benchmark classifies
+/// the index list with [`PreparedTrace::partition_classes`]: specs with
+/// the same partition score identically, so only each class's
+/// representative (its first index) runs, and the class's other groups
+/// return at once.
+///
+/// The groups then fan out to `plan.cells`, built by `cell` and named by
+/// `label`. A cell exists iff every benchmark's group for its (class
+/// representative's) index survived; otherwise it fails with the first
+/// failed benchmark's message. Where a benchmark's classification never
+/// finished, the cell's own group failed computing it.
+fn sweep_groups<R, C, G>(
+    suite: &Suite,
+    plan: &GroupPlan<'_>,
+    run_group: &G,
+    cell: impl Fn(usize, Vec<R>) -> C,
+    label: impl Fn(usize) -> String,
+) -> SweepOutcome<C>
+where
+    R: Clone + Send + Sync,
+    G: Fn(&PreparedTrace<'_>, usize) -> Vec<R> + Sync,
+{
+    if plan.cells.is_empty() {
         return SweepOutcome {
             results: Vec::new(),
             failures: Vec::new(),
         };
     }
+    let indexes = plan.indexes;
     let prepared = PreparedSuite::new(suite);
     let n_bench = suite.traces.len();
     // Benchmark b's partition classes, computed by the first group that
     // needs them.
     let classes: Vec<OnceLock<Vec<usize>>> = (0..n_bench).map(|_| OnceLock::new()).collect();
-    // Group g = index g / n_bench x benchmark g % n_bench, laid out
-    // index-major. Only a class representative's group scores; the
-    // others return no results, and their cells read the
-    // representative's.
     let n_groups = indexes.len() * n_bench;
     let todo: Vec<usize> = (0..n_groups).collect();
-    let job = |g: usize| -> Vec<FamilyResult> {
+    let job = |g: usize| -> Vec<R> {
         let (i, b) = (g / n_bench, g % n_bench);
         let pt = &prepared.traces()[b];
-        if classes[b].get_or_init(|| pt.partition_classes(indexes))[i] != i {
+        if plan.classify && classes[b].get_or_init(|| pt.partition_classes(indexes))[i] != i {
             return Vec::new();
         }
         let started = Instant::now();
-        let out = run_group(pt, indexes[i]);
-        eval_timer("family_group").record_duration(started.elapsed());
-        // This group is the only consumer of the (trace, index) stream;
-        // evicting here keeps a design-space-sized sweep's footprint at
-        // O(live groups) instead of O(all indexes).
+        let out = run_group(pt, i);
+        eval_timer(plan.kind).record_duration(started.elapsed());
         pt.evict_stream(indexes[i]);
         out
     };
-    let label = |g: usize| -> String {
+    let group_label = |g: usize| -> String {
         format!(
-            "family({})@{}",
+            "group({})@{}",
             indexes[g / n_bench],
             suite.traces[g % n_bench].benchmark
         )
     };
-    let grouped = run_indices(n_groups, &todo, &job, &label);
+    let grouped = run_indices(n_groups, &todo, &job, &group_label);
 
-    // Fan the groups out to the (index, update) cell grid the sweep is
-    // specified in. A cell exists iff every benchmark's group for its
-    // class survived; otherwise it fails with the first failed
-    // benchmark's message. Where a benchmark's classification never
-    // finished, the cell's own group failed computing it.
-    let mut results: Vec<Option<FamilyCell>> = Vec::with_capacity(cells.len());
+    let mut results = Vec::with_capacity(plan.cells.len());
     let mut failures = Vec::new();
-    for (c, &(index, update)) in cells.iter().enumerate() {
-        let i = c / updates.len();
-        let j = c % updates.len();
-        let per_benchmark: Result<Vec<FamilyResult>, String> = (0..n_bench)
+    for (c, &(i, j)) in plan.cells.iter().enumerate() {
+        let per_benchmark: Result<Vec<R>, String> = (0..n_bench)
             .map(|b| {
                 let g = classes[b].get().map_or(i, |c| c[i]) * n_bench + b;
                 grouped.results[g]
@@ -662,15 +762,11 @@ where
             })
             .collect();
         match per_benchmark {
-            Ok(per_benchmark) => results.push(Some(FamilyCell {
-                index,
-                update,
-                per_benchmark,
-            })),
+            Ok(per_benchmark) => results.push(Some(cell(c, per_benchmark))),
             Err(message) => {
                 failures.push(SweepFailure {
                     index: c,
-                    label: format!("family({index})[{update}]"),
+                    label: label(c),
                     message,
                 });
                 results.push(None);
@@ -977,6 +1073,93 @@ mod tests {
                 assert_eq!(cell.index, pid);
             }
         }
+    }
+
+    /// A list where several functions share an index, one scheme appears
+    /// twice and PAs mixes with history schemes.
+    fn mixed_scheme_list() -> Vec<Scheme> {
+        [
+            "union(pid+pc8)2[direct]",
+            "pas(dir+add8)2[forwarded]",
+            "last(pid+pc8)1[direct]",
+            "inter(pid+pc8)4[ordered]",
+            "pas(pid+pc8)1[direct]",
+            "union(pid+pc8)2[direct]",
+            "overlap-last(dir+add8)[direct]",
+            "pas(dir+add8)6[ordered]",
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn grouped_scheme_list_matches_reference() {
+        use csp_core::reference;
+        let suite = tiny_suite();
+        let schemes = mixed_scheme_list();
+        let outcome = try_evaluate_schemes(&suite, &schemes);
+        assert!(outcome.is_complete());
+        let stats = outcome.into_complete().unwrap();
+        assert_eq!(stats.len(), schemes.len());
+        for (s, scheme) in stats.iter().zip(&schemes) {
+            assert_eq!(s.scheme, *scheme);
+            for (b, bench) in suite.traces().iter().enumerate() {
+                assert_eq!(
+                    s.per_benchmark[b],
+                    reference::run_scheme(&bench.trace, scheme),
+                    "{scheme} on {}",
+                    bench.benchmark
+                );
+            }
+        }
+        assert_eq!(stats[0].per_benchmark, stats[5].per_benchmark);
+    }
+
+    #[test]
+    fn failed_group_fails_every_scheme_of_its_index() {
+        let suite = tiny_suite();
+        let schemes = mixed_scheme_list();
+        let victim = schemes[1].index; // dir+add8
+        let victim_trace = &suite.traces()[3].trace;
+        let outcome = evaluate_grouped(&suite, &schemes, &|pt, scheme| {
+            if scheme.index == victim && std::ptr::eq(pt.trace(), victim_trace) {
+                panic!("injected failure in group({victim})");
+            }
+            run_scheme_prepared(pt, scheme)
+        });
+        // The three dir+add8 schemes fail with the group's own message;
+        // every pid+pc8 scheme survives.
+        let message = format!("injected failure in group({victim})");
+        let failed: Vec<(usize, &str, &str)> = outcome
+            .failures
+            .iter()
+            .map(|f| (f.index, f.label.as_str(), f.message.as_str()))
+            .collect();
+        let expected: Vec<(usize, String)> = [1, 6, 7]
+            .into_iter()
+            .map(|c| (c, schemes[c].to_string()))
+            .collect();
+        assert_eq!(
+            failed,
+            expected
+                .iter()
+                .map(|(c, label)| (*c, label.as_str(), message.as_str()))
+                .collect::<Vec<_>>()
+        );
+        for c in [0, 2, 3, 4, 5] {
+            let stats = outcome.results[c]
+                .as_ref()
+                .expect("pid+pc8 schemes survive");
+            assert_eq!(stats.scheme, schemes[c]);
+        }
+    }
+
+    #[test]
+    fn empty_scheme_list_returns_empty_outcome() {
+        let outcome = try_evaluate_schemes(&tiny_suite(), &[]);
+        assert!(outcome.is_complete());
+        assert!(outcome.results.is_empty());
     }
 
     #[test]
