@@ -377,10 +377,12 @@ engine sharded
 
 workload all
 
-# One scheme per update mode, mirroring the serve verification grid.
+# One scheme per update mode, mirroring the serve verification grid,
+# and PAs, whose sharded cells run the online table's PasEntry.
 scheme last(pid+pc8)1[direct]
 scheme union(pid+pc8)2[forwarded]
 scheme union(dir+add8)2[ordered]
+scheme pas(pid+add8)1[direct]
 
 # The kernel must stay well ahead of the reference (geometric mean over
 # the matrix); no cell may lose more than its declared fraction of
@@ -406,7 +408,7 @@ mod tests {
         assert_eq!(d.format, 1);
         assert_eq!(d.engines, vec!["reference", "simd", "sharded"]);
         assert_eq!(d.workloads.len(), 7);
-        assert_eq!(d.schemes.len(), 3);
+        assert_eq!(d.schemes.len(), 4);
         assert_eq!(d.baseline_engine(), "reference");
         assert_eq!(d.ratio_gates.len(), 1);
         assert_eq!(d.ratio_gates[0].numerator, "simd");
