@@ -376,8 +376,9 @@ impl Held {
 /// recent actual-sharing bits, indexing a private pattern table of
 /// `2^depth` two-bit saturating counters. The aggregate of the per-reader
 /// binary predictions is the predicted bitmap. The state is stored as bit
-/// planes over nodes (see [`PasPlanes`]), one runtime depth dispatch per
-/// call; the kernel runs the same routines at a const depth.
+/// planes over nodes, so one bitwise step covers every reader; each call
+/// dispatches its runtime depth once onto the routines the kernel runs
+/// at a const depth.
 ///
 /// # Example
 ///
