@@ -1,9 +1,11 @@
 //! Crash-safe checkpointing of sweep results.
 //!
-//! Design-space sweeps are hours of pure recomputation if a run dies at
-//! 95%. A [`SweepCheckpoint`] makes them resumable: every finished cell is
-//! appended to a log file as a CRC32c-guarded record, and a restarted
-//! sweep replays the log, skips the finished cells, and appends the rest.
+//! The tables 8–11 design-space sweep (648 `(index, update)` cells)
+//! takes about 2 s at `--scale 1.0` on two cores, and its cost grows with
+//! the trace scale. A [`SweepCheckpoint`] makes sweeps resumable: every
+//! finished cell is appended to a log file as a CRC32c-guarded record,
+//! and a restarted sweep replays the log, re-scores only the indexes with
+//! a missing cell, and appends the missing cells.
 //! Because cells are pure functions of their inputs, a resumed sweep's
 //! results are **bitwise identical** to an uninterrupted run's.
 //!

@@ -50,4 +50,4 @@ pub mod space;
 
 pub use cache::{CacheOutcome, TraceCache};
 pub use error::HarnessError;
-pub use runner::{PreparedSuite, SchemeStats, Suite, SweepFailure, SweepOutcome};
+pub use runner::{SchemeStats, Suite, SweepFailure, SweepOutcome};

@@ -28,6 +28,7 @@ use csp_core::{IndexSpec, PredictionFunction, PreparedTrace, Scheme, UpdateMode}
 use csp_metrics::{ConfusionMatrix, Screening};
 use csp_workloads::{generate_suite, Benchmark, BenchmarkTrace};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,38 +144,6 @@ impl Suite {
     }
 }
 
-/// The suite with every trace prepared for repeated evaluation: actuals
-/// resolved once per benchmark, key streams computed once per
-/// [`IndexSpec`] and shared (thread-safely) by every scheme of a sweep.
-///
-/// Building one of these up front is what turns an N-scheme sweep from N
-/// full trace resolutions into one; all sweep entry points construct one
-/// internally, and callers orchestrating several sweeps over the same
-/// suite can build their own and reuse it.
-#[derive(Debug)]
-pub struct PreparedSuite<'s> {
-    prepared: Vec<PreparedTrace<'s>>,
-}
-
-impl<'s> PreparedSuite<'s> {
-    /// Prepares every trace of `suite` (one resolution pass per
-    /// benchmark).
-    pub fn new(suite: &'s Suite) -> Self {
-        PreparedSuite {
-            prepared: suite
-                .traces
-                .iter()
-                .map(|b| PreparedTrace::new(&b.trace))
-                .collect(),
-        }
-    }
-
-    /// The prepared traces, in [`Benchmark::ALL`] order.
-    pub fn traces(&self) -> &[PreparedTrace<'s>] {
-        &self.prepared
-    }
-}
-
 /// Evaluation results for one scheme over the whole suite.
 #[derive(Clone, Debug)]
 pub struct SchemeStats {
@@ -274,28 +243,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The panic-isolated work-stealing core: runs `job` for each index in
-/// `todo` (indices into a `total`-slot result vector), catching panics and
-/// retrying each failed item once. Results land in per-slot `OnceLock`s —
-/// lock-free, so no poisoning and no contention on collection.
-fn run_indices<T, J, L>(total: usize, todo: &[usize], job: &J, label: &L) -> SweepOutcome<T>
+/// The panic-isolated work-stealing core: runs `job` for each item in
+/// `items`, catching panics and retrying each failed item once. The
+/// outcome's results are aligned with `items` (slot `k` is item
+/// `items.start + k`); its failures carry the item itself. Results land in
+/// per-slot `OnceLock`s — lock-free, so no poisoning and no contention on
+/// collection.
+fn run_indices<T, J, L>(items: Range<usize>, job: &J, label: &L) -> SweepOutcome<T>
 where
     T: Send + Sync,
     J: Fn(usize) -> T + Sync,
     L: Fn(usize) -> String + Sync,
 {
-    let threads = worker_count(todo.len());
+    let threads = worker_count(items.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<Result<T, SweepFailure>>> =
-        (0..total).map(|_| OnceLock::new()).collect();
+        items.clone().map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= todo.len() {
+                if k >= slots.len() {
                     break;
                 }
-                let i = todo[k];
+                let i = items.start + k;
                 let attempt = || catch_unwind(AssertUnwindSafe(|| job(i)));
                 let outcome = match attempt() {
                     Ok(v) => Ok(v),
@@ -308,14 +279,14 @@ where
                         message: panic_message(payload.as_ref()),
                     }),
                 };
-                // Each index is claimed exactly once, so the slot is
-                // always empty; a second set is a harness bug but not
-                // worth panicking a worker over.
-                let _ = slots[i].set(outcome);
+                // Each slot is claimed exactly once, so it is always
+                // empty; a second set is a harness bug but not worth
+                // panicking a worker over.
+                let _ = slots[k].set(outcome);
             });
         }
     });
-    let mut results: Vec<Option<T>> = Vec::with_capacity(total);
+    let mut results: Vec<Option<T>> = Vec::with_capacity(slots.len());
     let mut failures = Vec::new();
     for slot in slots {
         match slot.into_inner() {
@@ -324,53 +295,15 @@ where
                 failures.push(f);
                 results.push(None);
             }
-            None => results.push(None), // index was not in `todo`
+            None => results.push(None), // unreachable: every slot is claimed
         }
     }
     SweepOutcome { results, failures }
 }
 
-/// Runs a checkpointed sweep: resumes completed cells from `ckpt`, runs
-/// the remainder in panic-isolated chunks, and appends each chunk's
-/// results to the log before starting the next (periodic persistence — an
-/// interrupted run loses at most one chunk of work).
-fn run_checkpointed<T, J, L>(
-    total: usize,
-    ckpt: &mut SweepCheckpoint<T>,
-    done: Vec<(usize, T)>,
-    job: &J,
-    label: &L,
-) -> Result<SweepOutcome<T>, HarnessError>
-where
-    T: CheckpointPayload + Send + Sync,
-    J: Fn(usize) -> T + Sync,
-    L: Fn(usize) -> String + Sync,
-{
-    let mut results: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for (i, v) in done {
-        if i < total {
-            results[i] = Some(v);
-        }
-    }
-    let todo: Vec<usize> = (0..total).filter(|&i| results[i].is_none()).collect();
-    let chunk_size = (worker_count(todo.len()) * 4).max(1);
-    let mut failures = Vec::new();
-    for chunk in todo.chunks(chunk_size) {
-        let outcome = run_indices(total, chunk, job, label);
-        for (i, r) in outcome.results.into_iter().enumerate() {
-            if let Some(v) = r {
-                ckpt.record(i, &v)?;
-                results[i] = Some(v);
-            }
-        }
-        failures.extend(outcome.failures);
-    }
-    Ok(SweepOutcome { results, failures })
-}
-
 /// Evaluates one scheme over every benchmark (sequentially, preparing
-/// each trace per call; sweeps should prepare once via [`PreparedSuite`]
-/// / [`evaluate_scheme_prepared`]).
+/// each trace per call; scheme lists should go through
+/// [`try_evaluate_schemes`], which prepares each trace once).
 pub fn evaluate_scheme(suite: &Suite, scheme: &Scheme) -> SchemeStats {
     let per_benchmark = suite
         .traces
@@ -378,21 +311,6 @@ pub fn evaluate_scheme(suite: &Suite, scheme: &Scheme) -> SchemeStats {
         .map(|b| run_scheme(&b.trace, scheme))
         .collect();
     SchemeStats::from_matrices(*scheme, per_benchmark)
-}
-
-/// Evaluates one scheme over an already-prepared suite. Bit-identical to
-/// [`evaluate_scheme`]; the trace resolutions and key streams come from
-/// `prepared`'s shared columns.
-pub fn evaluate_scheme_prepared(prepared: &PreparedSuite<'_>, scheme: &Scheme) -> SchemeStats {
-    let started = Instant::now();
-    let per_benchmark = prepared
-        .traces()
-        .iter()
-        .map(|pt| run_scheme_prepared(pt, scheme))
-        .collect();
-    let stats = SchemeStats::from_matrices(*scheme, per_benchmark);
-    eval_timer("scheme").record_duration(started.elapsed());
-    stats
 }
 
 /// Evaluates many schemes in parallel with panic isolation: a scheme whose
@@ -407,13 +325,17 @@ pub fn evaluate_scheme_prepared(prepared: &PreparedSuite<'_>, scheme: &Scheme) -
 /// scheme listed twice is scored once). A group that panics twice fails
 /// every scheme of its index, with the group's panic message.
 pub fn try_evaluate_schemes(suite: &Suite, schemes: &[Scheme]) -> SweepOutcome<SchemeStats> {
-    evaluate_grouped(suite, schemes, &|pt, scheme| {
-        run_scheme_prepared(pt, scheme)
-    })
+    unlogged(evaluate_grouped(suite, schemes, None, &run_scheme_prepared))
 }
 
-/// [`try_evaluate_schemes`] with the per-scheme work as a parameter.
-fn evaluate_grouped<S>(suite: &Suite, schemes: &[Scheme], score: &S) -> SweepOutcome<SchemeStats>
+/// [`try_evaluate_schemes`] with the checkpoint and the per-scheme work as
+/// parameters.
+fn evaluate_grouped<S>(
+    suite: &Suite,
+    schemes: &[Scheme],
+    checkpoint: Option<(&Path, u64)>,
+    score: &S,
+) -> Result<SweepOutcome<SchemeStats>, HarnessError>
 where
     S: Fn(&PreparedTrace<'_>, &Scheme) -> ConfusionMatrix + Sync,
 {
@@ -446,6 +368,7 @@ where
     sweep_groups(
         suite,
         &plan,
+        checkpoint,
         &|pt, i| columns[i].iter().map(|s| score(pt, s)).collect(),
         |c, per_benchmark| SchemeStats::from_matrices(schemes[c], per_benchmark),
         |c| schemes[c].to_string(),
@@ -469,8 +392,9 @@ pub fn evaluate_schemes(suite: &Suite, schemes: &[Scheme]) -> Vec<SchemeStats> {
 ///
 /// The checkpoint is keyed by the suite and scheme list: resuming with a
 /// different suite or scheme set restarts from scratch rather than mixing
-/// results. A resumed sweep's results are bitwise identical to an
-/// uninterrupted run's.
+/// results. A resumed sweep re-scores only the indexes with a missing
+/// scheme, and its results are bitwise identical to an uninterrupted
+/// run's.
 ///
 /// # Errors
 ///
@@ -485,14 +409,11 @@ pub fn evaluate_schemes_checkpointed(
     for s in schemes {
         fp = fp.push(s.to_string().as_bytes());
     }
-    let (mut ckpt, done) = SweepCheckpoint::open(path, fp.finish())?;
-    let prepared = PreparedSuite::new(suite);
-    run_checkpointed(
-        schemes.len(),
-        &mut ckpt,
-        done,
-        &|i| evaluate_scheme_prepared(&prepared, &schemes[i]),
-        &|i| schemes[i].to_string(),
+    evaluate_grouped(
+        suite,
+        schemes,
+        Some((path, fp.finish())),
+        &run_scheme_prepared,
     )
 }
 
@@ -571,35 +492,6 @@ fn family_cells(indexes: &[IndexSpec], updates: &[UpdateMode]) -> Vec<(IndexSpec
         .collect()
 }
 
-fn family_job<'a>(
-    prepared: &'a PreparedSuite<'a>,
-    cells: &'a [(IndexSpec, UpdateMode)],
-    max_depth: usize,
-) -> impl Fn(usize) -> FamilyCell + Sync + 'a {
-    move |i| {
-        let started = Instant::now();
-        let (index, update) = cells[i];
-        let per_benchmark = prepared
-            .traces()
-            .iter()
-            .map(|pt| run_history_family_prepared(pt, index, update, max_depth))
-            .collect();
-        eval_timer("family_cell").record_duration(started.elapsed());
-        FamilyCell {
-            index,
-            update,
-            per_benchmark,
-        }
-    }
-}
-
-fn family_label<'a>(cells: &'a [(IndexSpec, UpdateMode)]) -> impl Fn(usize) -> String + Sync + 'a {
-    move |i| {
-        let (index, update) = cells[i];
-        format!("family({index})[{update}]")
-    }
-}
-
 /// Sweeps the `union`/`inter` family over every `(index, update)` pair in
 /// parallel with panic isolation. The depth dimension comes for free
 /// (single pass per cell).
@@ -620,23 +512,38 @@ pub fn try_sweep_families(
     updates: &[UpdateMode],
     max_depth: usize,
 ) -> SweepOutcome<FamilyCell> {
-    sweep_partitions(suite, indexes, updates, &|pt, index| {
-        updates
-            .iter()
-            .map(|&u| run_history_family_prepared(pt, index, u, max_depth))
-            .collect()
-    })
+    unlogged(sweep_partitions(
+        suite,
+        indexes,
+        updates,
+        None,
+        &|pt, index| family_group(pt, index, updates, max_depth),
+    ))
 }
 
-/// [`try_sweep_families`] with the per-group work as a parameter:
-/// `run_group` returns one [`FamilyResult`] per update mode, in `updates`
-/// order.
+/// One family group: `index` on one trace, through every update mode.
+fn family_group(
+    pt: &PreparedTrace<'_>,
+    index: IndexSpec,
+    updates: &[UpdateMode],
+    max_depth: usize,
+) -> Vec<FamilyResult> {
+    updates
+        .iter()
+        .map(|&u| run_history_family_prepared(pt, index, u, max_depth))
+        .collect()
+}
+
+/// [`try_sweep_families`] with the checkpoint and the per-group work as
+/// parameters: `run_group` returns one [`FamilyResult`] per update mode,
+/// in `updates` order.
 fn sweep_partitions<G>(
     suite: &Suite,
     indexes: &[IndexSpec],
     updates: &[UpdateMode],
+    checkpoint: Option<(&Path, u64)>,
     run_group: &G,
-) -> SweepOutcome<FamilyCell>
+) -> Result<SweepOutcome<FamilyCell>, HarnessError>
 where
     G: Fn(&PreparedTrace<'_>, IndexSpec) -> Vec<FamilyResult> + Sync,
 {
@@ -652,6 +559,7 @@ where
     sweep_groups(
         suite,
         &plan,
+        checkpoint,
         &|pt, i| run_group(pt, indexes[i]),
         |c, per_benchmark| {
             let (index, update) = cells[c];
@@ -682,16 +590,21 @@ struct GroupPlan<'a> {
     kind: &'static str,
 }
 
+/// Unwraps the outcome of a sweep without a checkpoint, which does no I/O
+/// and so cannot fail.
+fn unlogged<T>(outcome: Result<SweepOutcome<T>, HarnessError>) -> SweepOutcome<T> {
+    outcome.unwrap_or_else(|e| unreachable!("a sweep without a checkpoint failed: {e}"))
+}
+
 /// Runs a grouped sweep: one panic-isolated work item per `(index,
-/// benchmark)` group, index-major (group `g` is index `g / benchmarks` on
-/// benchmark `g % benchmarks`). `run_group` gets the prepared trace and
-/// the index's position and returns the index's results on that trace;
-/// the group then evicts the index's key stream, which no other group
-/// needs, keeping a long sweep's footprint at O(live groups).
+/// benchmark)` group, index-major. `run_group` gets the prepared trace and
+/// the index's position in `plan.indexes` and returns the index's results
+/// on that trace; the group then evicts the index's key stream, which no
+/// other group needs, keeping a long sweep's footprint at O(live groups).
 ///
 /// With `plan.classify`, the first group to reach a benchmark classifies
-/// the index list with [`PreparedTrace::partition_classes`]: specs with
-/// the same partition score identically, so only each class's
+/// the planned indexes with [`PreparedTrace::partition_classes`]: specs
+/// with the same partition score identically, so only each class's
 /// representative (its first index) runs, and the class's other groups
 /// return at once.
 ///
@@ -700,80 +613,133 @@ struct GroupPlan<'a> {
 /// representative's) index survived; otherwise it fails with the first
 /// failed benchmark's message. Where a benchmark's classification never
 /// finished, the cell's own group failed computing it.
+///
+/// Without a checkpoint every index is planned and the groups run as one
+/// batch. With a `checkpoint` `(path, fingerprint)`, the cells its log
+/// holds are resumed, and only the indexes that still miss a cell are
+/// planned (and classified). Their groups run in chunks of whole indexes;
+/// after each chunk, every missing cell whose groups have all finished is
+/// appended to the log. A representative's groups come before its class's
+/// other groups, so an interrupted run loses at most one chunk.
 fn sweep_groups<R, C, G>(
     suite: &Suite,
     plan: &GroupPlan<'_>,
+    checkpoint: Option<(&Path, u64)>,
     run_group: &G,
     cell: impl Fn(usize, Vec<R>) -> C,
     label: impl Fn(usize) -> String,
-) -> SweepOutcome<C>
+) -> Result<SweepOutcome<C>, HarnessError>
 where
     R: Clone + Send + Sync,
+    C: CheckpointPayload,
     G: Fn(&PreparedTrace<'_>, usize) -> Vec<R> + Sync,
 {
-    if plan.cells.is_empty() {
-        return SweepOutcome {
-            results: Vec::new(),
-            failures: Vec::new(),
-        };
+    let mut results: Vec<Option<C>> = plan.cells.iter().map(|_| None).collect();
+    let mut log = match checkpoint {
+        Some((path, fingerprint)) => {
+            let (log, done) = SweepCheckpoint::open(path, fingerprint)?;
+            for (c, value) in done {
+                if let Some(slot) = results.get_mut(c) {
+                    *slot = Some(value);
+                }
+            }
+            Some(log)
+        }
+        None => None,
+    };
+    let mut failures = Vec::new();
+    // The planned ("live") indexes: those with a missing cell, in order.
+    let mut missing = vec![false; plan.indexes.len()];
+    for (&(i, _), result) in plan.cells.iter().zip(&results) {
+        missing[i] |= result.is_none();
     }
-    let indexes = plan.indexes;
-    let prepared = PreparedSuite::new(suite);
-    let n_bench = suite.traces.len();
-    // Benchmark b's partition classes, computed by the first group that
-    // needs them.
+    let live: Vec<usize> = (0..missing.len()).filter(|&i| missing[i]).collect();
+    if live.is_empty() {
+        return Ok(SweepOutcome { results, failures });
+    }
+    // The missing cells as `(live position, cell, result)`, in run order.
+    let mut todo: Vec<(usize, usize, usize)> = plan
+        .cells
+        .iter()
+        .enumerate()
+        .filter(|&(c, _)| results[c].is_none())
+        .map(|(c, &(i, j))| (live.partition_point(|&l| l < i), c, j))
+        .collect();
+    todo.sort_unstable();
+    let mut todo = todo.into_iter().peekable();
+
+    let specs: Vec<IndexSpec> = live.iter().map(|&i| plan.indexes[i]).collect();
+    let prepared: Vec<PreparedTrace<'_>> = suite
+        .traces
+        .iter()
+        .map(|b| PreparedTrace::new(&b.trace))
+        .collect();
+    let n_bench = prepared.len();
+    // Benchmark b's partition classes over `specs`, computed by the first
+    // group that needs them.
     let classes: Vec<OnceLock<Vec<usize>>> = (0..n_bench).map(|_| OnceLock::new()).collect();
-    let n_groups = indexes.len() * n_bench;
-    let todo: Vec<usize> = (0..n_groups).collect();
+    // Group g is live index g / n_bench on benchmark g % n_bench.
     let job = |g: usize| -> Vec<R> {
-        let (i, b) = (g / n_bench, g % n_bench);
-        let pt = &prepared.traces()[b];
-        if plan.classify && classes[b].get_or_init(|| pt.partition_classes(indexes))[i] != i {
+        let (k, b) = (g / n_bench, g % n_bench);
+        let pt = &prepared[b];
+        if plan.classify && classes[b].get_or_init(|| pt.partition_classes(&specs))[k] != k {
             return Vec::new();
         }
         let started = Instant::now();
-        let out = run_group(pt, i);
+        let out = run_group(pt, live[k]);
         eval_timer(plan.kind).record_duration(started.elapsed());
-        pt.evict_stream(indexes[i]);
+        pt.evict_stream(specs[k]);
         out
     };
     let group_label = |g: usize| -> String {
         format!(
             "group({})@{}",
-            indexes[g / n_bench],
+            specs[g / n_bench],
             suite.traces[g % n_bench].benchmark
         )
     };
-    let grouped = run_indices(n_groups, &todo, &job, &group_label);
-
-    let mut results = Vec::with_capacity(plan.cells.len());
-    let mut failures = Vec::new();
-    for (c, &(i, j)) in plan.cells.iter().enumerate() {
-        let per_benchmark: Result<Vec<R>, String> = (0..n_bench)
-            .map(|b| {
-                let g = classes[b].get().map_or(i, |c| c[i]) * n_bench + b;
-                grouped.results[g]
-                    .as_ref()
-                    .map(|group| group[j].clone())
-                    .ok_or_else(|| {
-                        let failed = grouped.failures.iter().find(|f| f.index == g);
-                        failed.map_or_else(|| "group failed".to_string(), |f| f.message.clone())
-                    })
-            })
-            .collect();
-        match per_benchmark {
-            Ok(per_benchmark) => results.push(Some(cell(c, per_benchmark))),
-            Err(message) => {
-                failures.push(SweepFailure {
+    let chunk = match log {
+        Some(_) => worker_count(live.len()) * 4,
+        None => live.len(),
+    };
+    let mut grouped: Vec<Option<Vec<R>>> = Vec::with_capacity(live.len() * n_bench);
+    let mut group_failures = Vec::new();
+    for start in (0..live.len()).step_by(chunk) {
+        let end = live.len().min(start + chunk);
+        let outcome = run_indices(start * n_bench..end * n_bench, &job, &group_label);
+        grouped.extend(outcome.results);
+        group_failures.extend(outcome.failures);
+        while let Some((k, c, j)) = todo.next_if(|&(k, ..)| k < end) {
+            let per_benchmark: Result<Vec<R>, String> = (0..n_bench)
+                .map(|b| {
+                    let g = classes[b].get().map_or(k, |classes| classes[k]) * n_bench + b;
+                    grouped[g]
+                        .as_ref()
+                        .map(|group| group[j].clone())
+                        .ok_or_else(|| {
+                            let failed = group_failures.iter().find(|f| f.index == g);
+                            failed.map_or_else(|| "group failed".to_string(), |f| f.message.clone())
+                        })
+                })
+                .collect();
+            match per_benchmark {
+                Ok(per_benchmark) => {
+                    let value = cell(c, per_benchmark);
+                    if let Some(log) = &mut log {
+                        log.record(c, &value)?;
+                    }
+                    results[c] = Some(value);
+                }
+                Err(message) => failures.push(SweepFailure {
                     index: c,
                     label: label(c),
                     message,
-                });
-                results.push(None);
+                }),
             }
         }
     }
-    SweepOutcome { results, failures }
+    failures.sort_by_key(|f| f.index);
+    Ok(SweepOutcome { results, failures })
 }
 
 /// Sweeps the `union`/`inter` family over every `(index, update)` pair, in
@@ -797,8 +763,10 @@ pub fn sweep_families(
 
 /// [`try_sweep_families`] with a resumable checkpoint at `path`.
 ///
-/// Keyed by the suite and the full `(indexes, updates, max_depth)` grid;
-/// a resumed sweep is bitwise identical to an uninterrupted one.
+/// Keyed by the suite and the full `(indexes, updates, max_depth)` grid,
+/// with one log record per `(index, update)` cell. A resumed sweep
+/// re-scores only the indexes with a missing cell, and is bitwise
+/// identical to an uninterrupted one.
 ///
 /// # Errors
 ///
@@ -811,25 +779,33 @@ pub fn sweep_families_checkpointed(
     max_depth: usize,
     path: &Path,
 ) -> Result<SweepOutcome<FamilyCell>, HarnessError> {
-    let cells = family_cells(indexes, updates);
+    let fingerprint = families_fingerprint(suite, indexes, updates, max_depth);
+    sweep_partitions(
+        suite,
+        indexes,
+        updates,
+        Some((path, fingerprint)),
+        &|pt, index| family_group(pt, index, updates, max_depth),
+    )
+}
+
+/// The checkpoint fingerprint of a family sweep.
+fn families_fingerprint(
+    suite: &Suite,
+    indexes: &[IndexSpec],
+    updates: &[UpdateMode],
+    max_depth: usize,
+) -> u64 {
     let mut fp = suite
         .fingerprint()
         .push(b"families-v1")
         .push_u64(max_depth as u64);
-    for (index, update) in &cells {
+    for (index, update) in family_cells(indexes, updates) {
         fp = fp
             .push(format!("{index}").as_bytes())
             .push(format!("{update}").as_bytes());
     }
-    let (mut ckpt, done) = SweepCheckpoint::open(path, fp.finish())?;
-    // Per-cell job granularity keeps the fingerprint and log layout
-    // identical to earlier versions (old checkpoints stay resumable); the
-    // jobs still share one prepared suite, so resolutions and key streams
-    // are paid once, not per cell.
-    let prepared = PreparedSuite::new(suite);
-    let job = family_job(&prepared, &cells, max_depth);
-    let label = family_label(&cells);
-    run_checkpointed(cells.len(), &mut ckpt, done, &job, &label)
+    fp.finish()
 }
 
 fn worker_count(tasks: usize) -> usize {
@@ -902,10 +878,8 @@ mod tests {
     #[test]
     fn panicking_item_is_isolated_and_reported() {
         // Item 2 always panics; the other four must still complete.
-        let todo: Vec<usize> = (0..5).collect();
         let outcome = run_indices(
-            5,
-            &todo,
+            0..5,
             &|i| {
                 if i == 2 {
                     panic!("injected failure on item {i}");
@@ -932,10 +906,8 @@ mod tests {
     fn flaky_item_succeeds_on_retry() {
         use std::sync::atomic::AtomicBool;
         let tripped = AtomicBool::new(false);
-        let todo = [0usize];
         let outcome = run_indices(
-            1,
-            &todo,
+            0..1,
             &|i| {
                 if !tripped.swap(true, Ordering::SeqCst) {
                     panic!("transient failure");
@@ -978,9 +950,8 @@ mod tests {
         ];
         // Both pairs share a partition on some benchmark, so some cells
         // are fanned out from another index's group.
-        let prepared = PreparedSuite::new(&suite);
         for (a, b) in [(1, 3), (4, 6)] {
-            assert!(prepared.traces().iter().any(|pt| {
+            assert!(prepare(&suite).iter().any(|pt| {
                 let classes = pt.partition_classes(&indexes);
                 classes[a] == classes[b]
             }));
@@ -1018,6 +989,14 @@ mod tests {
         }
     }
 
+    fn prepare(suite: &Suite) -> Vec<PreparedTrace<'_>> {
+        suite
+            .traces()
+            .iter()
+            .map(|b| PreparedTrace::new(&b.trace))
+            .collect()
+    }
+
     /// `(add12, add16, add8, dir+add8)`: on the tiny suite each pair
     /// splits some benchmark's events into the same predictor entries.
     fn duplicate_pairs() -> (IndexSpec, IndexSpec, IndexSpec, IndexSpec) {
@@ -1035,26 +1014,28 @@ mod tests {
         let (add12, add16, add8, dir_add8) = duplicate_pairs();
         let pid = IndexSpec::new(true, 0, false, 0);
         let updates = [UpdateMode::Direct, UpdateMode::Forwarded];
-        let prepared = PreparedSuite::new(&suite);
+        let prepared = prepare(&suite);
         for (rep, twin) in [(add12, add16), (add8, dir_add8)] {
             let indexes = [rep, twin, pid];
             // Fail the representative's group on the first benchmark
             // where the twin shares its partition.
             let victim = prepared
-                .traces()
                 .iter()
                 .position(|pt| pt.partition_classes(&indexes)[1] == 0)
                 .unwrap_or_else(|| panic!("{rep} and {twin} share no partition"));
             let victim_trace = &suite.traces()[victim].trace;
-            let outcome = sweep_partitions(&suite, &indexes, &updates, &|pt, index| {
-                if index == rep && std::ptr::eq(pt.trace(), victim_trace) {
-                    panic!("injected failure in family({index})");
-                }
-                updates
-                    .iter()
-                    .map(|&u| run_history_family_prepared(pt, index, u, 2))
-                    .collect()
-            });
+            let outcome = unlogged(sweep_partitions(
+                &suite,
+                &indexes,
+                &updates,
+                None,
+                &|pt, index| {
+                    if index == rep && std::ptr::eq(pt.trace(), victim_trace) {
+                        panic!("injected failure in family({index})");
+                    }
+                    family_group(pt, index, &updates, 2)
+                },
+            ));
             // Cells are index-major: rep, twin, pid. The twin's cells
             // fail with the representative's message, not a generic one.
             let message = format!("injected failure in family({rep})");
@@ -1122,12 +1103,12 @@ mod tests {
         let schemes = mixed_scheme_list();
         let victim = schemes[1].index; // dir+add8
         let victim_trace = &suite.traces()[3].trace;
-        let outcome = evaluate_grouped(&suite, &schemes, &|pt, scheme| {
+        let outcome = unlogged(evaluate_grouped(&suite, &schemes, None, &|pt, scheme| {
             if scheme.index == victim && std::ptr::eq(pt.trace(), victim_trace) {
                 panic!("injected failure in group({victim})");
             }
             run_scheme_prepared(pt, scheme)
-        });
+        }));
         // The three dir+add8 schemes fail with the group's own message;
         // every pid+pc8 scheme survives.
         let message = format!("injected failure in group({victim})");
@@ -1160,18 +1141,6 @@ mod tests {
         let outcome = try_evaluate_schemes(&tiny_suite(), &[]);
         assert!(outcome.is_complete());
         assert!(outcome.results.is_empty());
-    }
-
-    #[test]
-    fn prepared_suite_shares_resolutions_across_schemes() {
-        let suite = tiny_suite();
-        let prepared = PreparedSuite::new(&suite);
-        assert_eq!(prepared.traces().len(), suite.traces().len());
-        let scheme: Scheme = "union(pid+pc8)2[forwarded]".parse().unwrap();
-        let fast = evaluate_scheme_prepared(&prepared, &scheme);
-        let naive = evaluate_scheme(&suite, &scheme);
-        assert_eq!(fast.per_benchmark, naive.per_benchmark);
-        assert_eq!(fast.scheme, naive.scheme);
     }
 
     #[test]
@@ -1276,6 +1245,99 @@ mod tests {
             assert_eq!(a.per_benchmark, b.per_benchmark);
             assert_eq!(b.per_benchmark, c.per_benchmark);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn partial_log_resumes_bit_identical_to_a_fresh_sweep() {
+        let suite = tiny_suite();
+        let (add12, add16, add8, dir_add8) = duplicate_pairs();
+        let pid = IndexSpec::new(true, 0, false, 0);
+        let indexes = [add12, pid, add16, add8, dir_add8];
+        let updates = [UpdateMode::Direct, UpdateMode::Forwarded];
+        // add12 represents add16's class on some benchmark.
+        assert!(prepare(&suite)
+            .iter()
+            .any(|pt| pt.partition_classes(&indexes)[2] == 0));
+        let fresh = sweep_families(&suite, &indexes, &updates, 3);
+        let path =
+            std::env::temp_dir().join(format!("csp-runner-partial-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let fingerprint = families_fingerprint(&suite, &indexes, &updates, 3);
+        {
+            // Cells are index-major: add12 is done while its dependent
+            // add16 is not, and pid and add8 have one update mode each.
+            let (mut log, done) = SweepCheckpoint::open(&path, fingerprint).unwrap();
+            assert!(done.is_empty());
+            for c in [0, 1, 3, 6] {
+                log.record(c, &fresh[c]).unwrap();
+            }
+        }
+        let resumed = sweep_families_checkpointed(&suite, &indexes, &updates, 3, &path)
+            .unwrap()
+            .into_complete()
+            .unwrap();
+        assert_eq!(resumed, fresh);
+        // The resumed run logged only the missing cells.
+        let (_, done) = SweepCheckpoint::<FamilyCell>::open(&path, fingerprint).unwrap();
+        let logged: Vec<usize> = done.iter().map(|&(c, _)| c).collect();
+        assert_eq!(logged, [0, 1, 3, 6, 2, 4, 5, 7, 8, 9]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpointed_group_fault_rescores_only_its_index() {
+        use std::sync::Mutex;
+        let suite = tiny_suite();
+        let (add12, add16, _, _) = duplicate_pairs();
+        let pid = IndexSpec::new(true, 0, false, 0);
+        let indexes = [add12, pid, add16, IndexSpec::new(false, 4, false, 0)];
+        let updates = [UpdateMode::Direct, UpdateMode::Forwarded];
+        let fresh = sweep_families(&suite, &indexes, &updates, 2);
+        let path =
+            std::env::temp_dir().join(format!("csp-runner-fault-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let fingerprint = families_fingerprint(&suite, &indexes, &updates, 2);
+        let checkpoint = Some((path.as_path(), fingerprint));
+
+        let victim_trace = &suite.traces()[2].trace;
+        let faulty = sweep_partitions(&suite, &indexes, &updates, checkpoint, &|pt, index| {
+            if index == pid && std::ptr::eq(pt.trace(), victim_trace) {
+                panic!("injected failure in family({index})");
+            }
+            family_group(pt, index, &updates, 2)
+        })
+        .unwrap();
+        // pid's cells fail with the group's own message; every other
+        // cell is in the log.
+        let message = format!("injected failure in family({pid})");
+        let failed: Vec<(usize, &str)> = faulty
+            .failures
+            .iter()
+            .map(|f| (f.index, f.message.as_str()))
+            .collect();
+        assert_eq!(failed, [(2, message.as_str()), (3, message.as_str())]);
+        {
+            let (_, done) = SweepCheckpoint::<FamilyCell>::open(&path, fingerprint).unwrap();
+            let mut logged: Vec<usize> = done.iter().map(|&(c, _)| c).collect();
+            logged.sort_unstable();
+            assert_eq!(logged, [0, 1, 4, 5, 6, 7]);
+        }
+
+        // Resumed without the fault, only pid's groups score.
+        let scored = Mutex::new(Vec::new());
+        let resumed = sweep_partitions(&suite, &indexes, &updates, checkpoint, &|pt, index| {
+            scored.lock().unwrap().push(index);
+            family_group(pt, index, &updates, 2)
+        })
+        .unwrap()
+        .into_complete()
+        .unwrap();
+        assert_eq!(
+            scored.into_inner().unwrap(),
+            vec![pid; suite.traces().len()]
+        );
+        assert_eq!(resumed, fresh);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,5 +1,5 @@
-//! Observability substrate for the CSP workspace: metrics + tracing,
-//! std-only, compiled in but near-free when unobserved.
+//! Observability substrate for the CSP workspace: metrics, std-only,
+//! compiled in but near-free when unobserved.
 //!
 //! The paper this workspace reproduces is, at heart, a measurement
 //! methodology — screening-test statistics over predictor schemes — and
@@ -14,14 +14,8 @@
 //!   ([`Registry::encode_prometheus`]) and its parsing twin
 //!   ([`parse_text`]), so a scrape can be asserted on in tests and
 //!   rendered by `csp-served top`.
-//! - **[`spans`]** — RAII [`span`] guards with thread-local parent
-//!   stacks and a bounded, drop-oldest [`TraceRing`] that dumps to
-//!   CRC32c-framed JSONL via `csp_trace::io`, so traces survive
-//!   crashes the way snapshots do.
 //!
-//! Everything here is dependency-free beyond `csp-trace` (for the
-//! checksum framing). Nothing allocates on the hot path; disabled
-//! tracing costs one relaxed atomic load per span.
+//! Everything here uses only `std`. Nothing allocates on the hot path.
 //!
 //! # Quick start
 //!
@@ -47,15 +41,11 @@
 
 pub mod metrics;
 pub mod registry;
-pub mod spans;
 
 pub use metrics::{
     bucket_index, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
 pub use registry::{parse_text, sum_counter, MetricKind, Registry, Sample};
-pub use spans::{
-    global_ring, now_ns, read_dump, span, RingDump, SpanGuard, SpanRecord, TraceRing, RING_FORMAT,
-};
 
 use std::sync::OnceLock;
 

@@ -4,7 +4,7 @@
 //! csp-served serve    --scheme S [--nodes N] [--shards K] [--listen ADDR]
 //!                     [--unix PATH] [--warm trace.csptrc]... [--warm-events N]
 //!                     [--stats-every SECS] [--snapshot-dir DIR]
-//!                     [--snapshot-every SECS] [--restore] [--trace-out FILE]
+//!                     [--snapshot-every SECS] [--restore]
 //!                     [--replicate] [--follow ADDR | --follow-file PATH]
 //!                     [--addr-file PATH] [--replica-id N] [--auto-promote]
 //!                     [--lease-ms MS] [--audit-log FILE] [--audit-sample 1/N]
@@ -16,7 +16,6 @@
 //! csp-served promote  --addr ADDR --scheme S [--nodes N] [--min-epoch E]
 //! csp-served metrics  --addr ADDR
 //! csp-served top      --addr ADDR [--every SECS] [--count N]
-//! csp-served spans    <FILE>
 //! csp-served replay   --scheme S [--shards K] [--snapshot-dir DIR]
 //!                     [--snapshot-every-events N] [--restore]
 //!                     [--stats-out FILE] <trace.csptrc>...
@@ -64,8 +63,7 @@
 //! `metrics` fetches a running server's full metrics registry as
 //! Prometheus-style text (the `Metrics` wire frame). `top` polls the
 //! same registry and renders a refreshing per-shard table — qps, p99
-//! query service time, queue depth and restarts. `spans` prints a span
-//! ring dump (`serve --trace-out`) back as JSONL.
+//! query service time, queue depth and restarts.
 //!
 //! `replay` replays recorded traces through the sharded engine and
 //! *verifies* the online screening statistics are bit-identical to the
@@ -128,7 +126,6 @@ fn main() -> ExitCode {
         Some("promote") => cmd_promote(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
-        Some("spans") => cmd_spans(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
@@ -156,7 +153,7 @@ fn print_usage() {
     eprintln!("  csp-served serve    --scheme S [--nodes N] [--shards K] [--listen ADDR]");
     eprintln!("                      [--unix PATH] [--warm trace.csptrc]... [--warm-events N]");
     eprintln!("                      [--stats-every SECS] [--snapshot-dir DIR]");
-    eprintln!("                      [--snapshot-every SECS] [--restore] [--trace-out FILE]");
+    eprintln!("                      [--snapshot-every SECS] [--restore]");
     eprintln!("                      [--replicate] [--follow ADDR | --follow-file PATH]");
     eprintln!("                      [--addr-file PATH] [--replica-id N] [--auto-promote]");
     eprintln!("                      [--lease-ms MS] [--audit-log FILE] [--audit-sample 1/N]");
@@ -168,7 +165,6 @@ fn print_usage() {
     eprintln!("  csp-served promote  --addr ADDR --scheme S [--nodes N] [--min-epoch E]");
     eprintln!("  csp-served metrics  --addr ADDR");
     eprintln!("  csp-served top      --addr ADDR [--every SECS] [--count N]");
-    eprintln!("  csp-served spans    <FILE>");
     eprintln!("  csp-served replay   --scheme S [--shards K] [--snapshot-dir DIR]");
     eprintln!("                      [--snapshot-every-events N] [--restore]");
     eprintln!("                      [--stats-out FILE] <trace.csptrc>...");
@@ -223,7 +219,6 @@ struct Options {
     stats_out: Option<String>,
     json: bool,
     metrics_out: Option<String>,
-    trace_out: Option<String>,
     every: u64,
     count: Option<usize>,
     replicate: bool,
@@ -266,7 +261,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         stats_out: None,
         json: false,
         metrics_out: None,
-        trace_out: None,
         every: 2,
         count: None,
         replicate: false,
@@ -361,7 +355,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--stats-out" => o.stats_out = Some(value("--stats-out")?),
             "--json" => o.json = true,
             "--metrics-out" => o.metrics_out = Some(value("--metrics-out")?),
-            "--trace-out" => o.trace_out = Some(value("--trace-out")?),
             "--every" => {
                 o.every = value("--every")?
                     .parse::<u64>()
@@ -747,10 +740,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     if let Some(store) = &store {
         store.bind_metrics(engine.registry());
     }
-    if let Some(path) = &o.trace_out {
-        csp_obs::global_ring().set_enabled(true);
-        eprintln!("span tracing on; ring dumps to {path} at shutdown");
-    }
 
     let server = Server::bind_tcp(&o.listen, Arc::clone(&engine))
         .map_err(|e| rt(format!("bind {}: {e}", o.listen)))?;
@@ -1027,16 +1016,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     }
     if let Some(offset) = handle.final_offset() {
         eprintln!("final journal offset {offset}");
-    }
-    if let Some(path) = &o.trace_out {
-        let ring = csp_obs::global_ring();
-        let spans = ring.len();
-        let mut bytes = Vec::new();
-        ring.dump(&mut bytes)
-            .map_err(|e| rt(format!("encode span ring: {e}")))?;
-        trace_io::write_file_atomically(std::path::Path::new(path), &bytes)
-            .map_err(|e| rt(format!("write {path}: {e}")))?;
-        eprintln!("wrote {spans} spans to {path}");
     }
     log_stats(&engine);
     Ok(ExitCode::SUCCESS)
@@ -1366,26 +1345,6 @@ fn cmd_top(args: &[String]) -> Result<ExitCode, CliError> {
             }
         }
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_spans(args: &[String]) -> Result<ExitCode, CliError> {
-    let o = parse_options(args)?;
-    let [path] = o.positional.as_slice() else {
-        return Err(usage_err("spans takes exactly one <FILE>"));
-    };
-    let file = File::open(path).map_err(|e| rt(format!("open {path}: {e}")))?;
-    let dump =
-        csp_obs::read_dump(BufReader::new(file)).map_err(|e| rt(format!("read {path}: {e}")))?;
-    for line in &dump.lines {
-        println!("{line}");
-    }
-    let torn = if dump.torn {
-        "; torn tail discarded"
-    } else {
-        ""
-    };
-    eprintln!("{} spans{torn}", dump.lines.len());
     Ok(ExitCode::SUCCESS)
 }
 

@@ -26,7 +26,7 @@ use crate::error::ServeError;
 use crate::replication::{self, SegmentError, MAX_SEGMENT_OPS};
 use crate::shard::ShardedEngine;
 use crate::wire::{self, FrameRead, Request, Response, StatsReply};
-use csp_obs::{span, Counter, Gauge, Histogram, Registry};
+use csp_obs::{Counter, Gauge, Histogram, Registry};
 use csp_trace::audit::MAX_AUDIT_SEGMENT;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -512,7 +512,6 @@ pub fn serve_connection_with<R: Read, W: Write>(
             }
             Err(e) => return Err(e),
         };
-        let _request_span = span("serve.request");
         let response = match outcome {
             FrameRead::Oversized { len } => {
                 metrics.invalid.inc();

@@ -168,6 +168,7 @@ fn usage_errors_exit_2_runtime_errors_exit_1() {
     // started would shut down and exit 0 instead of hanging.
     for args in [
         &["serve", "--scheme", SCHEME, "--shardz", "9"][..],
+        &["serve", "--scheme", SCHEME, "--trace-out", "x"],
         &["replay", "--scheme", SCHEME, "--shardz", "3", "x.csptrc"],
         &["metrics", "--addr", "127.0.0.1:1", "stray"],
     ] {

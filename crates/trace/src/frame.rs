@@ -1,7 +1,7 @@
 //! The one framing layer under every append-only log in the workspace:
 //! the replication journal ([`crate::journal`]), the decision audit log
-//! ([`crate::audit`]), the `csp-bar` trajectory, the span-ring dump and
-//! the sweep checkpoint. The stats-cache header uses the header codec
+//! ([`crate::audit`]), the `csp-bar` trajectory and the sweep
+//! checkpoint. The stats-cache header uses the header codec
 //! alone.
 //!
 //! # Layout

@@ -1,6 +1,6 @@
 //! One adversarial suite for every append-only log built on
 //! `csp_trace::frame`: the replication journal, the decision audit log,
-//! the `csp-bar` trajectory, the span-ring dump and the sweep checkpoint.
+//! the `csp-bar` trajectory and the sweep checkpoint.
 //!
 //! Each format is driven through its public reader with a small file of
 //! three frames, cut at every byte and with every single bit flipped:
@@ -21,7 +21,6 @@ use csp::core::{IndexSpec, UpdateMode};
 use csp::harness::checkpoint::{CheckpointPayload, SweepCheckpoint};
 use csp::harness::runner::FamilyCell;
 use csp::metrics::ConfusionMatrix;
-use csp::obs::{read_dump, SpanRecord, TraceRing};
 use csp::trace::audit::{read_audit_log, AuditHeader, AuditRecord, AuditWriter};
 use csp::trace::frame::FrameReader;
 use csp::trace::journal::{read_journal, JournalHeader, JournalSegment, SegmentWriter};
@@ -234,40 +233,6 @@ fn trajectory_survives_every_cut_and_flip() {
         let mut frames = FrameReader::open(bytes, &TRAJECTORY_FORMAT).unwrap();
         assert_eq!(frames.by_ref().count(), records.len());
         Ok((records, frames.torn()))
-    });
-}
-
-#[test]
-fn span_ring_dump_survives_every_cut_and_flip() {
-    let ring = TraceRing::new(8);
-    ring.set_enabled(true);
-    for i in 0..3u64 {
-        ring.push(SpanRecord {
-            name: "serve.request",
-            parent: (i == 1).then_some("serve.connection"),
-            thread: i,
-            start_ns: 100 * i,
-            dur_ns: 7 + i,
-        });
-    }
-    let frames: Vec<Vec<String>> = ring
-        .drain_snapshot()
-        .iter()
-        .map(|r| vec![r.to_json()])
-        .collect();
-    let mut bytes = Vec::new();
-    ring.dump(&mut bytes).unwrap();
-    let case = Case {
-        name: "span-ring dump",
-        header: 8 + 4,
-        sizes: frames.iter().map(|line| 8 + line[0].len()).collect(),
-        frames,
-        bytes,
-        truncates_on_corruption: false,
-    };
-    case.check(|bytes| {
-        let dump = read_dump(bytes).map_err(|e| e.to_string())?;
-        Ok((dump.lines, dump.torn))
     });
 }
 
