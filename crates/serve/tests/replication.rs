@@ -19,8 +19,13 @@
 
 use csp_core::reference::run_scheme;
 use csp_core::Scheme;
+use csp_serve::replication;
 use csp_serve::wire::StatsReply;
-use csp_serve::Client;
+use csp_serve::{
+    Client, EngineState, JournalStore, Recovered, ReplOp, ReplicationLog, ShardedEngine,
+    SnapshotStore,
+};
+use csp_trace::SharingBitmap;
 use csp_workloads::generate_suite;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -963,4 +968,63 @@ fn auto_promotion_converges_bit_identically_across_the_suite() {
     for bench_idx in 0..suite_len {
         verify_auto_failover(&dir, bench_idx);
     }
+}
+
+/// Saves a snapshot of a fresh engine claiming `seq` into `dir/sub`, as
+/// a shipped or older snapshot would sit there.
+fn snapshot_at(dir: &TempDir, sub: &str, seq: u64) -> PathBuf {
+    let path = dir.path(sub);
+    let engine = ShardedEngine::new(SCHEME.parse().unwrap(), 16, 2);
+    SnapshotStore::open(&path)
+        .unwrap()
+        .save(&EngineState::capture(&engine, seq))
+        .unwrap();
+    path
+}
+
+/// Runs `serve --restore` over `snap_dir` with the role flags `role`;
+/// a refused bring-up exits before serving, so stdin stays null.
+fn serve_restored(snap_dir: &Path, role: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin())
+        .args(["serve", "--scheme", SCHEME, "--listen", "127.0.0.1:0"])
+        .args(["--restore", "--snapshot-dir", arg(snap_dir)])
+        .args(role)
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A leader restored from a snapshot ahead of its (empty) journal has no
+/// history for the ops the snapshot claims, so bring-up refuses it.
+#[test]
+fn leader_bring_up_refuses_a_snapshot_ahead_of_the_journal() {
+    let dir = TempDir::new("bringup-leader");
+    let snap_dir = snapshot_at(&dir, "leader", 5);
+    let (code, stderr) = serve_restored(&snap_dir, &["--replicate"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("ahead of the journal head"), "{stderr}");
+}
+
+/// A follower whose local journal ends before the restored snapshot
+/// would resume with a gap, so bring-up refuses it and names the fix.
+#[test]
+fn follower_bring_up_refuses_a_journal_behind_the_snapshot() {
+    let dir = TempDir::new("bringup-follower");
+    let snap_dir = snapshot_at(&dir, "follower", 10);
+    let scheme: Scheme = SCHEME.parse().unwrap();
+    let store = JournalStore::open(&snap_dir, replication::fingerprint(&scheme, 16)).unwrap();
+    let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
+    let op = ReplOp::Update {
+        key: 7,
+        feedback: SharingBitmap::from_bits(1),
+    };
+    log.append_with(&[op; 4], || ()).unwrap();
+    drop(log);
+    let (code, stderr) = serve_restored(&snap_dir, &["--follow", "127.0.0.1:1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("remove stale journal"), "{stderr}");
 }
