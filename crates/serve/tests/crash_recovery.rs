@@ -160,17 +160,46 @@ fn usage_errors_exit_2_runtime_errors_exit_1() {
     // Usage: missing --scheme.
     let status = Command::new(bin()).arg("replay").status().unwrap();
     assert_eq!(status.code(), Some(2));
-    // Usage: unknown subcommand.
+    // Usage: unknown or missing subcommand.
     let status = Command::new(bin()).arg("transmogrify").status().unwrap();
     assert_eq!(status.code(), Some(2));
-    // Usage: a misspelled flag is refused, not served with defaults or
-    // opened as a trace path. Stdin is null so a `serve` that wrongly
-    // started would shut down and exit 0 instead of hanging.
+    let status = Command::new(bin()).status().unwrap();
+    assert_eq!(status.code(), Some(2));
+    // Help prints the usage on stdout and exits 0.
+    for help in ["help", "--help", "-h"] {
+        let out = Command::new(bin()).arg(help).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{help}");
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(usage.contains("csp-served serve"), "{help}: {usage}");
+    }
+    // Usage: a misspelled flag, or one only another subcommand reads, is
+    // refused, not served with defaults, ignored, or opened as a trace
+    // path. Stdin is null so a `serve` that wrongly started would shut
+    // down and exit 0 instead of hanging.
     for args in [
         &["serve", "--scheme", SCHEME, "--shardz", "9"][..],
         &["serve", "--scheme", SCHEME, "--trace-out", "x"],
         &["replay", "--scheme", SCHEME, "--shardz", "3", "x.csptrc"],
         &["metrics", "--addr", "127.0.0.1:1", "stray"],
+        &["metrics", "--addr", "127.0.0.1:1", "--shards", "3"],
+        &[
+            "promote",
+            "--addr",
+            "127.0.0.1:1",
+            "--scheme",
+            SCHEME,
+            "--warm",
+            "x",
+        ],
+        &["bench", "--addr", "127.0.0.1:1", "--replicate"],
+        &[
+            "replay",
+            "--scheme",
+            SCHEME,
+            "--audit-log",
+            "f",
+            "/definitely/not/here.csptrc",
+        ],
     ] {
         let status = Command::new(bin())
             .args(args)
