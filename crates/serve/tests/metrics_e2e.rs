@@ -7,8 +7,8 @@
 
 use csp_obs::{parse_text, sum_counter, Sample};
 use csp_serve::{run_load, Client, LoadOptions, Server, ShardedEngine};
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Lines};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,8 +96,9 @@ impl Drop for ChildGuard {
     }
 }
 
-#[test]
-fn metrics_subcommand_scrapes_a_live_server() {
+/// Starts `csp-served serve` on an ephemeral port with `extra` flags and
+/// returns it, its bound address, and the rest of its stderr.
+fn spawn_serve(extra: &[&str]) -> (ChildGuard, String, Lines<BufReader<ChildStderr>>) {
     let mut child = ChildGuard(
         Command::new(env!("CARGO_BIN_EXE_csp-served"))
             .args([
@@ -109,6 +110,7 @@ fn metrics_subcommand_scrapes_a_live_server() {
                 "--stats-every",
                 "0",
             ])
+            .args(extra)
             .stdin(Stdio::piped())
             .stderr(Stdio::piped())
             .stdout(Stdio::null())
@@ -130,15 +132,12 @@ fn metrics_subcommand_scrapes_a_live_server() {
             }
         }
     };
-    // Keep draining stderr so the child never blocks on a full pipe.
-    let drain = std::thread::spawn(move || for _ in lines {});
+    (child, addr, lines)
+}
 
-    let opts = load_opts();
-    let report = run_load(addr.as_str(), &opts).expect("load against the real binary");
-    assert_eq!(report.timeouts + report.disconnects, 0);
-
+fn scrape(addr: &str) -> Vec<Sample> {
     let scrape = Command::new(env!("CARGO_BIN_EXE_csp-served"))
-        .args(["metrics", "--addr", &addr])
+        .args(["metrics", "--addr", addr])
         .output()
         .expect("run csp-served metrics");
     assert!(
@@ -146,7 +145,20 @@ fn metrics_subcommand_scrapes_a_live_server() {
         "metrics subcommand failed: {}",
         String::from_utf8_lossy(&scrape.stderr)
     );
-    let samples = parse_text(&String::from_utf8(scrape.stdout).expect("utf8 scrape"));
+    parse_text(&String::from_utf8(scrape.stdout).expect("utf8 scrape"))
+}
+
+#[test]
+fn metrics_subcommand_scrapes_a_live_server() {
+    let (mut child, addr, lines) = spawn_serve(&[]);
+    // Keep draining stderr so the child never blocks on a full pipe.
+    let drain = std::thread::spawn(move || for _ in lines {});
+
+    let opts = load_opts();
+    let report = run_load(addr.as_str(), &opts).expect("load against the real binary");
+    assert_eq!(report.timeouts + report.disconnects, 0);
+
+    let samples = scrape(&addr);
     assert_eq!(
         sum_counter(&samples, "csp_shard_queries_total"),
         report.probes + opts.batch as u64
@@ -157,4 +169,22 @@ fn metrics_subcommand_scrapes_a_live_server() {
     let status = child.0.wait().expect("wait for csp-served");
     assert!(status.success(), "server exited with {status}");
     drain.join().unwrap();
+}
+
+/// The periodic snapshot thread writes through the served store, so its
+/// writes show in `csp_snapshot_writes_total` before any shutdown.
+#[test]
+fn periodic_snapshots_count_in_the_scrape() {
+    let dir = std::env::temp_dir().join(format!("csp-metrics-snaps-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let snap_dir = dir.to_str().unwrap();
+    let (child, addr, mut lines) =
+        spawn_serve(&["--snapshot-dir", snap_dir, "--snapshot-every", "1"]);
+    let first = lines
+        .find(|line| line.as_ref().is_ok_and(|l| l.starts_with("snapshot seq")))
+        .expect("server exited before its first periodic snapshot");
+    assert!(first.is_ok());
+    assert!(sum_counter(&scrape(&addr), "csp_snapshot_writes_total") >= 1);
+    drop(child);
+    let _ = std::fs::remove_dir_all(&dir);
 }
