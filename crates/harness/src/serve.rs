@@ -87,11 +87,12 @@ pub fn verify_online_equivalence(
 }
 
 /// Proves the replication pipeline preserves bit-identity in-process:
-/// for every benchmark, a leader journals half the trace, a follower
-/// bootstraps from the frozen snapshot, the remainder streams through
-/// the replication log in [`MAX_SEGMENT_OPS`]-bounded segments — and the
+/// for every benchmark, a leader journals half the trace, a follower is
+/// brought up from the frozen snapshot, the remainder streams through
+/// the follower's own replication log in [`MAX_SEGMENT_OPS`]-bounded
+/// segments, applied with the call the follower loop makes — and the
 /// follower must end bit-identical to both the leader and the reference
-/// evaluator.
+/// evaluator, with its log head at the leader's.
 ///
 /// [`MAX_SEGMENT_OPS`]: csp_serve::MAX_SEGMENT_OPS
 ///
@@ -103,21 +104,19 @@ pub fn verify_replication_equivalence(
     shards: usize,
 ) -> Vec<String> {
     use csp_core::PreparedTrace;
-    use csp_serve::replication::{self, snapshot_at_head};
-    use csp_serve::{IngestOp, ReplOp, ReplicationLog, MAX_SEGMENT_OPS};
+    use csp_serve::replication::{bring_up, snapshot_at_head, Role};
+    use csp_serve::MAX_SEGMENT_OPS;
     use std::time::Duration;
 
     let mut divergences = Vec::new();
     for bench in suite.traces() {
         let offline = run_scheme(&bench.trace, scheme);
         let nodes = bench.trace.nodes();
-        let fp = replication::fingerprint(scheme, nodes);
 
         // Leader: journal from the start, snapshot mid-trace.
         let leader = ShardedEngine::new(*scheme, nodes, shards);
-        leader
-            .attach_replication(ReplicationLog::in_memory(fp))
-            .expect("fresh engine has no log");
+        let (log, _) =
+            bring_up(&leader, Role::Leader, None, None, None).expect("in-memory bring-up");
         let prepared = PreparedTrace::new(&bench.trace);
         let half = prepared.len() / 2;
         leader
@@ -126,34 +125,45 @@ pub fn verify_replication_equivalence(
         leader.flush();
         let state = snapshot_at_head(&leader).expect("in-memory snapshot cannot fail on io");
 
-        // Follower: bootstrap from the snapshot, then stream the rest.
+        // Follower: bring up from the snapshot, then stream the rest.
         let mut offset = state.seq;
         let follower = state.restore().expect("snapshot restores");
-        follower.mark_follower();
+        let (follower_log, _) = bring_up(&follower, Role::Follower, None, Some(offset), None)
+            .expect("in-memory bring-up");
 
         leader
             .replay_range(&prepared, half..prepared.len())
             .expect("engine built with the trace's own width");
         leader.flush();
-        let log = leader.replication().expect("attached above");
         let head = log.head();
         while offset < head {
-            let segment = match log.wait_segment(offset, MAX_SEGMENT_OPS, Duration::from_millis(10))
-            {
-                Ok(segment) => segment,
+            let applied = log
+                .wait_segment(offset, MAX_SEGMENT_OPS, Duration::from_millis(10))
+                .map_err(|e| format!("{e:?}"))
+                .and_then(|seg| {
+                    follower
+                        .apply_upstream(seg.epoch, &seg.ops)
+                        .map_err(|e| e.to_string())
+                });
+            match applied {
+                Ok(next) => offset = next,
                 Err(e) => {
                     divergences.push(format!(
-                        "{scheme} on {}: stream broke at offset {offset}: {e:?}",
+                        "{scheme} on {}: stream broke at offset {offset}: {e}",
                         bench.benchmark
                     ));
                     break;
                 }
-            };
-            let ops: Vec<IngestOp> = segment.ops.iter().map(ReplOp::to_ingest).collect();
-            offset += ops.len() as u64;
-            follower.ingest_ops(ops);
+            }
         }
         follower.flush();
+        if follower_log.head() != head {
+            divergences.push(format!(
+                "{scheme} on {}: follower log head {} != leader head {head}",
+                bench.benchmark,
+                follower_log.head()
+            ));
+        }
 
         let l = leader.stats();
         let f = follower.stats();

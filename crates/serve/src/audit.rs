@@ -74,8 +74,9 @@ pub struct AuditSink {
     /// Whether a log writer is attached (fixed at build time) — checked
     /// before the lock so ring-only sinks skip framing entirely.
     durable: bool,
-    /// Fencing term stamped into records at emission time. Set at
-    /// bring-up and on promotion; 0 means unreplicated/offline.
+    /// Fencing term stamped into records at emission time. Set by the
+    /// engine's pipeline whenever its log's term changes; 0 means
+    /// unreplicated/offline.
     epoch: AtomicU64,
     /// Lock-free mirrors of the ring head / byte count for metrics.
     records_total: AtomicU64,
@@ -215,8 +216,8 @@ impl AuditSink {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Sets the fencing term for subsequently emitted records (called at
-    /// bring-up and on promotion).
+    /// Sets the fencing term for subsequently emitted records. An engine's
+    /// pipeline calls it on attach, promotion and term adoption.
     pub fn set_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::SeqCst);
     }
@@ -480,24 +481,14 @@ impl fmt::Display for AuditDivergence {
             self.shard,
             self.fields.join(", ")
         )?;
-        writeln!(
-            f,
-            "  recorded: seq={} key={:#018x} predicted={:#x} actual={:#x} epoch={}",
-            self.recorded.seq,
-            self.recorded.key,
-            self.recorded.predicted,
-            self.recorded.actual,
-            self.recorded.epoch,
-        )?;
-        write!(
-            f,
-            "  expected: seq={} key={:#018x} predicted={:#x} actual={:#x} epoch={}",
-            self.expected.seq,
-            self.expected.key,
-            self.expected.predicted,
-            self.expected.actual,
-            self.expected.epoch,
-        )
+        let show = |r: &AuditRecord| {
+            format!(
+                "seq={} key={:#018x} predicted={:#x} actual={:#x} epoch={}",
+                r.seq, r.key, r.predicted, r.actual, r.epoch
+            )
+        };
+        writeln!(f, "  recorded: {}", show(&self.recorded))?;
+        write!(f, "  expected: {}", show(&self.expected))
     }
 }
 
@@ -560,26 +551,18 @@ impl fmt::Display for AuditVerifyError {
 impl std::error::Error for AuditVerifyError {}
 
 fn diff_fields(a: &AuditRecord, b: &AuditRecord) -> Vec<&'static str> {
-    let mut fields = Vec::new();
-    if a.seq != b.seq {
-        fields.push("seq");
-    }
-    if a.key != b.key {
-        fields.push("key");
-    }
-    if a.predicted != b.predicted {
-        fields.push("predicted");
-    }
-    if a.actual != b.actual {
-        fields.push("actual");
-    }
-    if a.epoch != b.epoch {
-        fields.push("epoch");
-    }
-    if a.shard != b.shard {
-        fields.push("shard");
-    }
+    let fields = [
+        ("seq", a.seq != b.seq),
+        ("key", a.key != b.key),
+        ("predicted", a.predicted != b.predicted),
+        ("actual", a.actual != b.actual),
+        ("epoch", a.epoch != b.epoch),
+        ("shard", a.shard != b.shard),
+    ];
     fields
+        .into_iter()
+        .filter_map(|(f, differs)| differs.then_some(f))
+        .collect()
 }
 
 /// Replays `prepared` through the offline twin and proves `log`'s

@@ -97,8 +97,8 @@ use csp_core::engine::run_scheme;
 use csp_core::{PreparedTrace, Scheme};
 use csp_serve::replication::{self, run_follower, snapshot_at_head, trace_to_ops, Role};
 use csp_serve::{
-    run_load, Client, EngineState, FollowerOptions, JournalStore, LoadOptions, PromoteHook,
-    ReplicaStatus, ServeError, Server, ShardedEngine, ShutdownHandle, SnapshotStore, DEFAULT_LEASE,
+    run_load, Client, EngineState, FollowerOptions, JournalStore, LoadOptions, ReplicaStatus,
+    ServeError, Server, ShardedEngine, ShutdownHandle, SnapshotStore, DEFAULT_LEASE,
 };
 use csp_trace::{io as trace_io, Trace};
 use std::fmt::Write as _;
@@ -654,14 +654,12 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
     // Decision audit stream: attached after bring-up (restore/journal
     // recovery/warm replay are not re-audited — the per-shard watermark
     // already covers them) but before the listener, so every decision
-    // made over the wire is journaled before its effects publish.
+    // made over the wire is journaled before its effects publish. The
+    // engine's pipeline stamps its records with the log's term.
     if let Some(path) = o.text("--audit-log") {
         let sample = o.int("--audit-sample") as u32;
         let sink =
             csp_serve::audit::attach_file_sink(&engine, Path::new(path), sample).map_err(rt)?;
-        if let Some(log) = &log {
-            sink.set_epoch(log.epoch());
-        }
         sink.bind_metrics(engine.registry());
         eprintln!(
             "audit log -> {path} (fingerprint {:#010X}, sample 1/{})",
@@ -687,11 +685,11 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
     // rewriting the shared --follow-file with this server's address —
     // every other follower re-reads it on its next dial.
     let follower_shutdown = ShutdownHandle::new();
-    let on_promote = following.then(|| -> PromoteHook {
+    if following {
         let stop = follower_shutdown.clone();
         let follow_file = follow_file.map(str::to_string);
         let own_addr = bound.to_string();
-        Arc::new(move |epoch: u64| {
+        engine.on_promote(Arc::new(move |epoch: u64| {
             stop.shutdown();
             match &follow_file {
                 Some(path) => {
@@ -706,21 +704,14 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
                 }
                 None => eprintln!("promoted to leader (epoch {epoch})"),
             }
-        })
-    });
-    let server = match &on_promote {
-        Some(hook) => server.with_promote_hook(Arc::clone(hook)),
-        None => server,
-    };
+        }));
+    }
 
     let mut unix_shutdown = None;
     if let Some(path) = o.text("--unix") {
         let _ = std::fs::remove_file(path);
-        let mut unix_server = Server::bind_unix(path, Arc::clone(&engine))
+        let unix_server = Server::bind_unix(path, Arc::clone(&engine))
             .map_err(|e| rt(format!("bind {path}: {e}")))?;
-        if let Some(hook) = &on_promote {
-            unix_server = unix_server.with_promote_hook(Arc::clone(hook));
-        }
         eprintln!("listening on unix socket {path}");
         unix_shutdown = Some(unix_server.shutdown_handle());
         std::thread::spawn(move || unix_server.run());
@@ -777,8 +768,7 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
     // promote this follower. Rank 0's deadline is one lease; each higher
     // rank waits two extra leases, time enough to ride out reconnect
     // backoff and re-parent onto whoever beat it to the claim.
-    if let (true, Some(notice), Some(status)) = (o.on("--auto-promote"), &on_promote, &status) {
-        let notice = Arc::clone(notice);
+    if let (true, Some(status)) = (o.on("--auto-promote"), &status) {
         let status = Arc::clone(status);
         let p_engine = Arc::clone(&engine);
         let stop = follower_shutdown.clone();
@@ -815,7 +805,6 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
             );
             match replication::promote(&p_engine, fingerprint, 0) {
                 Ok((epoch, head)) => {
-                    notice(epoch);
                     eprintln!("auto-promoted: epoch {epoch}, journal head {head}");
                 }
                 Err(e) => eprintln!("auto-promotion failed: {e}"),
@@ -983,23 +972,21 @@ fn cmd_push(o: &Args) -> Result<ExitCode, CliError> {
     let fp = replication::fingerprint(&scheme, trace.nodes());
     let mut client = connect(addr, 30)?;
     // Derive and send in bounded chunks so an arbitrarily long trace
-    // never materializes as one giant op vector.
+    // never materializes as one giant op vector. An empty range still
+    // sends one frame: it validates the fingerprint (and epoch) and
+    // reports the leader's head.
     const CHUNK: usize = 8192;
-    let mut sent = 0usize;
-    let mut head = 0u64;
-    let mut pos = from;
-    while pos < to {
+    let (mut sent, mut pos) = (0usize, from);
+    let head = loop {
         let end = (pos + CHUNK).min(to);
         let ops = trace_to_ops(&prepared, &scheme, pos..end);
         sent += ops.len();
-        head = client.ingest_at_epoch(fp, epoch, &ops).map_err(rt)?;
+        let head = client.ingest_at_epoch(fp, epoch, &ops).map_err(rt)?;
         pos = end;
-    }
-    if from == to {
-        // Nothing to send: still validate the fingerprint (and epoch)
-        // and report the leader's head.
-        head = client.ingest_at_epoch(fp, epoch, &[]).map_err(rt)?;
-    }
+        if pos == to {
+            break head;
+        }
+    };
     println!("pushed {sent} ops from {path} (events [{from}..{to})); leader head {head}");
     Ok(ExitCode::SUCCESS)
 }

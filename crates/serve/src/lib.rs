@@ -75,6 +75,7 @@ pub mod audit;
 pub mod bench;
 pub mod client;
 pub mod error;
+mod pipeline;
 pub mod replication;
 pub mod server;
 pub mod shard;
@@ -89,10 +90,10 @@ pub use bench::{probe_stream, run_load, LoadOptions, LoadReport};
 pub use client::Client;
 pub use error::ServeError;
 pub use replication::{
-    CompactStats, FollowerOptions, JournalStore, LeaseId, Recovered, ReplOp, ReplicaStatus,
-    ReplicationLog, DEFAULT_LEASE, MAX_SEGMENT_OPS,
+    CompactStats, FollowerOptions, JournalStore, LeaseId, PromoteHook, Recovered, ReplOp,
+    ReplicaStatus, ReplicationLog, DEFAULT_LEASE, MAX_SEGMENT_OPS,
 };
-pub use server::{PromoteHook, Server, ServerOptions, ShutdownHandle};
+pub use server::{Server, ServerOptions, ShutdownHandle};
 pub use shard::{EngineSnapshot, IngestOp, ShardCounters, ShardRestart, ShardState, ShardedEngine};
 pub use snapshot::{EngineState, SnapshotStore};
 

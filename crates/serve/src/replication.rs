@@ -45,10 +45,10 @@
 //! frame. A follower can be *promoted*: its durable journal is already a
 //! verified copy of the leader's history, so promotion is
 //! [`ReplicationLog::bump_epoch`] (rotating the journal so the new term
-//! is durable) plus flipping the engine out of follower mode. Peers fence
-//! the deposed leader by epoch: followers drop streams that regress the
-//! epoch they have observed, and `Ingest` frames carrying a stale epoch
-//! are refused with a typed error.
+//! is durable) plus giving the engine's write pipeline the leader role.
+//! Peers fence the deposed leader by epoch: followers drop streams that
+//! regress the epoch they have observed, and `Ingest` frames carrying a
+//! stale epoch are refused with a typed error.
 //!
 //! Failure detection is **lease-based**: every `JournalSegment` frame
 //! (heartbeats included) grants the subscriber a time-boxed lease on the
@@ -63,7 +63,7 @@ use crate::error::ServeError;
 use crate::server::ShutdownHandle;
 use crate::shard::{IngestOp, ShardedEngine};
 use crate::snapshot::EngineState;
-use crate::wire::{self, Request, Response, SegmentFrame};
+use crate::wire::{self, Request, Response};
 use csp_core::{PreparedTrace, Scheme};
 use csp_obs::Registry;
 use csp_trace::journal::{read_journal, JournalHeader, SegmentWriter};
@@ -404,24 +404,6 @@ impl ReplicationLog {
         self.epoch_cell.load(Ordering::SeqCst)
     }
 
-    /// Adopts `epoch` if it is newer than the current term, rotating the
-    /// journal so the adoption is durable (a restarted follower must not
-    /// trust a leader it already saw deposed). Returns whether the term
-    /// advanced.
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal rotation failures (the epoch is *not* adopted
-    /// then, so the durable and in-memory terms never disagree).
-    pub fn observe_epoch(&self, epoch: u64) -> Result<bool, ServeError> {
-        let mut inner = self.lock();
-        if epoch <= inner.epoch {
-            return Ok(false);
-        }
-        self.enter_epoch(&mut inner, epoch)?;
-        Ok(true)
-    }
-
     /// Promotes this log to a new term: the new epoch is
     /// `max(current + 1, at_least)`, made durable by rotating the
     /// journal before it is published. Returns the new epoch.
@@ -478,7 +460,41 @@ impl ReplicationLog {
         ops: &[ReplOp],
         dispatch: impl FnOnce() -> R,
     ) -> io::Result<(u64, R)> {
+        self.append_locked(self.lock(), ops, dispatch)
+    }
+
+    /// [`append_with`](Self::append_with) for a write claiming fencing
+    /// term `claimed`, checked under the same lock: a nonzero claim below
+    /// the current term is refused before anything is journaled, and
+    /// with `adopt` a newer claim first becomes the current term,
+    /// durably (a restarted follower must not trust a leader it already
+    /// saw deposed).
+    pub(crate) fn append_claimed<R>(
+        &self,
+        claimed: u64,
+        adopt: bool,
+        ops: &[ReplOp],
+        dispatch: impl FnOnce() -> R,
+    ) -> Result<(u64, R), ServeError> {
         let mut inner = self.lock();
+        if claimed != 0 && claimed < inner.epoch {
+            return Err(ServeError::Fenced {
+                claimed,
+                current: inner.epoch,
+            });
+        }
+        if adopt && claimed > inner.epoch {
+            self.enter_epoch(&mut inner, claimed)?;
+        }
+        Ok(self.append_locked(inner, ops, dispatch)?)
+    }
+
+    fn append_locked<R>(
+        &self,
+        mut inner: std::sync::MutexGuard<'_, LogInner>,
+        ops: &[ReplOp],
+        dispatch: impl FnOnce() -> R,
+    ) -> io::Result<(u64, R)> {
         if !ops.is_empty() {
             if let Some(d) = inner.durable.as_mut() {
                 for chunk in ops.chunks(MAX_SEGMENT_OPS) {
@@ -561,16 +577,9 @@ impl ReplicationLog {
     /// calling [`lease_renew`](Self::lease_renew) after each shipped
     /// segment.
     pub fn lease_grant(&self, offset: u64) -> LeaseId {
-        let id = self.lease_seq.fetch_add(1, Ordering::SeqCst);
-        let mut leases = self.leases.lock().expect("lease table poisoned");
-        leases.insert(
-            id,
-            Lease {
-                offset,
-                expires: Instant::now() + self.lease_ttl(),
-            },
-        );
-        LeaseId(id)
+        let id = LeaseId(self.lease_seq.fetch_add(1, Ordering::SeqCst));
+        self.lease_renew(id, offset);
+        id
     }
 
     /// Advances a lease to `offset` and extends its expiry by the lease
@@ -719,16 +728,6 @@ impl Recovered {
     /// The durable head: the offset after the last recovered operation.
     pub fn head(&self) -> u64 {
         self.base + self.ops.len() as u64
-    }
-
-    /// The operations at or beyond `offset` (e.g. the tail a
-    /// snapshot-restored engine still needs).
-    pub fn tail_from(&self, offset: u64) -> &[ReplOp] {
-        if offset <= self.base {
-            return &self.ops;
-        }
-        let skip = (offset - self.base) as usize;
-        self.ops.get(skip..).unwrap_or(&[])
     }
 }
 
@@ -904,23 +903,12 @@ impl JournalStore {
     /// [`ServeError::Io`] when a redundant file exists but cannot be
     /// removed (permissions, I/O faults).
     pub fn prune_below(&self, floor: u64) -> Result<u64, ServeError> {
-        let files = match self.list() {
-            Ok(files) => files,
-            Err(ServeError::Io { source, .. }) if source.kind() == io::ErrorKind::NotFound => {
-                return Ok(0);
-            }
-            Err(e) => return Err(e),
-        };
         let mut reclaimed = 0u64;
-        for pair in files.windows(2) {
-            if pair[1].0 <= floor {
-                let path = &pair[0].1;
-                let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                match std::fs::remove_file(path) {
-                    Ok(()) => reclaimed += len,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(ServeError::io(path, e)),
-                }
+        for (path, len) in self.files_below(floor)? {
+            match std::fs::remove_file(&path) {
+                Ok(()) => reclaimed += len,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(ServeError::io(&path, e)),
             }
         }
         Ok(reclaimed)
@@ -935,20 +923,27 @@ impl JournalStore {
     /// [`ServeError::Io`] on directory-listing failures other than a
     /// missing directory (which yields 0).
     pub fn bytes_below(&self, floor: u64) -> Result<u64, ServeError> {
+        Ok(self.files_below(floor)?.iter().map(|(_, len)| len).sum())
+    }
+
+    /// The files wholly below `floor`, with their on-disk sizes: a file
+    /// is once the *next* file starts at or below `floor`, so the newest
+    /// never is. A missing directory holds none.
+    fn files_below(&self, floor: u64) -> Result<Vec<(PathBuf, u64)>, ServeError> {
         let files = match self.list() {
             Ok(files) => files,
             Err(ServeError::Io { source, .. }) if source.kind() == io::ErrorKind::NotFound => {
-                return Ok(0);
+                return Ok(Vec::new());
             }
             Err(e) => return Err(e),
         };
-        let mut pinned = 0u64;
-        for pair in files.windows(2) {
-            if pair[1].0 <= floor {
-                pinned += std::fs::metadata(&pair[0].1).map(|m| m.len()).unwrap_or(0);
-            }
-        }
-        Ok(pinned)
+        let below = files.windows(2).filter(|pair| pair[1].0 <= floor);
+        Ok(below
+            .map(|pair| {
+                let len = std::fs::metadata(&pair[0].1).map_or(0, |m| m.len());
+                (pair[0].1.clone(), len)
+            })
+            .collect())
     }
 }
 
@@ -989,10 +984,12 @@ pub fn snapshot_at_head(engine: &ShardedEngine) -> Result<EngineState, ServeErro
     Ok(log.freeze(|head| EngineState::capture(engine, head)))
 }
 
-/// The side of the stream a served engine takes at [`bring_up`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The side of the stream a served engine takes at [`bring_up`]; an
+/// engine with no log attached leads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Role {
     /// Owns the write path and journals every mutation.
+    #[default]
     Leader,
     /// A read-only replica that applies a leader's stream.
     Follower,
@@ -1000,20 +997,21 @@ pub enum Role {
 
 /// Brings up the replication log of an engine just restored from a
 /// snapshot at `restored_at` (`None`: started fresh), in the one safe
-/// order: open and recover the journal in `dir`, check it against the
-/// snapshot seq, re-apply the journaled tail past the snapshot (before
+/// order: open and recover the journal in `dir`, check that it continues
+/// the snapshot, re-apply the journaled tail past the snapshot (before
 /// the log attaches, so recovery is not journaled twice), build the
-/// durable log, set its lease TTL, bind its metrics, and attach it. A
-/// follower is marked read-only first. Without a `dir` the log is kept
+/// durable log, set its lease TTL, bind its metrics, and attach it to
+/// the engine's pipeline under `role`. Without a `dir` the log is kept
 /// in memory, resuming at the snapshot. Returns the attached log and the
 /// number of operations re-applied.
 ///
 /// # Errors
 ///
-/// [`ServeError::Replication`] when the journal cannot continue the
-/// snapshot: a leader's snapshot is ahead of its journal head, a fresh
-/// leader's journal was compacted, or a follower's journal ends before
-/// its snapshot. Journal recovery, file and attach failures propagate.
+/// [`ServeError::Replication`] when the journal does not continue the
+/// snapshot: a non-empty journal must hold every op from the snapshot
+/// seq on (`base <= seq <= head`), and a leader's empty journal only
+/// continues a fresh start. Journal recovery, file and attach failures
+/// propagate.
 pub fn bring_up(
     engine: &ShardedEngine,
     role: Role,
@@ -1021,12 +1019,8 @@ pub fn bring_up(
     restored_at: Option<u64>,
     lease_ttl: Option<Duration>,
 ) -> Result<(Arc<ReplicationLog>, usize), ServeError> {
-    let refuse = |detail: String| Err(ServeError::Replication { detail });
     let fp = fingerprint(engine.scheme(), engine.nodes());
     let snap_seq = restored_at.unwrap_or(0);
-    if role == Role::Follower {
-        engine.mark_follower();
-    }
     let mut reapplied = 0;
     let log = match dir {
         None => ReplicationLog::in_memory_at(fp, snap_seq, 1),
@@ -1034,29 +1028,36 @@ pub fn bring_up(
             let store = JournalStore::open(dir, fp)?;
             let mut recovered = store.recover_all()?;
             let (base, head) = (recovered.base, recovered.head());
-            let dir = dir.display();
-            match role {
-                Role::Leader if snap_seq > head => {
-                    return refuse(format!(
+            // A follower's empty journal starts wherever its snapshot does.
+            let continues =
+                (base..=head).contains(&snap_seq) || (head == 0 && role == Role::Follower);
+            if !continues {
+                let dir = dir.display();
+                let detail = match role {
+                    Role::Leader if snap_seq > head => format!(
                         "snapshot seq {snap_seq} is ahead of the journal head {head} — \
                          the journal in {dir} is not this snapshot's history"
-                    ));
-                }
-                Role::Leader if restored_at.is_none() && base > 0 => {
-                    return refuse(format!(
-                        "journal in {dir} starts at offset {base} (older segments were \
-                         compacted); pass --restore to bootstrap from the snapshot"
-                    ));
-                }
-                Role::Follower if head > 0 && head < snap_seq => {
-                    return refuse(format!(
+                    ),
+                    Role::Follower if snap_seq > head => format!(
                         "local journal ends at {head}, before snapshot seq {snap_seq}; \
                          remove stale journal-*.cspjrnl files from {dir} before following"
-                    ));
-                }
-                _ => {}
+                    ),
+                    _ if restored_at.is_none() => format!(
+                        "journal in {dir} starts at offset {base} (older segments were \
+                         compacted); pass --restore to bootstrap from the snapshot"
+                    ),
+                    _ => format!(
+                        "journal in {dir} starts at offset {base}, after snapshot seq \
+                         {snap_seq}: ops {snap_seq}..{base} are gone; restore a snapshot \
+                         at or past {base}"
+                    ),
+                };
+                return Err(ServeError::Replication { detail });
             }
-            let tail = recovered.tail_from(snap_seq);
+            // Past the continuity check, `base <= snap_seq`; a follower's
+            // empty journal has no tail.
+            let skip = (snap_seq - base) as usize;
+            let tail = recovered.ops.get(skip..).unwrap_or(&[]);
             if !tail.is_empty() {
                 engine.ingest_ops(tail.iter().map(ReplOp::to_ingest).collect());
                 engine.flush();
@@ -1074,16 +1075,22 @@ pub fn bring_up(
         log.set_lease_ttl(ttl);
     }
     log.bind_metrics(engine.registry());
-    engine.attach_replication(Arc::clone(&log))?;
+    engine.pipeline().attach_log(Arc::clone(&log), role)?;
     Ok((log, reapplied))
 }
 
+/// What a deployment does once its engine is promoted, given the new
+/// epoch (see [`ShardedEngine::on_promote`]): stopping a follower loop,
+/// re-parenting downstreams. It performs no part of the promotion.
+pub type PromoteHook = Arc<dyn Fn(u64) + Send + Sync>;
+
 /// Promotes `engine` to leader: the one promotion path, behind every
 /// wire `Promote` frame and `csp-served serve --auto-promote`. Checks
-/// `claimed` against the engine's fingerprint, bumps the attached log's
-/// fencing epoch to at least `min_epoch` (durably, *before* the engine
-/// accepts writes), leaves follower mode, and stamps the audit stream
-/// with the new term. Operators retry promotion: each call moves to a
+/// `claimed` against the engine's fingerprint, then has the engine's
+/// pipeline bump the fencing epoch to at least `min_epoch` (durably,
+/// *before* the engine accepts writes), take the leader role, stamp the
+/// audit stream with the new term and give the engine's
+/// [`PromoteHook`]. Operators retry promotion: each call moves to a
 /// newer term. Returns the new `(epoch, head)`.
 ///
 /// # Errors
@@ -1099,17 +1106,7 @@ pub fn promote(engine: &ShardedEngine, claimed: u32, min_epoch: u64) -> Result<(
              engine is {expected:#010X} (scheme/width/revision differ)"
         ));
     }
-    let log = engine
-        .replication()
-        .ok_or("this server is not replicated; nothing to promote")?;
-    let epoch = log
-        .bump_epoch(min_epoch)
-        .map_err(|e| format!("promotion failed: {e}"))?;
-    engine.mark_leader();
-    if let Some(sink) = engine.audit() {
-        sink.set_epoch(epoch);
-    }
-    Ok((epoch, log.head()))
+    engine.pipeline().promote(min_epoch)
 }
 
 /// Live health of one follower, shared between the streaming thread and
@@ -1201,68 +1198,53 @@ impl ReplicaStatus {
     /// one `metrics` scrape covers replication lag, connectivity, and
     /// resync history — and `csp-served top` can render replica health.
     pub fn bind_metrics(self: &Arc<Self>, registry: &Registry) {
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        let gauge = |name, help, read: fn(&Self) -> i64| {
+            let s = Arc::clone(self);
+            registry.register_gauge_fn(name, help, &[], move || read(&s));
+        };
+        gauge(
             "csp_repl_applied_offset",
             "Journal offset this follower has durably applied.",
-            &[],
-            move || s.applied() as i64,
+            |s| s.applied() as i64,
         );
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        gauge(
             "csp_repl_leader_offset",
             "Leader journal head as of the last received segment.",
-            &[],
-            move || s.leader_head() as i64,
+            |s| s.leader_head() as i64,
         );
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        gauge(
             "csp_repl_lag_ops",
             "Operations behind the leader (leader offset minus applied).",
-            &[],
-            move || s.lag() as i64,
+            |s| s.lag() as i64,
         );
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        gauge(
             "csp_repl_connected",
             "1 when a journal subscription is live, 0 while degraded to stale serving.",
-            &[],
-            move || i64::from(s.connected.load(Ordering::Relaxed) == 1),
+            |s| i64::from(s.is_connected()),
         );
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        gauge(
             "csp_repl_diverged",
             "1 after a fingerprint or offset divergence was detected.",
-            &[],
-            move || i64::from(s.is_diverged()),
+            |s| i64::from(s.is_diverged()),
         );
-        let s = Arc::clone(self);
-        registry.register_gauge_fn(
+        gauge(
             "csp_repl_last_segment_age_seconds",
             "Seconds since the last journal segment (heartbeats included); -1 before the first.",
-            &[],
-            move || {
-                let last = s.last_segment_unix_ms.load(Ordering::Relaxed);
-                if last == 0 {
-                    -1
-                } else {
-                    (Self::now_ms().saturating_sub(last) / 1000) as i64
-                }
-            },
+            |s| s.last_segment_age_ms().map_or(-1, |ms| (ms / 1000) as i64),
         );
-        let s = Arc::clone(self);
-        registry.register_counter_fn(
+        let counter = |name, help, read: fn(&Self) -> u64| {
+            let s = Arc::clone(self);
+            registry.register_counter_fn(name, help, &[], move || read(&s));
+        };
+        counter(
             "csp_repl_reconnects_total",
             "Leader connection attempts after the first.",
-            &[],
-            move || s.reconnects(),
+            Self::reconnects,
         );
-        let s = Arc::clone(self);
-        registry.register_counter_fn(
+        counter(
             "csp_repl_resyncs_total",
             "Successful resubscriptions after a disconnect (resume from durable offset).",
-            &[],
-            move || s.resyncs(),
+            Self::resyncs,
         );
     }
 }
@@ -1308,29 +1290,29 @@ fn interruptible_sleep(shutdown: &ShutdownHandle, dur: Duration) {
 }
 
 /// The follower's streaming loop: subscribe at the attached log's head,
-/// apply segments in order (journal first, then shards — through the
-/// engine's attached [`ReplicationLog`], so downstream subscribers of
-/// *this* node are fed the same total order), and on any failure degrade
+/// apply segments in order through [`ShardedEngine::apply_upstream`]
+/// (journal first, then shards — so downstream subscribers of *this*
+/// node are fed the same total order), and on any failure degrade
 /// to serving stale-but-consistent predictions while reconnecting with
 /// exponential backoff + jitter. Runs until `shutdown` fires; `leader`
 /// is re-queried on every dial so the leader address may move (e.g. a
 /// failover rewriting an address file).
 ///
-/// Epoch fencing: segments carrying a *lower* epoch than the log has
-/// observed come from a deposed leader — the connection is dropped (and
-/// re-dialed, picking up the re-parented address) without applying
-/// anything. A *higher* epoch is durably adopted before its first
-/// operation is applied.
+/// Epoch fencing: segments the engine's pipeline fences (a *lower*
+/// epoch than the log has observed) come from a deposed leader — the
+/// connection is dropped (and re-dialed, picking up the re-parented
+/// address) without applying anything. A *higher* epoch is durably
+/// adopted before its first operation is applied.
 ///
-/// The engine must have been marked a follower and must have a
-/// replication log attached (the relay point for chained fan-out).
+/// The engine must have been brought up as a follower (see
+/// [`bring_up`]), which attaches the log it relays from.
 ///
 /// # Errors
 ///
-/// [`ServeError::Replication`] when the engine has no log attached.
-/// After that, only local durability failures (journal rotation/append)
-/// end the loop with an error — network failures never do, they back
-/// off and retry.
+/// [`ServeError::Replication`] when the engine has no log attached or
+/// is not a follower. After that, only local durability failures
+/// (journal rotation/append) end the loop with an error — network
+/// failures never do, they back off and retry.
 pub fn run_follower(
     engine: &ShardedEngine,
     mut leader: impl FnMut() -> Option<String>,
@@ -1354,37 +1336,16 @@ pub fn run_follower(
             status.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         first_dial = false;
-        let Some(addr) = leader() else {
+        let request = Request::Subscribe {
+            fingerprint: fp,
+            epoch: log.epoch(),
+            from: offset,
+        };
+        let Some(mut reader) = leader().and_then(|addr| subscribe(&addr, &request, opts).ok())
+        else {
             backoff(shutdown, opts, &mut rng, &mut attempt);
             continue;
         };
-        let Ok(stream) = TcpStream::connect(&addr) else {
-            backoff(shutdown, opts, &mut rng, &mut attempt);
-            continue;
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(opts.read_timeout));
-        let _ = stream.set_write_timeout(Some(opts.write_timeout));
-        let Ok(read_half) = stream.try_clone() else {
-            backoff(shutdown, opts, &mut rng, &mut attempt);
-            continue;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut sender = BufWriter::new(stream);
-        if wire::write_request(
-            &mut sender,
-            &Request::Subscribe {
-                fingerprint: fp,
-                epoch: log.epoch(),
-                from: offset,
-            },
-        )
-        .and_then(|()| sender.flush())
-        .is_err()
-        {
-            backoff(shutdown, opts, &mut rng, &mut attempt);
-            continue;
-        }
         let mut synced_this_conn = false;
         loop {
             if shutdown.is_shutdown() {
@@ -1397,21 +1358,29 @@ pub fn run_follower(
                 // wedged), or garbage: drop the connection and retry.
                 _ => break,
             };
-            if seg.epoch != 0 && seg.epoch < log.epoch() {
-                // A deposed leader still streaming under its old term:
-                // not divergence, just staleness. Re-dial — the address
-                // source will have been re-parented by the promotion.
-                break;
-            }
             if seg.fingerprint != fp || seg.start != offset {
                 // The stream is not a continuation of our history.
                 status.diverged.store(1, Ordering::Relaxed);
                 break;
             }
+            // Durable first, then the shards: the pipeline adopts a newer
+            // term, then runs journal append → shard dispatch → in-memory
+            // publish under the log lock. A crash between journal and
+            // shards re-applies from the journal onto the snapshot at
+            // restart, so nothing is lost and nothing doubles — and the
+            // publish feeds our own downstream subscribers.
+            offset = match engine.apply_upstream(seg.epoch, &seg.ops) {
+                Ok(head) => head,
+                // A deposed leader still streaming under its old term:
+                // not divergence, just staleness. Re-dial — the address
+                // source will have been re-parented by the promotion.
+                Err(ServeError::Fenced { .. }) => break,
+                Err(e) => return Err(e),
+            };
+            if !seg.ops.is_empty() {
+                engine.flush();
+            }
             status.diverged.store(0, Ordering::Relaxed);
-            // Adopt a newer term durably *before* applying anything
-            // written under it.
-            log.observe_epoch(seg.epoch)?;
             if !synced_this_conn {
                 synced_this_conn = true;
                 attempt = 0;
@@ -1420,16 +1389,6 @@ pub fn run_follower(
                 }
                 ever_synced = true;
                 status.connected.store(1, Ordering::Relaxed);
-            }
-            if !seg.ops.is_empty() {
-                // Durable first, then the shards (engine.ingest_replicated
-                // runs journal append → shard dispatch → in-memory publish
-                // under the log lock): a crash between journal and shards
-                // re-applies from the journal onto the snapshot at
-                // restart, so nothing is lost and nothing doubles — and
-                // the publish feeds our own downstream subscribers.
-                offset = engine.ingest_replicated(seg.epoch, &seg.ops)?;
-                engine.flush();
             }
             status.applied.store(offset, Ordering::Relaxed);
             status.leader_head.store(seg.head, Ordering::Relaxed);
@@ -1451,6 +1410,24 @@ pub fn run_follower(
     Ok(())
 }
 
+/// Dials `addr` and sends the `Subscribe` request, returning the reader
+/// the segments arrive on.
+fn subscribe(
+    addr: &str,
+    request: &Request,
+    opts: &FollowerOptions,
+) -> io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(opts.read_timeout));
+    let _ = stream.set_write_timeout(Some(opts.write_timeout));
+    let reader = BufReader::new(stream.try_clone()?);
+    let mut sender = BufWriter::new(stream);
+    wire::write_request(&mut sender, request)?;
+    sender.flush()?;
+    Ok(reader)
+}
+
 fn backoff(
     shutdown: &ShutdownHandle,
     opts: &FollowerOptions,
@@ -1465,19 +1442,6 @@ fn backoff(
     let jitter_ns = (rng.next_u64() % (base.as_nanos().max(2) / 2) as u64) as u32;
     *attempt = attempt.saturating_add(1);
     interruptible_sleep(shutdown, base + Duration::from_nanos(u64::from(jitter_ns)));
-}
-
-/// Builds the [`SegmentFrame`] for one cut segment, advertising the
-/// serving log's lease TTL so downstreams know when the claim lapses.
-pub(crate) fn segment_frame(fingerprint: u32, lease_ms: u32, seg: &Segment) -> SegmentFrame {
-    SegmentFrame {
-        fingerprint,
-        epoch: seg.epoch,
-        start: seg.start,
-        head: seg.head,
-        lease_ms,
-        ops: seg.ops.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -1619,9 +1583,10 @@ mod tests {
         let store = JournalStore::open(dir.path(), 42).unwrap();
         let recovered = store.recover_all().unwrap();
         assert_eq!(recovered.head(), 50);
-        // The pre-rotation file is still on disk until the *next* prune
-        // makes it redundant, so recovery still sees everything.
-        assert_eq!(recovered.tail_from(20), &batch[20..]);
+        // The compaction at 20 pruned the pre-rotation file, so recovery
+        // resumes at 20 with every op written after it.
+        let from_20 = (20 - recovered.base) as usize;
+        assert_eq!(&recovered.ops[from_20..], &batch[20..]);
         // Restart again: a fresh writer at the head must not disturb
         // recovery continuity.
         let log = ReplicationLog::durable(store, &recovered).unwrap();
@@ -1779,13 +1744,20 @@ mod tests {
     }
 
     #[test]
-    fn observe_epoch_adopts_only_newer_terms() {
+    fn claimed_appends_adopt_only_newer_terms() {
         let log = ReplicationLog::in_memory(1);
+        let adopt = |epoch| log.append_claimed(epoch, true, &[], || log.epoch());
         assert_eq!(log.epoch(), 1);
-        assert!(!log.observe_epoch(1).unwrap());
-        assert!(log.observe_epoch(5).unwrap());
-        assert_eq!(log.epoch(), 5);
-        assert!(!log.observe_epoch(3).unwrap());
+        assert_eq!(adopt(1).unwrap().1, 1);
+        assert_eq!(adopt(5).unwrap().1, 5);
+        assert_eq!(adopt(0).unwrap().1, 5, "epoch 0 claims no term");
+        assert!(matches!(
+            adopt(3),
+            Err(ServeError::Fenced {
+                claimed: 3,
+                current: 5
+            })
+        ));
         assert_eq!(log.epoch(), 5);
         assert_eq!(log.bump_epoch(0).unwrap(), 6);
         assert_eq!(log.bump_epoch(10).unwrap(), 10);

@@ -25,7 +25,7 @@ use crate::audit::AuditStreamError;
 use crate::error::ServeError;
 use crate::replication::{self, SegmentError, MAX_SEGMENT_OPS};
 use crate::shard::ShardedEngine;
-use crate::wire::{self, FrameRead, Request, Response, StatsReply};
+use crate::wire::{self, FrameRead, Request, Response, SegmentFrame, StatsReply};
 use csp_obs::{Counter, Gauge, Histogram, Registry};
 use csp_trace::audit::MAX_AUDIT_SEGMENT;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -96,12 +96,6 @@ enum Listener {
     Unix(UnixListener),
 }
 
-/// Notice a [`Server`] gives after a wire [`Request::Promote`] has
-/// promoted its engine ([`replication::promote`]), with the new epoch:
-/// the owner's deployment steps, such as stopping a follower loop or
-/// re-parenting downstreams. It performs no part of the promotion.
-pub type PromoteHook = Arc<dyn Fn(u64) + Send + Sync>;
-
 /// A prediction server bound to a socket, not yet accepting.
 ///
 /// [`run`](Server::run) accepts until [`shutdown_handle`](Server::shutdown_handle)
@@ -112,7 +106,6 @@ pub struct Server {
     engine: Arc<ShardedEngine>,
     options: ServerOptions,
     shutdown: ShutdownHandle,
-    on_promote: Option<PromoteHook>,
 }
 
 impl Server {
@@ -127,7 +120,6 @@ impl Server {
             engine,
             options: ServerOptions::default(),
             shutdown: ShutdownHandle::new(),
-            on_promote: None,
         })
     }
 
@@ -146,7 +138,6 @@ impl Server {
             engine,
             options: ServerOptions::default(),
             shutdown: ShutdownHandle::new(),
-            on_promote: None,
         })
     }
 
@@ -154,14 +145,6 @@ impl Server {
     #[must_use]
     pub fn with_options(mut self, options: ServerOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Installs the notice given after each promotion by a wire
-    /// [`Request::Promote`] frame.
-    #[must_use]
-    pub fn with_promote_hook(mut self, hook: PromoteHook) -> Self {
-        self.on_promote = Some(hook);
         self
     }
 
@@ -257,20 +240,12 @@ impl Server {
         let engine = Arc::clone(&self.engine);
         let options = self.options;
         let shutdown = self.shutdown.clone();
-        let on_promote = self.on_promote.clone();
         let active = Arc::clone(active);
         active.fetch_add(1, Ordering::AcqRel);
         std::thread::spawn(move || {
             let reader = BufReader::new(&stream);
             let writer = BufWriter::new(&stream);
-            let _ = serve_connection(
-                reader,
-                writer,
-                &engine,
-                &options,
-                &shutdown,
-                on_promote.as_ref(),
-            );
+            let _ = serve_connection(reader, writer, &engine, &options, &shutdown);
             active.fetch_sub(1, Ordering::AcqRel);
         });
     }
@@ -422,9 +397,6 @@ fn send_error<W: Write>(writer: &mut W, msg: String) -> io::Result<()> {
 /// length prefix) or a mid-frame stall past the read deadline draws a
 /// final typed error and an immediate disconnect.
 ///
-/// After a `Promote` frame promotes the engine, `on_promote` gets the
-/// new epoch before the reply is sent.
-///
 /// # Errors
 ///
 /// Propagates transport I/O errors (the connection is gone either way).
@@ -434,7 +406,6 @@ pub fn serve_connection<R: Read, W: Write>(
     engine: &ShardedEngine,
     options: &ServerOptions,
     shutdown: &ShutdownHandle,
-    on_promote: Option<&PromoteHook>,
 ) -> io::Result<()> {
     let metrics = WireMetrics::new(engine.registry());
     let _active = ActiveConnection::open(&metrics);
@@ -514,13 +485,7 @@ pub fn serve_connection<R: Read, W: Write>(
                 Ok(request) => {
                     metrics.count_request(&request);
                     metrics.decode_ns.record_duration(decode_started.elapsed());
-                    let response = answer(engine, request);
-                    if let (Response::Promoted { epoch, .. }, Some(notice)) =
-                        (&response, on_promote)
-                    {
-                        notice(*epoch);
-                    }
-                    response
+                    answer(engine, request)
                 }
                 Err(e) => {
                     errors += 1;
@@ -544,6 +509,35 @@ pub fn serve_connection<R: Read, W: Write>(
         }
     }
 }
+
+/// Writes the frames `cut` makes from successive offsets, starting at
+/// `offset`, until the connection drops, shutdown fires, or `cut`
+/// refuses an offset (the refusal goes out as an error frame). `cut`
+/// returns a frame and the offset after it — an empty frame is a
+/// heartbeat, cut when the source stays idle for [`HEARTBEAT`] — and
+/// `shipped` hears each offset once its frame is written.
+fn stream<W: Write>(
+    writer: &mut W,
+    shutdown: &ShutdownHandle,
+    mut offset: u64,
+    mut cut: impl FnMut(u64) -> Result<(Response, u64), String>,
+    mut shipped: impl FnMut(u64),
+) -> io::Result<()> {
+    while !shutdown.is_shutdown() {
+        let (frame, next) = match cut(offset) {
+            Ok(cut) => cut,
+            Err(refusal) => return send_error(writer, refusal),
+        };
+        wire::write_response(writer, &frame)?;
+        writer.flush()?;
+        offset = next;
+        shipped(offset);
+    }
+    Ok(())
+}
+
+/// How long an idle subscription waits before sending a heartbeat.
+const HEARTBEAT: Duration = Duration::from_millis(500);
 
 /// Streams journal segments to a subscribed follower until the
 /// connection drops, shutdown fires, or the subscription is
@@ -569,70 +563,36 @@ fn stream_segments<W: Write>(
     peer_epoch: u64,
     from: u64,
 ) -> io::Result<()> {
-    let Some(log) = engine.replication() else {
-        return send_error(
-            writer,
-            "this server is not replicated; nothing to subscribe to".to_string(),
-        );
+    let log = match engine.pipeline().upstream(fingerprint, peer_epoch) {
+        Ok(log) => log,
+        Err(refusal) => return send_error(writer, refusal),
     };
-    if fingerprint != log.fingerprint() {
-        return send_error(
-            writer,
-            format!(
-                "subscribe fingerprint mismatch: got {fingerprint:#010X}, \
-                 log is {:#010X} (scheme/width/revision differ)",
-                log.fingerprint()
-            ),
-        );
-    }
-    if peer_epoch > log.epoch() {
-        // The subscriber has seen a newer term than ours: we are the
-        // stale side. Refuse to serve deposed history.
-        return send_error(
-            writer,
-            format!(
-                "fenced: this server's epoch {} is behind the subscriber's {peer_epoch}; \
-                 find the current leader",
-                log.epoch()
-            ),
-        );
-    }
     let lease = log.lease_grant(from);
     let lease_ms = log.lease_ttl().as_millis().min(u128::from(u32::MAX)) as u32;
-    let mut offset = from;
-    let heartbeat = Duration::from_millis(500);
-    let result = loop {
-        if shutdown.is_shutdown() {
-            break Ok(());
+    let cut = |offset| match log.wait_segment(offset, MAX_SEGMENT_OPS, HEARTBEAT) {
+        Ok(seg) => {
+            let next = seg.start + seg.ops.len() as u64;
+            let frame = SegmentFrame {
+                fingerprint: log.fingerprint(),
+                epoch: seg.epoch,
+                start: seg.start,
+                head: seg.head,
+                lease_ms,
+                ops: seg.ops,
+            };
+            Ok((Response::JournalSegment(frame), next))
         }
-        let segment = match log.wait_segment(offset, MAX_SEGMENT_OPS, heartbeat) {
-            Ok(segment) => segment,
-            Err(SegmentError::TooOld { oldest }) => {
-                break send_error(
-                    writer,
-                    format!(
-                        "offset {offset} was compacted away (oldest retained is {oldest}); \
-                         re-bootstrap from a newer snapshot"
-                    ),
-                );
-            }
-            Err(SegmentError::Ahead { head }) => {
-                break send_error(
-                    writer,
-                    format!("offset {offset} is ahead of the log head {head}"),
-                );
-            }
-        };
-        let next = segment.start + segment.ops.len() as u64;
-        let frame = replication::segment_frame(log.fingerprint(), lease_ms, &segment);
-        if let Err(e) = wire::write_response(writer, &Response::JournalSegment(frame))
-            .and_then(|()| writer.flush())
-        {
-            break Err(e);
+        Err(SegmentError::TooOld { oldest }) => Err(format!(
+            "offset {offset} was compacted away (oldest retained is {oldest}); \
+             re-bootstrap from a newer snapshot"
+        )),
+        Err(SegmentError::Ahead { head }) => {
+            Err(format!("offset {offset} is ahead of the log head {head}"))
         }
-        offset = next;
-        log.lease_renew(lease, offset);
     };
+    let result = stream(writer, shutdown, from, cut, |offset| {
+        log.lease_renew(lease, offset);
+    });
     log.lease_release(lease);
     result
 }
@@ -669,48 +629,32 @@ fn stream_audit<W: Write>(
         );
     }
     // `u64::MAX` means "tail from whatever the head is now".
-    let mut offset = if from == u64::MAX { sink.head() } else { from };
+    let from = if from == u64::MAX { sink.head() } else { from };
     let id = sink.subscribe();
-    sink.advance(id, offset);
-    let heartbeat = Duration::from_millis(500);
-    let result = loop {
-        if shutdown.is_shutdown() {
-            break Ok(());
+    sink.advance(id, from);
+    let cut = |offset| match sink.wait_records(offset, MAX_AUDIT_SEGMENT, HEARTBEAT) {
+        Ok(batch) => {
+            let next = batch.start + batch.records.len() as u64;
+            let frame = wire::AuditFrame {
+                fingerprint: sink.fingerprint(),
+                epoch: sink.epoch(),
+                start: batch.start,
+                head: batch.head,
+                records: batch.records,
+            };
+            Ok((Response::AuditSegment(frame), next))
         }
-        let batch = match sink.wait_records(offset, MAX_AUDIT_SEGMENT, heartbeat) {
-            Ok(batch) => batch,
-            Err(AuditStreamError::TooOld { oldest }) => {
-                break send_error(
-                    writer,
-                    format!(
-                        "audit offset {offset} was evicted from the ring \
-                         (oldest retained is {oldest}); resubscribe from the head"
-                    ),
-                );
-            }
-            Err(AuditStreamError::Ahead { head }) => {
-                break send_error(
-                    writer,
-                    format!("audit offset {offset} is ahead of the stream head {head}"),
-                );
-            }
-        };
-        let next = batch.start + batch.records.len() as u64;
-        let frame = wire::AuditFrame {
-            fingerprint: sink.fingerprint(),
-            epoch: sink.epoch(),
-            start: batch.start,
-            head: batch.head,
-            records: batch.records,
-        };
-        if let Err(e) = wire::write_response(writer, &Response::AuditSegment(frame))
-            .and_then(|()| writer.flush())
-        {
-            break Err(e);
-        }
-        offset = next;
-        sink.advance(id, offset);
+        Err(AuditStreamError::TooOld { oldest }) => Err(format!(
+            "audit offset {offset} was evicted from the ring \
+             (oldest retained is {oldest}); resubscribe from the head"
+        )),
+        Err(AuditStreamError::Ahead { head }) => Err(format!(
+            "audit offset {offset} is ahead of the stream head {head}"
+        )),
     };
+    let result = stream(writer, shutdown, from, cut, |offset| {
+        sink.advance(id, offset)
+    });
     sink.unsubscribe(id);
     result
 }
@@ -734,9 +678,6 @@ pub fn answer(engine: &ShardedEngine, request: Request) -> Response {
             epoch,
             ops,
         } => {
-            if engine.is_follower() {
-                return Response::Error("follower is read-only; ingest at the leader".to_string());
-            }
             let expected = replication::fingerprint(engine.scheme(), engine.nodes());
             if fingerprint != expected {
                 return Response::Error(format!(
@@ -747,6 +688,7 @@ pub fn answer(engine: &ShardedEngine, request: Request) -> Response {
             match engine.ingest_replicated(epoch, &ops) {
                 Ok(head) => Response::IngestAck { head },
                 Err(e @ ServeError::Fenced { .. }) => Response::Error(e.to_string()),
+                Err(ServeError::Replication { detail }) => Response::Error(detail),
                 Err(e) => Response::Error(format!("ingest journal write failed: {e}")),
             }
         }
@@ -821,10 +763,7 @@ mod tests {
             2,
         ));
         let fp = replication::fingerprint(engine.scheme(), engine.nodes());
-        engine.mark_follower();
-        engine
-            .attach_replication(replication::ReplicationLog::in_memory(fp))
-            .unwrap();
+        replication::bring_up(&engine, replication::Role::Follower, None, None, None).unwrap();
         let sink = Arc::new(AuditSink::in_memory(engine.scheme(), 16, 2, 1));
         engine.attach_audit(Arc::clone(&sink)).unwrap();
         (engine, sink, fp)
@@ -855,7 +794,14 @@ mod tests {
             "got: {err}"
         );
         assert_eq!(engine.replication().unwrap().epoch(), 1);
-        assert!(engine.is_follower());
+        let op = replication::ReplOp::Update {
+            key: 3,
+            feedback: SharingBitmap::singleton(NodeId(1)),
+        };
+        assert!(
+            client.ingest(fp, &[op]).is_err(),
+            "still a read-only follower"
+        );
     }
 
     #[test]
@@ -863,9 +809,8 @@ mod tests {
         let (engine, sink, fp) = follower();
         let noticed = Arc::new(AtomicU64::new(0));
         let notice = Arc::clone(&noticed);
-        let server = Server::bind_tcp("127.0.0.1:0", Arc::clone(&engine))
-            .unwrap()
-            .with_promote_hook(Arc::new(move |epoch| notice.store(epoch, Ordering::SeqCst)));
+        engine.on_promote(Arc::new(move |epoch| notice.store(epoch, Ordering::SeqCst)));
+        let server = Server::bind_tcp("127.0.0.1:0", Arc::clone(&engine)).unwrap();
         let mut client = serve(server);
         let op = replication::ReplOp::Update {
             key: 3,
@@ -873,12 +818,39 @@ mod tests {
         };
         assert!(client.ingest(fp, &[op]).is_err(), "a follower is read-only");
 
+        // Adopting an upstream term stamps the audit sink before the
+        // segment's decisions are dispatched.
+        let log = Arc::clone(engine.replication().unwrap());
+        assert_eq!(sink.epoch(), log.epoch());
+        let score = replication::ReplOp::Score {
+            key: 3,
+            actual: SharingBitmap::singleton(NodeId(2)),
+        };
+        let applied = engine.apply_upstream(3, &[score; 4]).unwrap();
+        engine.flush();
+        assert_eq!((log.epoch(), sink.epoch()), (3, 3));
+        let records = sink.wait_records(0, 16, Duration::ZERO).unwrap().records;
+        assert_eq!(records.len(), 4);
+        assert!(records.iter().all(|r| r.epoch == 3), "{records:?}");
+        assert!(
+            matches!(
+                engine.apply_upstream(2, &[score]),
+                Err(ServeError::Fenced { .. })
+            ),
+            "a deposed upstream's segment is fenced"
+        );
+        assert_eq!(log.head(), applied);
+
         let (epoch, head) = client.promote(fp, 5).unwrap();
         assert!(epoch >= 5, "epoch {epoch} is below the requested minimum");
         assert_eq!(head, engine.replication().unwrap().head());
         assert_eq!(noticed.load(Ordering::SeqCst), epoch);
         assert_eq!(sink.epoch(), epoch);
         assert_eq!(client.ingest_at_epoch(fp, epoch, &[op]).unwrap(), head + 1);
+        assert!(
+            engine.apply_upstream(epoch, &[score]).is_err(),
+            "a leader applies no upstream segments"
+        );
     }
 
     #[test]

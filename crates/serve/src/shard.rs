@@ -33,7 +33,8 @@
 //! [`ShardRestart`] entries in [`EngineSnapshot`].
 
 use crate::audit::AuditSink;
-use crate::replication::{ReplOp, ReplicationLog};
+use crate::pipeline::Pipeline;
+use crate::replication::{ReplOp, ReplicationLog, Role};
 use crate::{error::ServeError, Probe};
 use csp_core::{node_bits, shard_of_key, PredictorTable, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::{ConfusionMatrix, OnlineConfusion, Screening};
@@ -42,9 +43,9 @@ use csp_trace::audit::{sample_mix, AuditRecord};
 use csp_trace::{SharingBitmap, SharingEvent, Trace};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -297,67 +298,12 @@ const INBOX_DEPTH: usize = 64;
 /// this many operations).
 const REPLAY_CHUNK: usize = 8192;
 
-/// Emits the operations replay dispatches for events `range`, in
-/// emission order, mirroring the event-order definition of
-/// `csp_core::reference` exactly —
-/// the single definition both local replay and the push-producer path
-/// ([`crate::replication::trace_to_ops`]) share.
-#[allow(clippy::too_many_arguments)]
-fn emit_replay_ops(
-    update: UpdateMode,
-    keys: &[u64],
-    forward_keys: &[u64],
-    has_prev: &[bool],
-    invalidated: &[SharingBitmap],
-    actuals: &[SharingBitmap],
-    range: Range<usize>,
-    out: &mut Vec<IngestOp>,
-) {
-    for i in range {
-        let key = keys[i];
-        match update {
-            UpdateMode::Direct => {
-                if has_prev[i] {
-                    out.push(IngestOp::Update {
-                        key,
-                        feedback: invalidated[i],
-                    });
-                }
-                out.push(IngestOp::Score {
-                    key,
-                    actual: actuals[i],
-                });
-            }
-            UpdateMode::Forwarded => {
-                if has_prev[i] {
-                    out.push(IngestOp::Update {
-                        key: forward_keys[i],
-                        feedback: invalidated[i],
-                    });
-                }
-                out.push(IngestOp::Score {
-                    key,
-                    actual: actuals[i],
-                });
-            }
-            UpdateMode::Ordered => {
-                out.push(IngestOp::Score {
-                    key,
-                    actual: actuals[i],
-                });
-                out.push(IngestOp::Update {
-                    key,
-                    feedback: actuals[i],
-                });
-            }
-        }
-    }
-}
-
 /// The exact operation stream [`ShardedEngine::replay_range`] dispatches
-/// for events `range` of a prepared trace, without an engine: the
-/// producer side of push-based ingest derives its operations from the
-/// same shared preparation replay walks, so a remote push and a local
+/// for events `range` of a prepared trace, in emission order, mirroring
+/// the event-order definition of `csp_core::reference` exactly. Local
+/// replay and the producer side of push-based ingest
+/// ([`crate::replication::trace_to_ops`]) both derive their operations
+/// here, from the same shared preparation, so a remote push and a local
 /// replay cannot disagree.
 ///
 /// # Panics
@@ -370,17 +316,34 @@ pub fn replay_ops(
 ) -> Vec<IngestOp> {
     assert!(range.end <= prepared.len(), "replay range out of bounds");
     let stream = prepared.key_stream(scheme.index);
-    let mut out = Vec::with_capacity((range.end.saturating_sub(range.start)) * 2);
-    emit_replay_ops(
-        scheme.update,
-        stream.keys(),
-        stream.forward_keys(),
+    let (keys, forward_keys) = (stream.keys(), stream.forward_keys());
+    let (has_prev, invalidated, actuals) = (
         prepared.has_prev(),
         prepared.invalidated(),
         prepared.actuals(),
-        range,
-        &mut out,
     );
+    let mut out = Vec::with_capacity((range.end.saturating_sub(range.start)) * 2);
+    for i in range {
+        let (key, actual, feedback) = (keys[i], actuals[i], invalidated[i]);
+        let score = IngestOp::Score { key, actual };
+        // Direct trains the writer's own entry before predicting,
+        // forwarded the previous writer's; ordered predicts first, then
+        // trains on the event's own readers.
+        match scheme.update {
+            UpdateMode::Direct if has_prev[i] => {
+                out.extend([IngestOp::Update { key, feedback }, score]);
+            }
+            UpdateMode::Forwarded if has_prev[i] => {
+                let key = forward_keys[i];
+                out.extend([IngestOp::Update { key, feedback }, score]);
+            }
+            UpdateMode::Direct | UpdateMode::Forwarded => out.push(score),
+            UpdateMode::Ordered => {
+                let feedback = actual;
+                out.extend([score, IngestOp::Update { key, feedback }]);
+            }
+        }
+    }
     out
 }
 
@@ -422,19 +385,10 @@ pub struct ShardedEngine {
     node_bits: u32,
     shards: Vec<ShardHandle>,
     registry: Arc<Registry>,
-    /// When attached (leaders only), every replicable ingest routes
-    /// through the log: journal append → dispatch under one lock.
-    replication: OnceLock<Arc<ReplicationLog>>,
-    /// Followers refuse wire-level ingest — they replicate, they don't
-    /// originate.
-    follower: AtomicBool,
-    /// Running op count for ingest acks when no log is attached.
-    ingested: AtomicU64,
-    /// When attached (before traffic), every shard emits per-decision
-    /// audit records through this sink. Shared with the workers (they
-    /// hold clones of the `Arc<OnceLock>`), so one late `set` is seen by
-    /// all of them.
-    audit: Arc<OnceLock<Arc<AuditSink>>>,
+    /// Role, term, replication log and audit sink: every mutation
+    /// routes through it. Shared with the workers, which read its audit
+    /// sink per batch, so one late attach is seen by all of them.
+    pipeline: Arc<Pipeline>,
 }
 
 impl std::fmt::Debug for ShardHandle {
@@ -492,7 +446,7 @@ impl ShardedEngine {
 
     fn spawn(scheme: Scheme, nodes: usize, states: Vec<ShardState>) -> Self {
         let registry = Arc::new(Registry::new());
-        let audit: Arc<OnceLock<Arc<AuditSink>>> = Arc::new(OnceLock::new());
+        let pipeline = Arc::new(Pipeline::default());
         let shard_count = states.len();
         registry.register_gauge_fn(
             "csp_engine_shards",
@@ -519,7 +473,7 @@ impl ShardedEngine {
                 let instruments = ShardInstruments::register(&registry, i, &counters);
                 let queue_depth = Arc::clone(&instruments.queue_depth);
                 let worker_counters = Arc::clone(&counters);
-                let worker_audit = Arc::clone(&audit);
+                let worker_pipeline = Arc::clone(&pipeline);
                 let join = std::thread::Builder::new()
                     .name(format!("csp-shard-{i}"))
                     .spawn(move || {
@@ -529,7 +483,7 @@ impl ShardedEngine {
                             rx,
                             &worker_counters,
                             &instruments,
-                            &worker_audit,
+                            &worker_pipeline,
                             initial,
                         )
                     })
@@ -548,10 +502,7 @@ impl ShardedEngine {
             node_bits: node_bits(nodes),
             shards: handles,
             registry,
-            replication: OnceLock::new(),
-            follower: AtomicBool::new(false),
-            ingested: AtomicU64::new(0),
-            audit,
+            pipeline,
         }
     }
 
@@ -650,17 +601,11 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// On a replicating leader, a journal write failure panics rather
+    /// On a replicating engine, a journal write failure panics rather
     /// than dispatching unjournaled operations — continuing would
     /// silently diverge every follower.
     pub fn ingest_ops(&self, ops: Vec<IngestOp>) {
-        if let Some(log) = self.replication.get() {
-            let repl: Vec<ReplOp> = ops.iter().filter_map(ReplOp::from_ingest).collect();
-            log.append_with(&repl, || self.dispatch_ops(ops))
-                .expect("replication journal append failed");
-        } else {
-            self.dispatch_ops(ops);
-        }
+        self.pipeline.write(ops, |ops| self.dispatch_ops(ops));
     }
 
     /// Buckets `ops` per shard (preserving emission order within each
@@ -678,96 +623,78 @@ impl ShardedEngine {
         }
     }
 
+    /// The role, term and journal pipeline every mutation routes through.
+    pub(crate) fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
+    }
+
     /// Attaches the replication log every subsequent mutation routes
-    /// through. Call once, before any traffic (the `csp-served` leader
-    /// attaches before warm-up so even warm replay is journaled).
+    /// through, as a leader. Call once, before any traffic;
+    /// [`crate::replication::bring_up`] is the full bring-up for either
+    /// role.
     ///
     /// # Errors
     ///
     /// [`ServeError::Replication`] when a log is already attached.
     pub fn attach_replication(&self, log: Arc<ReplicationLog>) -> Result<(), ServeError> {
-        self.replication
-            .set(log)
-            .map_err(|_| ServeError::Replication {
-                detail: "a replication log is already attached to this engine".to_string(),
-            })
+        self.pipeline.attach_log(log, Role::Leader)
     }
 
     /// The attached replication log, if any.
     pub fn replication(&self) -> Option<&Arc<ReplicationLog>> {
-        self.replication.get()
+        self.pipeline.log()
     }
 
     /// Attaches the decision audit sink every subsequent scored decision
-    /// is recorded through. Call once, before any traffic — decisions
-    /// made before the sink is attached are not in the log, and a log
-    /// with gaps fails offline verification.
+    /// is recorded through, stamped with the log's epoch. Call once,
+    /// before any traffic: a log with gaps fails offline verification.
     ///
     /// # Errors
     ///
     /// [`ServeError::Audit`] when a sink is already attached.
     pub fn attach_audit(&self, sink: Arc<AuditSink>) -> Result<(), ServeError> {
-        self.audit.set(sink).map_err(|_| ServeError::Audit {
-            detail: "an audit sink is already attached to this engine".to_string(),
-        })
+        self.pipeline.attach_audit(sink)
     }
 
     /// The attached audit sink, if any.
     pub fn audit(&self) -> Option<&Arc<AuditSink>> {
-        self.audit.get()
+        self.pipeline.audit()
     }
 
-    /// Marks this engine a follower: wire-level ingest is refused (the
-    /// leader owns the write path) while queries keep serving.
-    pub fn mark_follower(&self) {
-        self.follower.store(true, Ordering::SeqCst);
+    /// Installs the notice each later promotion of this engine gives with
+    /// its new epoch (see [`crate::replication::promote`]); the first
+    /// one installed stays.
+    pub fn on_promote(&self, notice: crate::replication::PromoteHook) {
+        self.pipeline.on_promote(notice);
     }
 
-    /// Flips a promoted follower into leader mode: wire-level ingest is
-    /// accepted again. The fencing epoch — bumped on the attached log
-    /// *before* this is called — keeps the deposed leader out.
-    pub fn mark_leader(&self) {
-        self.follower.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether this engine is a read-only follower.
-    pub fn is_follower(&self) -> bool {
-        self.follower.load(Ordering::SeqCst)
-    }
-
-    /// Applies already-replicated operations sent under fencing term
-    /// `epoch`, returning the log head after them — the ingest path
-    /// behind [`crate::wire::Request::Ingest`] and the follower apply
-    /// loop. With a log attached, the head is the durable journal offset
-    /// (the operations survive `kill -9` once this returns); without
-    /// one, a process-local running count.
-    ///
-    /// Epoch 0 means "no claim" (an unfenced producer) and is always
-    /// accepted; any other epoch below the log's current term is refused
-    /// unapplied.
+    /// Admits operations sent under fencing term `epoch` (0: no claim)
+    /// and returns the head after them: the ingest path behind
+    /// [`crate::wire::Request::Ingest`]. With a log attached the head is
+    /// the durable journal offset; without one, a running count.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Fenced`] for a stale epoch; otherwise a journal
-    /// write failure — in both cases the operations were applied
-    /// nowhere.
+    /// [`ServeError::Replication`] on a follower, [`ServeError::Fenced`]
+    /// for an epoch below the log's term, or a journal write failure;
+    /// the operations were applied nowhere.
     pub fn ingest_replicated(&self, epoch: u64, ops: &[ReplOp]) -> Result<u64, ServeError> {
-        let ingest: Vec<IngestOp> = ops.iter().map(ReplOp::to_ingest).collect();
-        if let Some(log) = self.replication.get() {
-            let current = log.epoch();
-            if epoch != 0 && epoch < current {
-                return Err(ServeError::Fenced {
-                    claimed: epoch,
-                    current,
-                });
-            }
-            let (head, ()) = log.append_with(ops, || self.dispatch_ops(ingest))?;
-            Ok(head)
-        } else {
-            self.dispatch_ops(ingest);
-            let n = ops.len() as u64;
-            Ok(self.ingested.fetch_add(n, Ordering::Relaxed) + n)
-        }
+        self.pipeline
+            .admit(epoch, ops, |ops| self.dispatch_ops(ops))
+    }
+
+    /// Applies one upstream segment on a follower, adopting its term
+    /// `epoch` when newer, and returns the head after it: the apply step
+    /// of [`crate::replication::run_follower`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Fenced`] for a deposed upstream's epoch,
+    /// [`ServeError::Replication`] unless the engine follows, or a
+    /// journal failure.
+    pub fn apply_upstream(&self, epoch: u64, ops: &[ReplOp]) -> Result<u64, ServeError> {
+        self.pipeline
+            .follow(epoch, ops, |ops| self.dispatch_ops(ops))
     }
 
     /// Replays a full recorded trace through the engine, updating *and
@@ -830,25 +757,13 @@ impl ShardedEngine {
             });
         }
         assert!(range.end <= prepared.len(), "replay range out of bounds");
-        let stream = prepared.key_stream(self.scheme.index);
         // Chunked so a replicating leader journals in bounded segments
         // and a plain engine bounds its in-flight batch memory; order is
         // the emission order either way.
         let mut pos = range.start;
         while pos < range.end {
             let end = range.end.min(pos + REPLAY_CHUNK);
-            let mut ops = Vec::with_capacity((end - pos) * 2);
-            emit_replay_ops(
-                self.scheme.update,
-                stream.keys(),
-                stream.forward_keys(),
-                prepared.has_prev(),
-                prepared.invalidated(),
-                prepared.actuals(),
-                pos..end,
-                &mut ops,
-            );
-            self.ingest_ops(ops);
+            self.ingest_ops(replay_ops(prepared, &self.scheme, pos..end));
             pos = end;
         }
         self.flush();
@@ -899,16 +814,7 @@ impl ShardedEngine {
     /// effect order cannot survive a session swap. The engine is left
     /// untouched and keeps serving.
     pub fn reset(&mut self, scheme: Scheme) -> Result<(), ServeError> {
-        if self.replication.get().is_some() {
-            return Err(ServeError::Replication {
-                detail: "cannot reset an engine with a replication log attached".to_string(),
-            });
-        }
-        if self.audit.get().is_some() {
-            return Err(ServeError::Audit {
-                detail: "cannot reset an engine with an audit sink attached".to_string(),
-            });
-        }
+        self.pipeline.ensure_detached()?;
         for s in 0..self.shards.len() {
             let fresh = Box::new(ShardState::empty(&scheme, self.nodes));
             self.send(s, ShardMsg::Reset(fresh));
@@ -1159,7 +1065,7 @@ fn shard_worker(
     rx: Receiver<ShardMsg>,
     counters: &ShardCounters,
     instruments: &ShardInstruments,
-    audit: &OnceLock<Arc<AuditSink>>,
+    pipeline: &Pipeline,
     initial: ShardState,
 ) -> PredictorTable {
     let mut state = initial;
@@ -1178,19 +1084,14 @@ fn shard_worker(
         match msg {
             ShardMsg::Ingest(ops) => {
                 let started = Instant::now();
-                let sink = audit.get().map(Arc::as_ref);
+                let sink = pipeline.audit().map(Arc::as_ref);
                 let emit = AuditEmit::capture(sink);
+                let apply = |state: &mut ShardState, op, buf: &mut Vec<AuditRecord>| {
+                    apply_op_audited(state, op, nodes, shard, emit, audited, buf);
+                };
                 let healthy = catch_unwind(AssertUnwindSafe(|| {
                     for &op in &ops {
-                        apply_op_audited(
-                            &mut state,
-                            op,
-                            nodes,
-                            shard,
-                            emit,
-                            audited,
-                            &mut audit_buf,
-                        );
+                        apply(&mut state, op, &mut audit_buf);
                     }
                 }))
                 .is_ok();
@@ -1214,30 +1115,12 @@ fn shard_worker(
                     state.queries = queries;
                     for &op in &journal {
                         let _ = catch_unwind(AssertUnwindSafe(|| {
-                            apply_op_audited(
-                                &mut state,
-                                op,
-                                nodes,
-                                shard,
-                                emit,
-                                audited,
-                                &mut audit_buf,
-                            )
+                            apply(&mut state, op, &mut audit_buf)
                         }));
                     }
                     for &op in &ops {
-                        if catch_unwind(AssertUnwindSafe(|| {
-                            apply_op_audited(
-                                &mut state,
-                                op,
-                                nodes,
-                                shard,
-                                emit,
-                                audited,
-                                &mut audit_buf,
-                            )
-                        }))
-                        .is_ok()
+                        if catch_unwind(AssertUnwindSafe(|| apply(&mut state, op, &mut audit_buf)))
+                            .is_ok()
                         {
                             journal.push(op);
                         }

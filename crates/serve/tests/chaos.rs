@@ -5,7 +5,7 @@
 //! with the exactly correct prediction throughout, disconnect the
 //! abusers, and still be accepting when the dust settles.
 
-use csp_serve::replication::{self, run_follower, FollowerOptions, ReplOp, ReplicaStatus};
+use csp_serve::replication::{self, run_follower, FollowerOptions, ReplOp, ReplicaStatus, Role};
 use csp_serve::wire::{self, Request, Response, SegmentFrame};
 use csp_serve::{
     Client, Probe, ReplicationLog, Server, ServerOptions, ShardedEngine, ShutdownHandle,
@@ -329,11 +329,8 @@ fn follower_survives_torn_segment_and_resumes_from_offset() {
         NODES as usize,
         2,
     ));
-    engine.mark_follower();
     let fp = replication::fingerprint(engine.scheme(), engine.nodes());
-    engine
-        .attach_replication(ReplicationLog::in_memory(fp))
-        .unwrap();
+    replication::bring_up(&engine, Role::Follower, None, None, None).unwrap();
     let ops: Vec<ReplOp> = (0..NODES as u64)
         .map(|key| ReplOp::Update {
             key,

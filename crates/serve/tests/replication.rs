@@ -1028,3 +1028,33 @@ fn follower_bring_up_refuses_a_journal_behind_the_snapshot() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("remove stale journal"), "{stderr}");
 }
+
+/// A journal whose oldest op comes after the snapshot seq lacks the ops
+/// between them, so bring-up refuses it for either role instead of
+/// re-applying the tail onto a state with a gap.
+#[test]
+fn both_roles_bring_up_refuses_a_journal_that_starts_after_the_snapshot() {
+    let dir = TempDir::new("bringup-gap");
+    let snap_dir = snapshot_at(&dir, "gap", 0);
+    let scheme: Scheme = SCHEME.parse().unwrap();
+    let store = JournalStore::open(&snap_dir, replication::fingerprint(&scheme, 16)).unwrap();
+    let recovered = Recovered {
+        base: 10,
+        ..Recovered::default()
+    };
+    let log = ReplicationLog::durable(store, &recovered).unwrap();
+    let op = ReplOp::Update {
+        key: 7,
+        feedback: SharingBitmap::from_bits(1),
+    };
+    log.append_with(&[op; 4], || ()).unwrap();
+    drop(log);
+    for role in [&["--replicate"][..], &["--follow", "127.0.0.1:1"]] {
+        let (code, stderr) = serve_restored(&snap_dir, role);
+        assert_eq!(code, Some(1), "{role:?}: {stderr}");
+        assert!(
+            stderr.contains("starts at offset 10, after snapshot seq 0"),
+            "{role:?}: {stderr}"
+        );
+    }
+}
