@@ -18,15 +18,18 @@
 //!
 //! Every entry point here runs on one scorer: the slot-major walk of
 //! `kernel.rs` over a [`PreparedTrace`]'s key streams, feeding a batched
-//! confusion accumulator, a per-event prediction sink, or the
-//! all-depths family accumulator. The `*_prepared` entry points share an
-//! explicit `PreparedTrace` across many schemes (the sweep case); the
-//! plain ones prepare internally per call. [`crate::reference`] is the
-//! independent definition every one of them is checked against.
+//! confusion accumulator, a per-event prediction sink, the all-depths
+//! family accumulator, or the listed-columns accumulator that
+//! [`run_index_schemes`] uses to score one index's history-fold schemes
+//! in one walk per update mode. The `*_prepared` entry points (and
+//! [`run_index_schemes`]) share an explicit `PreparedTrace` across many
+//! schemes (the sweep case); the plain ones prepare internally per call.
+//! [`crate::reference`] is the independent definition every one of them
+//! is checked against.
 
 use crate::kernel::{self, Entry, Family, Predictions, Window, WithEntry};
 use crate::simd::{detect_backend, BatchAcc, SimdBackend};
-use crate::{IndexSpec, KeyStream, PreparedTrace, Scheme, UpdateMode};
+use crate::{IndexSpec, KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
 
@@ -56,6 +59,21 @@ pub fn run_scheme_with_backend(
     scheme: &Scheme,
     backend: SimdBackend,
 ) -> ConfusionMatrix {
+    score_one(
+        &prepared.key_stream(scheme.index),
+        scheme,
+        prepared.nodes(),
+        backend,
+    )
+}
+
+/// One walk of `scheme`'s own entry model over `stream`.
+fn score_one(
+    stream: &KeyStream,
+    scheme: &Scheme,
+    nodes: usize,
+    backend: SimdBackend,
+) -> ConfusionMatrix {
     struct Score<'a> {
         stream: &'a KeyStream,
         update: UpdateMode,
@@ -70,18 +88,68 @@ pub fn run_scheme_with_backend(
             acc.finalize(self.nodes)
         }
     }
-    let stream = prepared.key_stream(scheme.index);
-    let nodes = prepared.nodes();
     kernel::with_entry(
         scheme,
         nodes,
         Score {
-            stream: &stream,
+            stream,
             update: scheme.update,
             backend,
             nodes,
         },
     )
+}
+
+/// Runs every scheme of `schemes` — all over one index — on an
+/// already-prepared trace, returning their matrices in list order.
+///
+/// Under each update mode present, every history-fold scheme (`last`,
+/// `overlap-last`, `union`, `inter`) scores in one walk of the index's
+/// key stream, its window as deep as the deepest of them; each PAs
+/// scheme keeps its own walk. A scheme listed twice is scored once. Each
+/// matrix is bit-identical to [`run_scheme_prepared`]'s for that scheme.
+///
+/// # Panics
+///
+/// Panics if the schemes do not all share one index, or if a depth is
+/// out of `1..=MAX_DEPTH`.
+pub fn run_index_schemes(prepared: &PreparedTrace<'_>, schemes: &[Scheme]) -> Vec<ConfusionMatrix> {
+    let Some(first) = schemes.first() else {
+        return Vec::new();
+    };
+    assert!(
+        schemes.iter().all(|s| s.index == first.index),
+        "run_index_schemes takes schemes of one index"
+    );
+    let stream = prepared.key_stream(first.index);
+    let nodes = prepared.nodes();
+    let mut out: Vec<Option<ConfusionMatrix>> = vec![None; schemes.len()];
+    for update in UpdateMode::ALL {
+        let (at, history): (Vec<usize>, Vec<Scheme>) = schemes
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.update == update && s.function != PredictionFunction::Pas)
+            .map(|(i, s)| (i, *s))
+            .unzip();
+        if !history.is_empty() {
+            let matrices = kernel::score_history(&stream, update, &history, nodes);
+            for (i, m) in at.into_iter().zip(matrices) {
+                out[i] = Some(m);
+            }
+        }
+    }
+    let backend = detect_backend();
+    for (i, scheme) in schemes.iter().enumerate() {
+        if out[i].is_none() {
+            out[i] = Some(match schemes[..i].iter().position(|s| s == scheme) {
+                Some(earlier) => out[earlier].expect("earlier schemes are scored"),
+                None => score_one(&stream, scheme, nodes, backend),
+            });
+        }
+    }
+    out.into_iter()
+        .map(|m| m.expect("every scheme is scored"))
+        .collect()
 }
 
 /// Runs `scheme` over `trace` and returns the per-event predictions
@@ -195,7 +263,7 @@ fn family<const MD: usize>(stream: &KeyStream, update: UpdateMode, nodes: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reference, PredictionFunction};
+    use crate::reference;
     use csp_trace::{LineAddr, NodeId, Pc, SharingEvent};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {

@@ -19,10 +19,15 @@
 //! * [`Predictions`] — one scheme's prediction per event, written back
 //!   to trace order through each decision's event index;
 //! * [`Family`] — every `union`/`inter` depth of one index at once, with
-//!   the per-decision fold unrolled over a const depth.
+//!   the per-decision fold unrolled over a const depth;
+//! * [`Columns`] — the listed history-fold schemes (`last`,
+//!   `overlap-last`, `union(d)`, `inter(d)`) of one index and update mode
+//!   at once: one fold of the window per decision, then true and
+//!   predicted positives for each listed column only, in fixed-capacity
+//!   accumulators ([`score_history`]).
 
 use crate::entry::{Held, PasPlanes};
-use crate::simd::{prefetch_next, BatchAcc};
+use crate::simd::{matrix_from_sums, prefetch_next, BatchAcc};
 use crate::{KeyStream, PredictionFunction, Scheme, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::SharingBitmap;
@@ -365,16 +370,7 @@ impl<const MD: usize> Family<MD> {
     /// The `(union, inter)` matrices, indexed by depth − 1.
     pub(crate) fn finish(self, nodes: usize) -> (Vec<ConfusionMatrix>, Vec<ConfusionMatrix>) {
         let decisions = self.scored * nodes as u64;
-        let matrix = |tp: u64, predicted: u64| {
-            let fp = predicted - tp;
-            let fn_ = self.actual_total - tp;
-            ConfusionMatrix {
-                tp,
-                fp,
-                fn_,
-                tn: decisions - tp - fp - fn_,
-            }
-        };
+        let matrix = |tp, predicted| matrix_from_sums(tp, predicted, self.actual_total, decisions);
         (
             (0..MD)
                 .map(|d| matrix(self.tp_union[d], self.predicted_union[d]))
@@ -404,4 +400,171 @@ impl<const MD: usize> Sink<Window<MD>> for Family<MD> {
             self.predicted_inter[d] += u64::from(inter.count_ones());
         }
     }
+}
+
+/// Slots of the per-decision prediction scratch of [`Columns`]: `union`
+/// at depths `1..=MAX_DEPTH`, then `inter` at depths `1..=MAX_DEPTH`,
+/// then `overlap-last`.
+const PREDICTIONS: usize = 2 * MAX_DEPTH + 1;
+
+/// Where a history-fold scheme's prediction sits in the scratch of
+/// [`Columns`], and the window depth that prediction reads; `None` for
+/// PAs, which is no fold over a shift window.
+///
+/// `last`, `union(1)` and `inter(1)` all predict the newest bitmap, so
+/// they share slot 0 — a `last` of any depth, as in [`with_entry`].
+///
+/// # Panics
+///
+/// Panics if a `union`/`inter` depth is out of `1..=MAX_DEPTH`.
+fn column_of(scheme: &Scheme) -> Option<(usize, usize)> {
+    let base = match scheme.function {
+        PredictionFunction::Last => return Some((0, 1)),
+        PredictionFunction::OverlapLast => return Some((2 * MAX_DEPTH, 2)),
+        PredictionFunction::Pas => return None,
+        PredictionFunction::Union => 0,
+        PredictionFunction::Inter => MAX_DEPTH,
+    };
+    let depth = scheme.depth;
+    assert!(
+        (1..=MAX_DEPTH).contains(&depth),
+        "history depth must be in 1..={MAX_DEPTH}, got {depth}"
+    );
+    let slot = if depth == 1 { 0 } else { base + depth - 1 };
+    Some((slot, depth))
+}
+
+/// Scores up to `N` history-fold columns of one index and update mode in
+/// one pass over a depth-`D` window: each decision folds the window once
+/// into running `union`/`inter` prefixes, as [`Family`] does, and each
+/// column reads its prediction off the scratch slot [`column_of`] gave
+/// it. The actual bits are counted once per decision, true and predicted
+/// positives once per column; the matrices follow as in [`Family`].
+struct Columns<const D: usize, const N: usize> {
+    slots: [usize; N],
+    predictions: [u64; PREDICTIONS],
+    tp: [u64; N],
+    predicted: [u64; N],
+    actual_total: u64,
+    scored: u64,
+}
+
+impl<const D: usize, const N: usize> Columns<D, N> {
+    /// Columns reading `slots`, at most `N` of them; spare columns repeat
+    /// the first and [`finish`](Self::finish) drops them.
+    fn new(slots: &[usize]) -> Self {
+        let mut padded = [slots[0]; N];
+        padded[..slots.len()].copy_from_slice(slots);
+        Columns {
+            slots: padded,
+            predictions: [0; PREDICTIONS],
+            tp: [0; N],
+            predicted: [0; N],
+            actual_total: 0,
+            scored: 0,
+        }
+    }
+
+    /// The first `columns` matrices, in slot order.
+    fn finish(self, columns: usize, nodes: usize) -> Vec<ConfusionMatrix> {
+        let decisions = self.scored * nodes as u64;
+        (0..columns)
+            .map(|c| matrix_from_sums(self.tp[c], self.predicted[c], self.actual_total, decisions))
+            .collect()
+    }
+}
+
+impl<const D: usize, const N: usize> Sink<Window<D>> for Columns<D, N> {
+    #[inline(always)]
+    fn score(&mut self, window: &Window<D>, actual: SharingBitmap, _event: usize) {
+        let actual = actual.bits();
+        self.scored += 1;
+        self.actual_total += u64::from(actual.count_ones());
+        let w = &window.0;
+        let (mut union, mut inter) = (0, !0);
+        for (d, &b) in w.iter().enumerate() {
+            union |= b;
+            inter &= b;
+            self.predictions[d] = union;
+            self.predictions[MAX_DEPTH + d] = inter;
+        }
+        if let [newest, previous, ..] = *w.as_slice() {
+            self.predictions[2 * MAX_DEPTH] = if newest & previous != 0 { newest } else { 0 };
+        }
+        for c in 0..N {
+            let p = self.predictions[self.slots[c]];
+            self.tp[c] += u64::from((p & actual).count_ones());
+            self.predicted[c] += u64::from(p.count_ones());
+        }
+    }
+}
+
+/// Scores the history-fold `schemes` — all of one index, all under
+/// `update` — over `stream` in one walk, returning their matrices in
+/// order. The window is as deep as the deepest scheme needs; schemes
+/// with the same prediction share a column. Both the depth and the
+/// column count (rounded up to a capacity) are const-dispatched, so the
+/// per-decision fold and column loop are fixed-bound.
+///
+/// # Panics
+///
+/// Panics if `schemes` is empty or holds a PAs scheme, or if a depth is
+/// out of `1..=MAX_DEPTH`.
+pub(crate) fn score_history(
+    stream: &KeyStream,
+    update: UpdateMode,
+    schemes: &[Scheme],
+    nodes: usize,
+) -> Vec<ConfusionMatrix> {
+    fn at<const D: usize>(
+        stream: &KeyStream,
+        update: UpdateMode,
+        slots: &[usize],
+        nodes: usize,
+    ) -> Vec<ConfusionMatrix> {
+        fn run<const D: usize, const N: usize>(
+            stream: &KeyStream,
+            update: UpdateMode,
+            slots: &[usize],
+            nodes: usize,
+        ) -> Vec<ConfusionMatrix> {
+            let mut columns = Columns::<D, N>::new(slots);
+            walk(stream, update, Window::<D>::cold(), &mut columns);
+            columns.finish(slots.len(), nodes)
+        }
+        match slots.len() {
+            1 => run::<D, 1>(stream, update, slots, nodes),
+            2 => run::<D, 2>(stream, update, slots, nodes),
+            3 => run::<D, 3>(stream, update, slots, nodes),
+            4 => run::<D, 4>(stream, update, slots, nodes),
+            5..=8 => run::<D, 8>(stream, update, slots, nodes),
+            _ => run::<D, PREDICTIONS>(stream, update, slots, nodes),
+        }
+    }
+    // The distinct slots, and each scheme's column among them.
+    let mut slots = Vec::new();
+    let mut depth = 1;
+    let columns: Vec<usize> = schemes
+        .iter()
+        .map(|scheme| {
+            let (slot, needs) = column_of(scheme).expect("PAs is not a history fold");
+            depth = depth.max(needs);
+            slots.iter().position(|&s| s == slot).unwrap_or_else(|| {
+                slots.push(slot);
+                slots.len() - 1
+            })
+        })
+        .collect();
+    let matrices = match depth {
+        1 => at::<1>(stream, update, &slots, nodes),
+        2 => at::<2>(stream, update, &slots, nodes),
+        3 => at::<3>(stream, update, &slots, nodes),
+        4 => at::<4>(stream, update, &slots, nodes),
+        5 => at::<5>(stream, update, &slots, nodes),
+        6 => at::<6>(stream, update, &slots, nodes),
+        7 => at::<7>(stream, update, &slots, nodes),
+        8 => at::<8>(stream, update, &slots, nodes),
+        _ => unreachable!("column_of checks every depth"),
+    };
+    columns.into_iter().map(|c| matrices[c]).collect()
 }

@@ -14,10 +14,10 @@
 //!   of one tuple, so the table refines every spec, and a spec's
 //!   *signature* — the dense slot of each tuple — costs `O(tuples)`, not
 //!   `O(events)`;
-//! * [`KeyStream`] — the predictor keys (and forward keys) of every event
-//!   under one [`IndexSpec`], gathered through the tuple ids from the
-//!   spec's per-tuple keys and slots, plus the slot-major views the
-//!   kernel walks;
+//! * [`KeyStream`] — the slot-major views the kernel walks under one
+//!   [`IndexSpec`], built from the spec's per-tuple slots gathered to
+//!   every event through the tuple ids. A stream keeps no key values:
+//!   [`PreparedTrace::event_keys`] gathers those on demand;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
 //!   previous-writer columns, resolved once), the lazily built tuple
 //!   table, and a concurrent cache of [`KeyStream`]s keyed by
@@ -39,6 +39,7 @@ use crate::hash::FxBuildHasher;
 use crate::IndexSpec;
 use csp_trace::{LineAddr, NodeId, Pc, ResolvedTrace, SharingBitmap, Trace};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Most key streams a [`PreparedTrace`] keeps cached at once. Sized for
@@ -47,27 +48,27 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// many indexes without evicting.
 const STREAM_CACHE_CAP: usize = 8;
 
-/// The key columns of one trace under one [`IndexSpec`]: everything the
-/// per-event loop needs from the access axis.
+/// The slot-major views of one trace under one [`IndexSpec`]: everything
+/// the kernel needs from the access axis.
 ///
 /// # Example
 ///
 /// ```
-/// use csp_core::{IndexSpec, KeyStream};
+/// use csp_core::{IndexSpec, KeyStream, PreparedTrace};
 /// use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 ///
 /// let mut t = Trace::new(16);
 /// t.push(SharingEvent::new(NodeId(3), Pc(0x1ab), LineAddr(9), NodeId(0),
 ///                          SharingBitmap::empty(), None));
-/// let stream = KeyStream::compute(&t, IndexSpec::new(true, 8, false, 0));
-/// assert_eq!(stream.keys(), &[(3 << 8) | 0xab]);
+/// let index = IndexSpec::new(true, 8, false, 0);
+/// let (keys, _) = PreparedTrace::new(&t).event_keys(index, 0..t.len());
+/// assert_eq!(keys, &[(3 << 8) | 0xab]);
+/// let stream = KeyStream::compute(&t, index);
 /// assert_eq!(stream.slot_count(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct KeyStream {
     index: IndexSpec,
-    keys: Vec<u64>,
-    forward_keys: Vec<u64>,
     slot_count: usize,
     slot_starts: Vec<u32>,
     slot_events: Vec<u32>,
@@ -100,6 +101,14 @@ struct Tuple {
     pc: Pc,
     home: NodeId,
     line: LineAddr,
+}
+
+impl Tuple {
+    /// `index`'s key of this tuple.
+    #[inline]
+    fn key(&self, index: IndexSpec, node_bits: u32) -> u64 {
+        index.key(self.writer, self.pc, self.home, self.line, node_bits)
+    }
 }
 
 /// The distinct tuples of a trace, in first-occurrence order (each
@@ -152,28 +161,33 @@ impl TupleTable {
         }
     }
 
-    /// `index`'s key and dense slot for every tuple, with the sentinel's
-    /// `(0, 0)` appended, and the number of slots. Slots are numbered by
+    /// `index`'s dense slot for every tuple, with the sentinel's 0
+    /// appended, and the number of slots. Slots are numbered by
     /// first occurrence in tuple order, which is first occurrence in
     /// event order (predictor key, then forward key, per event): exactly
     /// the numbering a per-event remap over the union of both key columns
     /// would assign. A forwarded update and a later prediction through
     /// the same index value must land on the same entry, so both key
     /// kinds share one slot space.
-    fn keys_and_slots(&self, index: IndexSpec, node_bits: u32) -> (Vec<u64>, Vec<u32>, usize) {
+    fn slots(&self, index: IndexSpec, node_bits: u32) -> (Vec<u32>, usize) {
         let mut remap: HashMap<u64, u32, FxBuildHasher> =
             HashMap::with_capacity_and_hasher(self.tuples.len(), FxBuildHasher::default());
-        let mut keys = Vec::with_capacity(self.tuples.len() + 1);
         let mut slots = Vec::with_capacity(self.tuples.len() + 1);
         for t in &self.tuples {
-            let key = index.key(t.writer, t.pc, t.home, t.line, node_bits);
+            let key = t.key(index, node_bits);
             let next = remap.len() as u32;
-            keys.push(key);
             slots.push(*remap.entry(key).or_insert(next));
         }
-        keys.push(0);
         slots.push(0);
-        (keys, slots, remap.len())
+        (slots, remap.len())
+    }
+
+    /// `index`'s key of tuple `id`; the sentinel's key is 0.
+    #[inline]
+    fn key_of(&self, id: u32, index: IndexSpec, node_bits: u32) -> u64 {
+        self.tuples
+            .get(id as usize)
+            .map_or(0, |t| t.key(index, node_bits))
     }
 }
 
@@ -202,31 +216,16 @@ impl KeyStream {
         self.index
     }
 
-    /// The predictor key of every event ([`IndexSpec::key_of`]), in event
-    /// order.
-    #[inline]
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// The forward key of every event ([`IndexSpec::forward_key_of`]), in
-    /// event order. A slot is meaningful only where the event has a
-    /// previous writer (see [`ResolvedTrace::has_prev`]); other slots are 0.
-    #[inline]
-    pub fn forward_keys(&self) -> &[u64] {
-        &self.forward_keys
-    }
-
     /// Number of events in the stream.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.slot_events.len()
     }
 
     /// Returns `true` for an empty trace.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.slot_events.is_empty()
     }
 
     /// Number of dense slots: the distinct keys in the union of the
@@ -498,7 +497,7 @@ impl<'t> PreparedTrace<'t> {
                     ..spec
                 };
                 *by_clamped.entry(clamped).or_insert_with(|| {
-                    let (_, signature, _) = table.keys_and_slots(spec, self.node_bits);
+                    let (signature, _) = table.slots(spec, self.node_bits);
                     *by_signature.entry(signature).or_insert(i)
                 })
             })
@@ -510,11 +509,32 @@ impl<'t> PreparedTrace<'t> {
         self.tuples.get_or_init(|| TupleTable::new(self.trace()))
     }
 
+    /// The predictor key ([`IndexSpec::key_of`]) and the forward key
+    /// ([`IndexSpec::forward_key_of`]) of each event in `events`, gathered
+    /// through the tuple table. An event without a previous writer has
+    /// forward key 0. No kernel reads key values, so a [`KeyStream`] keeps
+    /// none; the serving engine's op stream, which addresses entries by
+    /// key, gathers them here for the events it replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is out of bounds.
+    pub fn event_keys(&self, index: IndexSpec, events: Range<usize>) -> (Vec<u64>, Vec<u64>) {
+        let table = self.tuples();
+        let keys = |ids: &[u32]| -> Vec<u64> {
+            ids[events.clone()]
+                .iter()
+                .map(|&id| table.key_of(id, index, self.node_bits))
+                .collect()
+        };
+        (keys(&table.ids), keys(&table.forward_ids))
+    }
+
     /// Builds the key stream for `index` (uncached): the spec's per-tuple
-    /// keys and slots, gathered to every event through the tuple ids.
+    /// slots, gathered to every event through the tuple ids.
     fn build_stream(&self, index: IndexSpec) -> KeyStream {
         let table = self.tuples();
-        let (tuple_keys, tuple_slots, slot_count) = table.keys_and_slots(index, self.node_bits);
+        let (tuple_slots, slot_count) = table.slots(index, self.node_bits);
         let slots = gather(&tuple_slots, &table.ids);
         // Forward columns of events without a previous writer hold the
         // sentinel's 0 and are never read: every consumer gates on the
@@ -552,8 +572,6 @@ impl<'t> PreparedTrace<'t> {
             .collect();
         KeyStream {
             index,
-            keys: gather(&tuple_keys, &table.ids),
-            forward_keys: gather(&tuple_keys, &table.forward_ids),
             slot_count,
             slot_starts,
             slot_events,
@@ -642,10 +660,11 @@ mod tests {
             let stream = KeyStream::compute(&trace, index);
             assert_eq!(stream.index(), index);
             assert_eq!(stream.len(), trace.len());
+            let (keys, forward_keys) = PreparedTrace::new(&trace).event_keys(index, 0..trace.len());
             for (i, event) in trace.events().iter().enumerate() {
-                assert_eq!(stream.keys()[i], index.key_of(event, nb), "event {i}");
+                assert_eq!(keys[i], index.key_of(event, nb), "event {i}");
                 if let Some(fkey) = index.forward_key_of(event, nb) {
-                    assert_eq!(stream.forward_keys()[i], fkey, "forward {i}");
+                    assert_eq!(forward_keys[i], fkey, "forward {i}");
                 }
             }
         }

@@ -170,16 +170,31 @@ impl BatchAcc {
     /// Recovers the full matrix from the three sums.
     pub(crate) fn finalize(mut self, nodes: usize) -> ConfusionMatrix {
         self.flush();
-        let tp = self.tp;
-        let fp = self.predicted - tp;
-        let fn_ = self.actual - tp;
-        let decisions = self.scored * nodes as u64;
-        ConfusionMatrix {
-            tp,
-            fp,
-            fn_,
-            tn: decisions - tp - fp - fn_,
-        }
+        matrix_from_sums(
+            self.tp,
+            self.predicted,
+            self.actual,
+            self.scored * nodes as u64,
+        )
+    }
+}
+
+/// The full matrix from the three popcount sums over `decisions`
+/// per-node decisions (see the module docs).
+#[inline]
+pub(crate) fn matrix_from_sums(
+    tp: u64,
+    predicted: u64,
+    actual: u64,
+    decisions: u64,
+) -> ConfusionMatrix {
+    let fp = predicted - tp;
+    let fn_ = actual - tp;
+    ConfusionMatrix {
+        tp,
+        fp,
+        fn_,
+        tn: decisions - tp - fp - fn_,
     }
 }
 

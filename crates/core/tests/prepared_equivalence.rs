@@ -9,7 +9,8 @@
 //! per-event prediction relative to it: these properties pin that across
 //! random small traces, all three update modes, every prediction
 //! function, and both accumulator backends; PAs at every history depth
-//! and at machine widths up to a full 64-bit word.
+//! and at machine widths up to a full 64-bit word; and one index's mixed
+//! scheme list scored together by [`engine::run_index_schemes`].
 
 use csp_core::{
     engine, reference, IndexSpec, PredictionFunction, PredictorTable, PreparedTrace, Scheme,
@@ -117,6 +118,38 @@ proptest! {
                     prop_assert_eq!(engine::run_scheme(&trace, &scheme), expected, "scheme {}", scheme);
                 }
             }
+        }
+    }
+
+    /// One index's scheme list, scored together, equals the reference
+    /// scheme by scheme: every function, depths 1-8 and all three update
+    /// modes in one list, with at least one scheme listed twice.
+    #[test]
+    fn index_schemes_match_reference(
+        raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..40),
+        index in 0usize..4,
+        picks in vec((0usize..5, 1usize..=MAX_DEPTH, 0usize..3), 1..12),
+        twin in 0usize..12,
+    ) {
+        let trace = build_trace(&raw);
+        let prepared = PreparedTrace::new(&trace);
+        let index = index_points()[index];
+        let mut schemes: Vec<Scheme> = picks
+            .iter()
+            .map(|&(f, depth, u)| {
+                let function = PredictionFunction::ALL[f];
+                let depth = match function {
+                    PredictionFunction::Last | PredictionFunction::OverlapLast => 1,
+                    _ => depth,
+                };
+                Scheme::new(function, index, depth, UpdateMode::ALL[u])
+            })
+            .collect();
+        schemes.push(schemes[twin % schemes.len()]);
+        let got = engine::run_index_schemes(&prepared, &schemes);
+        prop_assert_eq!(got.len(), schemes.len());
+        for (m, scheme) in got.iter().zip(&schemes) {
+            prop_assert_eq!(*m, reference::run_scheme(&trace, scheme), "scheme {}", scheme);
         }
     }
 

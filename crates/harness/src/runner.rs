@@ -21,9 +21,7 @@
 
 use crate::checkpoint::{CheckpointPayload, Fingerprint, SweepCheckpoint};
 use crate::error::HarnessError;
-use csp_core::engine::{
-    run_history_family_prepared, run_scheme, run_scheme_prepared, FamilyResult,
-};
+use csp_core::engine::{run_history_family_prepared, run_index_schemes, run_scheme, FamilyResult};
 use csp_core::{IndexSpec, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::{ConfusionMatrix, Screening};
 use csp_workloads::{generate_suite, Benchmark, BenchmarkTrace};
@@ -320,16 +318,19 @@ pub fn evaluate_scheme(suite: &Suite, scheme: &Scheme) -> SchemeStats {
 ///
 /// Work is planned as one item per `(index, benchmark)` group, index-major
 /// over the list's distinct indexes: each group builds the index's key
-/// stream once, scores every listed scheme on that index while the stream
-/// is hot, then evicts it. Results fan out to the schemes in list order (a
-/// scheme listed twice is scored once). A group that panics twice fails
-/// every scheme of its index, with the group's panic message.
+/// stream once, scores the index's distinct schemes with one
+/// [`run_index_schemes`] call — one walk of the stream per update mode for
+/// the history-fold schemes, one per PAs scheme — then evicts it. Results
+/// fan out to the schemes in list order (a scheme listed twice is scored
+/// once). A group that panics twice fails every scheme of its index, with
+/// the group's panic message.
 pub fn try_evaluate_schemes(suite: &Suite, schemes: &[Scheme]) -> SweepOutcome<SchemeStats> {
-    unlogged(evaluate_grouped(suite, schemes, None, &run_scheme_prepared))
+    unlogged(evaluate_grouped(suite, schemes, None, &run_index_schemes))
 }
 
-/// [`try_evaluate_schemes`] with the checkpoint and the per-scheme work as
-/// parameters.
+/// [`try_evaluate_schemes`] with the checkpoint and the per-index work as
+/// parameters: `score` gets one index's distinct schemes and returns their
+/// matrices in order.
 fn evaluate_grouped<S>(
     suite: &Suite,
     schemes: &[Scheme],
@@ -337,7 +338,7 @@ fn evaluate_grouped<S>(
     score: &S,
 ) -> Result<SweepOutcome<SchemeStats>, HarnessError>
 where
-    S: Fn(&PreparedTrace<'_>, &Scheme) -> ConfusionMatrix + Sync,
+    S: Fn(&PreparedTrace<'_>, &[Scheme]) -> Vec<ConfusionMatrix> + Sync,
 {
     // The distinct indexes in list order, each with its distinct schemes.
     let mut indexes: Vec<IndexSpec> = Vec::new();
@@ -369,7 +370,7 @@ where
         suite,
         &plan,
         checkpoint,
-        &|pt, i| columns[i].iter().map(|s| score(pt, s)).collect(),
+        &|pt, i| score(pt, &columns[i]),
         |c, per_benchmark| SchemeStats::from_matrices(schemes[c], per_benchmark),
         |c| schemes[c].to_string(),
     )
@@ -413,7 +414,7 @@ pub fn evaluate_schemes_checkpointed(
         suite,
         schemes,
         Some((path, fp.finish())),
-        &run_scheme_prepared,
+        &run_index_schemes,
     )
 }
 
@@ -1057,7 +1058,8 @@ mod tests {
     }
 
     /// A list where several functions share an index, one scheme appears
-    /// twice and PAs mixes with history schemes.
+    /// twice, PAs mixes with history schemes and one walk serves several
+    /// depths.
     fn mixed_scheme_list() -> Vec<Scheme> {
         [
             "union(pid+pc8)2[direct]",
@@ -1068,6 +1070,8 @@ mod tests {
             "union(pid+pc8)2[direct]",
             "overlap-last(dir+add8)[direct]",
             "pas(dir+add8)6[ordered]",
+            "union(pid+pc8)3[direct]",
+            "inter(pid+pc8)8[direct]",
         ]
         .iter()
         .map(|s| s.parse().unwrap())
@@ -1103,11 +1107,11 @@ mod tests {
         let schemes = mixed_scheme_list();
         let victim = schemes[1].index; // dir+add8
         let victim_trace = &suite.traces()[3].trace;
-        let outcome = unlogged(evaluate_grouped(&suite, &schemes, None, &|pt, scheme| {
-            if scheme.index == victim && std::ptr::eq(pt.trace(), victim_trace) {
+        let outcome = unlogged(evaluate_grouped(&suite, &schemes, None, &|pt, group| {
+            if group[0].index == victim && std::ptr::eq(pt.trace(), victim_trace) {
                 panic!("injected failure in group({victim})");
             }
-            run_scheme_prepared(pt, scheme)
+            run_index_schemes(pt, group)
         }));
         // The three dir+add8 schemes fail with the group's own message;
         // every pid+pc8 scheme survives.
@@ -1128,7 +1132,7 @@ mod tests {
                 .map(|(c, label)| (*c, label.as_str(), message.as_str()))
                 .collect::<Vec<_>>()
         );
-        for c in [0, 2, 3, 4, 5] {
+        for c in [0, 2, 3, 4, 5, 8, 9] {
             let stats = outcome.results[c]
                 .as_ref()
                 .expect("pid+pc8 schemes survive");

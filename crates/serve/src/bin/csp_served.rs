@@ -47,7 +47,8 @@
 //! fan-out) — and it can be promoted to leadership: `promote` does it by
 //! hand over the wire, `--auto-promote` does it automatically when the
 //! leader's lease lapses (rank-ordered by `--replica-id`, lowest wins).
-//! Promotion bumps the fencing epoch, stops the follower loop, and
+//! Promotion bumps the fencing epoch, stops the follower loop, starts
+//! the periodic snapshots and journal compaction a leader runs, and
 //! rewrites the shared `--follow-file` with this server's own address so
 //! the remaining followers re-parent onto the new leader; the deposed
 //! leader's writes are then refused with a typed `fenced` error.
@@ -107,7 +108,7 @@ use std::io::{BufReader, Read as _};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// Usage errors exit 2 (and print the usage text); runtime errors exit 1.
@@ -515,6 +516,36 @@ fn save_snapshot(
     Ok(state.seq)
 }
 
+/// Snapshots `engine` into `store` every `every` on a background
+/// thread. A replicated engine snapshots at its journal head (seq ==
+/// offset, an exact cut) and compacts the journal below the *previous*
+/// snapshot's horizon, the first time below `floor`; a plain one
+/// numbers its snapshots on from `seq`.
+fn spawn_snapshots(
+    store: SnapshotStore,
+    engine: Arc<ShardedEngine>,
+    seq: Arc<AtomicU64>,
+    every: Duration,
+    mut floor: u64,
+) {
+    std::thread::spawn(move || loop {
+        std::thread::sleep(every);
+        let next = seq.load(Ordering::Relaxed) + 1;
+        match save_snapshot(&store, &engine, next) {
+            Ok(s) => {
+                seq.store(s, Ordering::Relaxed);
+                if let Some(log) = engine.replication() {
+                    if let Err(e) = log.compact(floor) {
+                        eprintln!("journal compaction failed: {e}");
+                    }
+                    floor = s;
+                }
+            }
+            Err(e) => eprintln!("snapshot failed: {e}"),
+        }
+    });
+}
+
 fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
     let spec = o.req("--scheme");
     let snapshot_dir = o.text("--snapshot-dir");
@@ -679,18 +710,35 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
         .map_err(|e| rt(format!("bind {listen}: {e}")))?;
     let bound = server.local_addr().map_err(rt)?;
 
+    let periodic = match (&store, o.int("--snapshot-every") as u64) {
+        (Some(store), secs) if secs > 0 => Some((store.clone(), Duration::from_secs(secs))),
+        _ => None,
+    };
+
     // What a follower does once promoted (by a wire `Promote` or by the
     // auto-promote monitor, both through `replication::promote`): stop
-    // streaming from the old leader, and re-parent the fleet by
-    // rewriting the shared --follow-file with this server's address —
-    // every other follower re-reads it on its next dial.
+    // streaming from the old leader, start the periodic snapshots a
+    // leader takes (compacting from this node's last snapshot seq), and
+    // re-parent the fleet by rewriting the shared --follow-file with this
+    // server's address — every other follower re-reads it on its next
+    // dial.
     let follower_shutdown = ShutdownHandle::new();
     if following {
         let stop = follower_shutdown.clone();
         let follow_file = follow_file.map(str::to_string);
         let own_addr = bound.to_string();
+        // A leader can be promoted again (to a newer term); it keeps the
+        // one snapshot loop its first promotion started.
+        let (snapshots, started) = (periodic.clone(), Once::new());
+        let (weak, snap_seq) = (Arc::downgrade(&engine), Arc::clone(&seq));
         engine.on_promote(Arc::new(move |epoch: u64| {
             stop.shutdown();
+            started.call_once(|| {
+                if let (Some((store, every)), Some(engine)) = (&snapshots, weak.upgrade()) {
+                    let floor = snap_seq.load(Ordering::Relaxed);
+                    spawn_snapshots(store.clone(), engine, Arc::clone(&snap_seq), *every, floor);
+                }
+            });
             match &follow_file {
                 Some(path) => {
                     match trace_io::write_file_atomically(Path::new(path), own_addr.as_bytes()) {
@@ -823,38 +871,24 @@ fn cmd_serve(o: &Args) -> Result<ExitCode, CliError> {
         });
     }
 
-    // Periodic background snapshots. A replicated leader snapshots at
-    // the journal head (seq == offset, an exact cut) and compacts the
-    // journal below the *previous* retained snapshot's horizon. A
-    // follower skips periodic snapshots: its applied offset moves on the
+    // Periodic background snapshots: a leader or a plain server starts
+    // them now, a follower once it is promoted (see above). A follower
+    // skips them while it follows: its applied offset moves on the
     // streaming thread, so only the post-drain snapshot is an exact cut.
-    let snapshot_every = o.int("--snapshot-every") as u64;
-    if following {
-        if store.is_some() && snapshot_every > 0 {
-            eprintln!("periodic snapshots are disabled while following; one is taken at shutdown");
+    match periodic {
+        Some(_) if following => eprintln!(
+            "periodic snapshots start once this follower is promoted; one is taken at shutdown"
+        ),
+        Some((store, every)) => {
+            spawn_snapshots(
+                store,
+                Arc::clone(&engine),
+                Arc::clone(&seq),
+                every,
+                initial_floor,
+            );
         }
-    } else if let (Some(store), true) = (&store, snapshot_every > 0) {
-        let store = store.clone();
-        let snap_engine = Arc::clone(&engine);
-        let snap_seq = Arc::clone(&seq);
-        let every = Duration::from_secs(snapshot_every);
-        let mut floor = initial_floor;
-        std::thread::spawn(move || loop {
-            std::thread::sleep(every);
-            let next = snap_seq.load(Ordering::Relaxed) + 1;
-            match save_snapshot(&store, &snap_engine, next) {
-                Ok(s) => {
-                    snap_seq.store(s, Ordering::Relaxed);
-                    if let Some(log) = snap_engine.replication() {
-                        if let Err(e) = log.compact(floor) {
-                            eprintln!("journal compaction failed: {e}");
-                        }
-                        floor = s;
-                    }
-                }
-                Err(e) => eprintln!("snapshot failed: {e}"),
-            }
-        });
+        None => {}
     }
 
     // Graceful shutdown: when stdin closes (Ctrl-D, or the supervising

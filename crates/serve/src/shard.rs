@@ -315,16 +315,15 @@ pub fn replay_ops(
     range: Range<usize>,
 ) -> Vec<IngestOp> {
     assert!(range.end <= prepared.len(), "replay range out of bounds");
-    let stream = prepared.key_stream(scheme.index);
-    let (keys, forward_keys) = (stream.keys(), stream.forward_keys());
+    let (keys, forward_keys) = prepared.event_keys(scheme.index, range.clone());
     let (has_prev, invalidated, actuals) = (
         prepared.has_prev(),
         prepared.invalidated(),
         prepared.actuals(),
     );
     let mut out = Vec::with_capacity((range.end.saturating_sub(range.start)) * 2);
-    for i in range {
-        let (key, actual, feedback) = (keys[i], actuals[i], invalidated[i]);
+    for (k, i) in range.enumerate() {
+        let (key, actual, feedback) = (keys[k], actuals[i], invalidated[i]);
         let score = IngestOp::Score { key, actual };
         // Direct trains the writer's own entry before predicting,
         // forwarded the previous writer's; ordered predicts first, then
@@ -334,7 +333,7 @@ pub fn replay_ops(
                 out.extend([IngestOp::Update { key, feedback }, score]);
             }
             UpdateMode::Forwarded if has_prev[i] => {
-                let key = forward_keys[i];
+                let key = forward_keys[k];
                 out.extend([IngestOp::Update { key, feedback }, score]);
             }
             UpdateMode::Direct | UpdateMode::Forwarded => out.push(score),
@@ -715,9 +714,10 @@ impl ShardedEngine {
     }
 
     /// [`replay_trace`](Self::replay_trace) over an already-prepared
-    /// trace: the actuals and the key stream come from the *same* shared
-    /// computation (`csp_core::KeyStream`) the offline engine walks, so
-    /// online and offline replay cannot derive keys differently. A caller
+    /// trace: the actuals and the keys come from the *same* shared
+    /// preparation (`csp_core::PreparedTrace::event_keys` reads the tuple
+    /// table the offline engine's key streams are built from), so online
+    /// and offline replay cannot derive keys differently. A caller
     /// replaying one trace through several engines (or schemes) shares
     /// one preparation across all of them.
     ///

@@ -818,6 +818,120 @@ fn manual_promote_fences_the_deposed_epoch() {
     );
 }
 
+/// The newest `snapshot seq N -> PATH` line a served process logged whose
+/// seq is past `offset` and whose file exists.
+fn snapshot_past(stderr: &str, offset: u64) -> Option<u64> {
+    stderr.lines().rev().find_map(|line| {
+        let (seq, path) = line.strip_prefix("snapshot seq ")?.split_once(" -> ")?;
+        let seq: u64 = seq.parse().ok()?;
+        (seq > offset && Path::new(path).exists()).then_some(seq)
+    })
+}
+
+/// A follower promoted at runtime takes over the leader's periodic
+/// snapshots: started with `--snapshot-every 1`, it snapshots nothing
+/// while following, then, promoted and fed, writes a snapshot past its
+/// promotion offset without waiting for shutdown.
+#[test]
+fn promoted_follower_takes_periodic_snapshots() {
+    let dir = TempDir::new("promote-snapshots");
+    let (trace, events, nodes) = write_trace(&dir, 1);
+    let (t1, t2) = (events / 3, 2 * events / 3);
+    let nodes_s = nodes.to_string();
+    let t1_s = t1.to_string();
+
+    let ldir = dir.path("leader");
+    let addr_file = dir.path("leader.addr");
+    let mut leader = Served::spawn(
+        &dir,
+        "leader",
+        &[
+            "--scheme",
+            SCHEME,
+            "--nodes",
+            &nodes_s,
+            "--shards",
+            SHARDS,
+            "--listen",
+            "127.0.0.1:0",
+            "--snapshot-dir",
+            arg(&ldir),
+            "--replicate",
+            "--warm",
+            arg(&trace),
+            "--warm-events",
+            &t1_s,
+            "--addr-file",
+            arg(&addr_file),
+        ],
+    );
+    let laddr = wait_addr(&addr_file);
+
+    let fdir = dir.path("follower");
+    ship_snapshot(&ldir, &fdir);
+    let faddr_file = dir.path("follower.addr");
+    let follower = Served::spawn(
+        &dir,
+        "follower",
+        &[
+            "--scheme",
+            SCHEME,
+            "--nodes",
+            &nodes_s,
+            "--shards",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+            "--snapshot-dir",
+            arg(&fdir),
+            "--snapshot-every",
+            "1",
+            "--restore",
+            "--follow-file",
+            arg(&addr_file),
+            "--addr-file",
+            arg(&faddr_file),
+        ],
+    );
+    let faddr = wait_addr(&faddr_file);
+
+    push(&laddr, &trace, t1, Some(t2));
+    let mid = stats(&laddr);
+    wait_stats(&faddr, "pre-kill catch-up", |s| {
+        s.scored == mid.scored && s.updates == mid.updates
+    });
+    leader.kill9();
+
+    let (ok, out) = promote(&faddr, &nodes_s, 2);
+    assert!(ok, "promote subcommand failed:\n{out}");
+    let head: u64 = out
+        .split("journal head ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|h| h.parse().ok())
+        .unwrap_or_else(|| panic!("no journal head in promote output:\n{out}"));
+    assert_eq!(
+        snapshot_past(&follower.stderr(), head),
+        None,
+        "a following node snapshots only at shutdown"
+    );
+
+    let (ok, err) = push_at_epoch(&faddr, &trace, t2, None, 2);
+    assert!(ok, "push to the promoted leader failed:\n{err}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while snapshot_past(&follower.stderr(), head).is_none() {
+        assert!(
+            Instant::now() < deadline,
+            "the promoted leader wrote no snapshot past its promotion offset {head}:\n{}",
+            follower.stderr()
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    let (ok, err) = follower.shutdown();
+    assert!(ok, "promoted leader shutdown failed:\n{err}");
+}
+
 /// The headline chaos proof, across every benchmark of the suite:
 /// SIGKILL the leader mid-stream with two ranked `--auto-promote`
 /// replicas subscribed. The lowest rank's lease deadline fires first and
