@@ -237,8 +237,11 @@ impl BarDefs {
 
     /// The matrix fingerprint: format version plus the engine, workload,
     /// and scheme sets in declaration order. Run parameters and gates
-    /// are deliberately excluded — retuning a threshold or scale must
-    /// not orphan the committed trajectory.
+    /// are deliberately excluded — retuning a threshold or an iteration
+    /// count must not orphan the committed trajectory. Scale and seed
+    /// are excluded too, but they select history instead:
+    /// [`crate::check`] gates only against committed records of the
+    /// same `scale` and `seed`.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new("csp-bar-defs-v1").push_u64(u64::from(self.format));
         for e in &self.engines {
@@ -370,7 +373,7 @@ iters 3
 shards 4
 
 # Engines, baseline (ratio denominator) first: the reference evaluator,
-# the production slot-major SIMD kernel, the sharded serving engine.
+# the production trace-order SIMD kernel, the sharded serving engine.
 engine reference
 engine simd
 engine sharded

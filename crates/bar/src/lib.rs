@@ -2,7 +2,7 @@
 //!
 //! The workspace scores the paper's pattern-based predictors with
 //! engines that differ in kind — the plain reference evaluator, the
-//! production slot-major SIMD kernel, and the sharded serving engine.
+//! production trace-order SIMD kernel, and the sharded serving engine.
 //! This crate turns "is it still fast?" into committed, gated numbers,
 //! rebar-style:
 //!
@@ -17,7 +17,7 @@
 //!   benchmark history is a *trajectory* rather than a point (see
 //!   `crates/bar/FORMAT.md` for the byte-level spec);
 //! * [`runner`] — the matrix runner: warmup and iteration control,
-//!   per-iteration latency through `csp-obs` histograms (p50/p99), and
+//!   every iteration's latency kept (exact p50/p99 of the samples), and
 //!   a bit-identity cross-check of every engine's screening statistics
 //!   against the reference (via `csp_harness::engines`) before any
 //!   timing is trusted;
@@ -26,8 +26,8 @@
 //!   cell's throughput across every committed run: sparkline plus
 //!   p50/p99 table), and `check` (the regression gate: per-cell
 //!   thresholds from the definitions file over machine-relative ratios,
-//!   plus declared minimum-ratio gates such as the simd-vs-reference
-//!   floor).
+//!   against committed runs of the same scale and seed only, plus
+//!   declared minimum-ratio gates such as the simd-vs-reference floor).
 //!
 //! The `csp-bar` binary exposes `run`, `diff`, `rank`, `history`,
 //! `check`, and `prune` (atomic rewrite keeping only the newest N

@@ -76,7 +76,8 @@ pub struct BarRecord {
     /// the raw samples `seconds` is the minimum of. Empty for schema-1
     /// records (which kept only the minimum) and imported cells.
     pub samples: Vec<f64>,
-    /// Median per-iteration wall time in nanoseconds (log2-bucketed).
+    /// Median per-iteration wall time in nanoseconds: the nearest-rank
+    /// quantile of `samples`.
     pub p50_ns: u64,
     /// 99th-percentile per-iteration wall time in nanoseconds.
     pub p99_ns: u64,

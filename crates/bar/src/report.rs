@@ -347,9 +347,25 @@ impl fmt::Display for CheckReport {
 /// latest committed run and the current one, and per-cell regression of
 /// current relative throughput (vs the baseline engine) against the
 /// newest trajectory run covering the cell.
+///
+/// Relative throughput moves with the workload scale and the suite seed,
+/// so only committed records measured at the definitions' `scale` and
+/// `seed` gate anything. A non-empty trajectory with no such record is a
+/// failure, not a silent pass.
 pub fn check(defs: &BarDefs, trajectory: &[BarRecord], current: &[BarRecord]) -> CheckReport {
     let mut report = CheckReport::default();
-    let trajectory_runs = runs(trajectory);
+    let committed: Vec<BarRecord> = trajectory
+        .iter()
+        .filter(|r| r.scale == defs.scale && r.seed == defs.seed)
+        .cloned()
+        .collect();
+    if committed.is_empty() && !trajectory.is_empty() {
+        report.failures.push(format!(
+            "no committed run at scale {:?} seed {}: the trajectory cannot gate this run",
+            defs.scale, defs.seed
+        ));
+    }
+    let trajectory_runs = runs(&committed);
     let current_runs = runs(current);
     let baseline = defs.baseline_engine();
 
@@ -888,6 +904,69 @@ mod tests {
     fn sparkline_is_flat_mid_height_for_equal_values() {
         assert_eq!(sparkline(&[5.0, 5.0, 5.0]), "▄▄▄");
         assert_eq!(sparkline(&[]), "");
+    }
+
+    #[test]
+    fn check_gates_only_against_runs_of_the_same_scale_and_seed() {
+        let mut defs = gated_defs();
+        let at = |run: &str, engine: &str, eps: f64, scale: f64, seed: u64| BarRecord {
+            scale,
+            seed,
+            ..rec(run, engine, "water", "s", eps)
+        };
+        let trajectory = vec![
+            at("t1", "reference", 10.0, 0.05, 1),
+            at("t1", "simd", 40.0, 0.05, 1), // 4x at the definitions' scale
+            at("t2", "reference", 10.0, 1.0, 1),
+            at("t2", "simd", 25.0, 1.0, 1), // 2.5x, newer, at scale 1.0
+            at("t3", "reference", 10.0, 0.05, 2),
+            at("t3", "simd", 25.0, 0.05, 2), // 2.5x, newest, at seed 2
+        ];
+        let current = |scale, seed| {
+            vec![
+                at("c1", "reference", 10.0, scale, seed),
+                at("c1", "simd", 25.0, scale, seed),
+            ]
+        };
+        // At scale 0.05 seed 1 the cell gates against t1's 4x and fails,
+        // though the newer t2 and t3 would have passed it.
+        let report = check(&defs, &trajectory, &current(0.05, 1));
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("committed 4.000x in t1")),
+            "{report}"
+        );
+        // At scale 1.0 it gates against t2 only, and passes.
+        defs.scale = 1.0;
+        let report = check(&defs, &trajectory, &current(1.0, 1));
+        assert!(report.ok(), "{report}");
+        assert!(
+            report.passes.iter().any(|p| p.contains("in t2")),
+            "{report}"
+        );
+        // No committed run at scale 0.2 seed 1: a failure naming both.
+        defs.scale = 0.2;
+        let report = check(&defs, &trajectory, &current(0.2, 1));
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("no committed run at scale 0.2 seed 1")),
+            "{report}"
+        );
+        // Nor at seed 3.
+        defs.scale = 0.05;
+        defs.seed = 3;
+        let report = check(&defs, &trajectory, &current(0.05, 3));
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.contains("no committed run at scale 0.05 seed 3")),
+            "{report}"
+        );
     }
 
     #[test]

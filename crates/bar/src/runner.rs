@@ -12,16 +12,15 @@
 //!    pass doubles as the first warmup.
 //! 2. **Warmup passes** — `warmup` additional untimed evaluations per
 //!    engine (page faults, frequency ramp, branch history).
-//! 3. **Timed passes** — `iters` evaluations per engine; each duration
-//!    lands in a `csp-obs` log2 histogram. The fastest iteration is the
-//!    throughput sample, the histogram supplies p50/p99.
+//! 3. **Timed passes** — `iters` evaluations per engine, every duration
+//!    kept. The fastest iteration is the throughput sample; p50/p99 are
+//!    exact nearest-rank quantiles of the samples.
 
 use crate::record::BarRecord;
 use crate::{BarDefs, BarError};
 use csp_core::PreparedTrace;
 use csp_harness::engines::{cross_check, engine_by_name, Engine, EngineCell};
 use csp_harness::Suite;
-use csp_obs::Histogram;
 use std::time::Instant;
 
 /// Provenance stamped on every record of one run batch.
@@ -200,24 +199,32 @@ fn time_engine(engine: &dyn Engine, cell: &EngineCell<'_>, warmup: usize, iters:
     for _ in 0..warmup {
         std::hint::black_box(engine.eval(cell));
     }
-    let hist = Histogram::new();
-    let mut best = f64::INFINITY;
-    let mut samples = Vec::with_capacity(iters.max(1));
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(engine.eval(cell));
-        let elapsed = t0.elapsed();
-        hist.record_duration(elapsed);
-        samples.push(elapsed.as_secs_f64());
-        best = best.min(elapsed.as_secs_f64());
-    }
-    let snap = hist.snapshot();
+    let samples: Vec<f64> = (0..iters.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(engine.eval(cell));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    let best = samples.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     Timing {
         seconds: best.max(1e-9),
+        p50_ns: nearest_rank_ns(&samples, 0.5),
+        p99_ns: nearest_rank_ns(&samples, 0.99),
         samples,
-        p50_ns: snap.quantile(0.5),
-        p99_ns: snap.quantile(0.99),
     }
+}
+
+/// The nearest-rank `q`-quantile of `samples` (seconds), in whole
+/// nanoseconds: the smallest sample with at least a `q` share of the
+/// samples at or below it. 0 for no samples.
+fn nearest_rank_ns(samples: &[f64], q: f64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted
+        .get(rank - 1)
+        .map_or(0, |&s| (s * 1e9).round() as u64)
 }
 
 #[cfg(test)]
@@ -262,6 +269,8 @@ mod tests {
             assert!(r.events_per_sec > 0.0);
             assert!(r.p50_ns > 0);
             assert!(r.p99_ns >= r.p50_ns);
+            assert_eq!(r.p50_ns, nearest_rank_ns(&r.samples, 0.5));
+            assert_eq!(r.p99_ns, nearest_rank_ns(&r.samples, 0.99));
             assert_eq!(r.samples.len(), defs.iters.max(1));
             let min = r.samples.iter().fold(f64::INFINITY, |a, &b| a.min(b));
             assert_eq!(r.seconds, min.max(1e-9), "seconds is the fastest sample");
@@ -271,6 +280,25 @@ mod tests {
         assert_eq!(records[0].engine, "reference");
         assert_eq!(records[1].engine, "simd");
         assert_eq!(records[2].engine, "sharded");
+    }
+
+    #[test]
+    fn quantiles_are_nearest_rank_samples() {
+        // Ten samples, 1..=10 µs, out of order.
+        let samples: Vec<f64> = [7, 3, 10, 1, 5, 9, 2, 8, 4, 6]
+            .iter()
+            .map(|&us| f64::from(us) * 1e-6)
+            .collect();
+        assert_eq!(nearest_rank_ns(&samples, 0.5), 5_000);
+        assert_eq!(nearest_rank_ns(&samples, 0.99), 10_000);
+        assert_eq!(nearest_rank_ns(&samples, 0.1), 1_000);
+        assert_eq!(nearest_rank_ns(&samples, 0.11), 2_000);
+        // Three samples: the median is the middle one, p99 the slowest.
+        let three = [0.003, 0.001, 0.002];
+        assert_eq!(nearest_rank_ns(&three, 0.5), 2_000_000);
+        assert_eq!(nearest_rank_ns(&three, 0.99), 3_000_000);
+        assert_eq!(nearest_rank_ns(&[0.000_042], 0.5), 42_000);
+        assert_eq!(nearest_rank_ns(&[], 0.5), 0);
     }
 
     #[test]

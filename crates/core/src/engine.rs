@@ -16,12 +16,12 @@
 //!   later prediction through that entry sees this feedback, the oracle
 //!   ordering of Figure 4.
 //!
-//! Every entry point here runs on one scorer: the slot-major walk of
-//! `kernel.rs` over a [`PreparedTrace`]'s key streams, feeding a batched
-//! confusion accumulator, a per-event prediction sink, the all-depths
-//! family accumulator, or the listed-columns accumulator that
-//! [`run_index_schemes`] uses to score one index's history-fold schemes
-//! in one walk per update mode. The `*_prepared` entry points (and
+//! Every entry point here runs on one scorer: the trace-order walk of
+//! `kernel.rs` over a [`PreparedTrace`] and one of its key streams, with
+//! one entry state per slot, feeding a batched confusion accumulator, a
+//! per-event prediction sink, the all-depths family accumulator, or the
+//! listed-columns accumulator that [`run_index_schemes`] uses to score
+//! one index's history-fold schemes in one walk per update mode. The `*_prepared` entry points (and
 //! [`run_index_schemes`]) share an explicit `PreparedTrace` across many
 //! schemes (the sweep case); the plain ones prepare internally per call.
 //! [`crate::reference`] is the independent definition every one of them
@@ -60,42 +60,43 @@ pub fn run_scheme_with_backend(
     backend: SimdBackend,
 ) -> ConfusionMatrix {
     score_one(
+        prepared,
         &prepared.key_stream(scheme.index),
         scheme,
-        prepared.nodes(),
         backend,
     )
 }
 
-/// One walk of `scheme`'s own entry model over `stream`.
+/// One walk of `scheme`'s own entry model over `prepared` through
+/// `stream`.
 fn score_one(
+    prepared: &PreparedTrace<'_>,
     stream: &KeyStream,
     scheme: &Scheme,
-    nodes: usize,
     backend: SimdBackend,
 ) -> ConfusionMatrix {
-    struct Score<'a> {
+    struct Score<'a, 't> {
+        prepared: &'a PreparedTrace<'t>,
         stream: &'a KeyStream,
         update: UpdateMode,
         backend: SimdBackend,
-        nodes: usize,
     }
-    impl WithEntry for Score<'_> {
+    impl WithEntry for Score<'_, '_> {
         type Out = ConfusionMatrix;
         fn run<E: Entry>(self, entry: E) -> ConfusionMatrix {
             let mut acc = BatchAcc::new(self.backend);
-            kernel::walk(self.stream, self.update, entry, &mut acc);
-            acc.finalize(self.nodes)
+            kernel::walk(self.prepared, self.stream, self.update, entry, &mut acc);
+            acc.finalize(self.prepared.nodes())
         }
     }
     kernel::with_entry(
         scheme,
-        nodes,
+        prepared.nodes(),
         Score {
+            prepared,
             stream,
             update: scheme.update,
             backend,
-            nodes,
         },
     )
 }
@@ -122,7 +123,6 @@ pub fn run_index_schemes(prepared: &PreparedTrace<'_>, schemes: &[Scheme]) -> Ve
         "run_index_schemes takes schemes of one index"
     );
     let stream = prepared.key_stream(first.index);
-    let nodes = prepared.nodes();
     let mut out: Vec<Option<ConfusionMatrix>> = vec![None; schemes.len()];
     for update in UpdateMode::ALL {
         let (at, history): (Vec<usize>, Vec<Scheme>) = schemes
@@ -132,7 +132,7 @@ pub fn run_index_schemes(prepared: &PreparedTrace<'_>, schemes: &[Scheme]) -> Ve
             .map(|(i, s)| (i, *s))
             .unzip();
         if !history.is_empty() {
-            let matrices = kernel::score_history(&stream, update, &history, nodes);
+            let matrices = kernel::score_history(prepared, &stream, update, &history);
             for (i, m) in at.into_iter().zip(matrices) {
                 out[i] = Some(m);
             }
@@ -143,7 +143,7 @@ pub fn run_index_schemes(prepared: &PreparedTrace<'_>, schemes: &[Scheme]) -> Ve
         if out[i].is_none() {
             out[i] = Some(match schemes[..i].iter().position(|s| s == scheme) {
                 Some(earlier) => out[earlier].expect("earlier schemes are scored"),
-                None => score_one(&stream, scheme, nodes, backend),
+                None => score_one(prepared, &stream, scheme, backend),
             });
         }
     }
@@ -164,16 +164,16 @@ pub fn predictions_for_prepared(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
 ) -> Vec<SharingBitmap> {
-    struct Predict<'a> {
+    struct Predict<'a, 't> {
+        prepared: &'a PreparedTrace<'t>,
         stream: &'a KeyStream,
         update: UpdateMode,
-        events: usize,
     }
-    impl WithEntry for Predict<'_> {
+    impl WithEntry for Predict<'_, '_> {
         type Out = Vec<SharingBitmap>;
         fn run<E: Entry>(self, entry: E) -> Vec<SharingBitmap> {
-            let mut out = Predictions(vec![SharingBitmap::empty(); self.events]);
-            kernel::walk(self.stream, self.update, entry, &mut out);
+            let mut out = Predictions(vec![SharingBitmap::empty(); self.prepared.len()]);
+            kernel::walk(self.prepared, self.stream, self.update, entry, &mut out);
             out.0
         }
     }
@@ -182,9 +182,9 @@ pub fn predictions_for_prepared(
         scheme,
         prepared.nodes(),
         Predict {
+            prepared,
             stream: &stream,
             update: scheme.update,
-            events: prepared.len(),
         },
     )
 }
@@ -237,25 +237,29 @@ pub fn run_history_family_prepared(
         crate::MAX_DEPTH
     );
     let stream = prepared.key_stream(index);
-    let nodes = prepared.nodes();
     // A const depth turns the per-decision fold into a fixed-bound,
     // fully unrollable loop with no per-depth branches.
     match max_depth {
-        1 => family::<1>(&stream, update, nodes),
-        2 => family::<2>(&stream, update, nodes),
-        3 => family::<3>(&stream, update, nodes),
-        4 => family::<4>(&stream, update, nodes),
-        5 => family::<5>(&stream, update, nodes),
-        6 => family::<6>(&stream, update, nodes),
-        7 => family::<7>(&stream, update, nodes),
-        8 => family::<8>(&stream, update, nodes),
+        1 => family::<1>(prepared, &stream, update),
+        2 => family::<2>(prepared, &stream, update),
+        3 => family::<3>(prepared, &stream, update),
+        4 => family::<4>(prepared, &stream, update),
+        5 => family::<5>(prepared, &stream, update),
+        6 => family::<6>(prepared, &stream, update),
+        7 => family::<7>(prepared, &stream, update),
+        8 => family::<8>(prepared, &stream, update),
         _ => unreachable!("max_depth checked above"),
     }
 }
 
-fn family<const MD: usize>(stream: &KeyStream, update: UpdateMode, nodes: usize) -> FamilyResult {
+fn family<const MD: usize>(
+    prepared: &PreparedTrace<'_>,
+    stream: &KeyStream,
+    update: UpdateMode,
+) -> FamilyResult {
+    let nodes = prepared.nodes();
     let mut family = Family::<MD>::new(nodes);
-    kernel::walk(stream, update, Window::<MD>::cold(), &mut family);
+    kernel::walk(prepared, stream, update, Window::<MD>::cold(), &mut family);
     let (union, inter) = family.finish(nodes);
     FamilyResult { union, inter }
 }

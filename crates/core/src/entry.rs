@@ -215,81 +215,64 @@ impl HistoryEntry {
 
 /// Depths up to which a PAs step visits every history pattern
 /// (`2^D <= 8`): branch-free, and measured cheaper than finding the
-/// patterns the nodes hold. Deeper entries visit only those (see
-/// [`Held`]), which measured faster from depth 4 on.
+/// patterns the nodes hold. Deeper entries visit only those, which
+/// measured faster from depth 4 on.
 const ENUMERATE_MAX_DEPTH: usize = 3;
 
-/// PAs state as bit planes over nodes, so one bitwise operation covers
-/// every node of the machine:
-///
-/// * `hist[k]` holds bit `k` of every node's history register (bit 0 is
-///   the newest feedback);
-/// * `counters[p]` holds, as `[hi, lo]` planes, the two-bit counter every
-///   node with history pattern `p` selects.
-///
-/// Only the first `D` planes and `2^D` patterns of a depth-`D` entry are
-/// used. Feedback is masked to the machine's nodes, so bits past the last
-/// node stay zero and equal state has one representation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct PasPlanes {
-    hist: [u64; MAX_DEPTH],
-    counters: Vec<[u64; 2]>,
-    /// The machine's nodes.
+// The PAs math over bit planes, so one bitwise operation covers every
+// node of the machine:
+//
+// * `hist[k]` holds bit `k` of every node's history register (bit 0 is
+//   the newest feedback);
+// * `counters[p]` holds, as `[hi, lo]` planes, the two-bit counter every
+//   node with history pattern `p` selects (only the first `2^D` are
+//   read);
+// * `nodes` is the machine's node mask. Feedback is masked to it, so
+//   bits past the last node stay zero and equal state has one
+//   representation.
+//
+// `PasEntry` runs it at its runtime depth, the kernel's inline PAs
+// entry at a const one. Which nodes hold which pattern is recomputed
+// from the history planes on every call; a train also yields the trained
+// state's prediction, so a walk that predicts after training walks the
+// patterns once.
+
+/// The predicted reader bitmap, `OR_p (holders_p & hi[p])`.
+#[inline(always)]
+pub(crate) fn pas_predict<const D: usize>(
+    hist: &[u64; D],
+    counters: &[[u64; 2]],
     nodes: u64,
+) -> u64 {
+    let counters = &counters[..1 << D];
+    let mut predicted = 0;
+    for_each_pattern(hist, nodes, |m, p| predicted |= m & counters[p][0]);
+    predicted
 }
 
-impl PasPlanes {
-    /// Cold state for `nodes` nodes and `2^depth` patterns.
-    pub(crate) fn cold(nodes: usize, depth: usize) -> Self {
-        PasPlanes {
-            hist: [0; MAX_DEPTH],
-            counters: vec![[0; 2]; 1 << depth],
-            nodes: SharingBitmap::all(nodes).bits(),
-        }
-    }
-
-    /// Makes the state cold again, keeping its allocation.
-    #[inline(always)]
-    pub(crate) fn reset(&mut self) {
-        self.hist = [0; MAX_DEPTH];
-        self.counters.fill([0; 2]);
-    }
-
-    /// The predicted reader bitmap, `OR_p (holders_p & hi[p])` over the
-    /// patterns `held` lists.
-    #[inline(always)]
-    pub(crate) fn predict<const D: usize>(&self, held: &Held) -> u64 {
-        let counters = &self.counters[..1 << D];
-        if D <= ENUMERATE_MAX_DEPTH {
-            held.holders
-                .iter()
-                .zip(counters)
-                .fold(0, |acc, (&m, c)| acc | (m & c[0]))
-        } else {
-            held.parts()
-                .fold(0, |acc, (m, p)| acc | (m & counters[p & ((1 << D) - 1)][0]))
-        }
-    }
-
-    /// Trains on `feedback`: steps each node's selected counter toward its
-    /// bit, then shifts the bit into its history register. `held` must
-    /// describe the histories before the shift; refresh it afterwards.
-    #[inline(always)]
-    pub(crate) fn train<const D: usize>(&mut self, feedback: u64, held: &Held) {
-        let f = feedback & self.nodes;
-        let counters = &mut self.counters[..1 << D];
-        if D <= ENUMERATE_MAX_DEPTH {
-            for (&m, c) in held.holders.iter().zip(counters) {
-                step(c, m, f);
-            }
-        } else {
-            for (m, p) in held.parts() {
-                step(&mut counters[p & ((1 << D) - 1)], m, f);
-            }
-        }
-        self.hist.copy_within(0..D - 1, 1);
-        self.hist[0] = f;
-    }
+/// Trains on `feedback`: steps each node's selected counter toward its
+/// bit, then shifts the bit into its history register. Returns what
+/// [`pas_predict`] gives for the trained state, from the same pattern
+/// walk: a node holding pattern `p` holds `(p << 1 | bit) mod 2^D` after
+/// the shift, and only its own step can have moved its counter there.
+#[inline(always)]
+pub(crate) fn pas_train<const D: usize>(
+    hist: &mut [u64; D],
+    counters: &mut [[u64; 2]],
+    nodes: u64,
+    feedback: u64,
+) -> u64 {
+    let f = feedback & nodes;
+    let counters = &mut counters[..1 << D];
+    let mut predicted = 0;
+    for_each_pattern(hist, nodes, |m, p| {
+        step(&mut counters[p], m, f);
+        let shifted = (p << 1) & ((1 << D) - 1);
+        predicted |= m & ((f & counters[shifted | 1][0]) | (!f & counters[shifted][0]));
+    });
+    hist.copy_within(0..D - 1, 1);
+    hist[0] = f;
+    predicted
 }
 
 /// One masked saturating step of the counter planes `c`: the nodes in `m`
@@ -303,69 +286,50 @@ fn step(c: &mut [u64; 2], m: u64, f: u64) {
     *c = [hi ^ ((hi ^ up_hi) & m), lo ^ ((lo ^ up_lo) & m)];
 }
 
-/// Which nodes of a [`PasPlanes`] hold which history pattern, computed
-/// once per history change:
+/// Calls `visit(holders, pattern)` with the nodes of `nodes` holding each
+/// history pattern of `hist`:
 ///
-/// * up to [`ENUMERATE_MAX_DEPTH`], `holders[p]` for every pattern
-///   `p < 2^D`, many of them empty;
-/// * deeper, only the patterns some node holds: `len` parts of
-///   `(holders, patterns)`, at most `min(nodes, 2^D)`.
-pub(crate) struct Held {
-    len: usize,
-    holders: [u64; MAX_NODES],
-    patterns: [u8; MAX_NODES],
-}
-
-impl Held {
-    pub(crate) const EMPTY: Held = Held {
-        len: 0,
-        holders: [0; MAX_NODES],
-        patterns: [0; MAX_NODES],
-    };
-
-    /// Recomputes the patterns from `planes`' histories.
-    #[inline(always)]
-    pub(crate) fn refresh<const D: usize>(&mut self, planes: &PasPlanes) {
-        if D <= ENUMERATE_MAX_DEPTH {
-            // Each plane splits every pattern so far in two.
-            self.holders[0] = planes.nodes;
-            for k in 0..D {
-                let half = 1 << k;
-                for p in 0..half {
-                    self.holders[p + half] = self.holders[p] & planes.hist[k];
-                    self.holders[p] &= !planes.hist[k];
-                }
+/// * up to [`ENUMERATE_MAX_DEPTH`], every pattern `p < 2^D`, many with
+///   no holders;
+/// * deeper, only the patterns some node holds, at most
+///   `min(nodes, 2^D)` of them.
+#[inline(always)]
+fn for_each_pattern<const D: usize>(
+    hist: &[u64; D],
+    nodes: u64,
+    mut visit: impl FnMut(u64, usize),
+) {
+    if D <= ENUMERATE_MAX_DEPTH {
+        // Each plane splits every pattern so far in two.
+        let mut holders = [0; 1 << ENUMERATE_MAX_DEPTH];
+        holders[0] = nodes;
+        for (k, &plane) in hist.iter().enumerate() {
+            let half = 1 << k;
+            for p in 0..half {
+                holders[p + half] = holders[p] & plane;
+                holders[p] &= !plane;
             }
-            return;
         }
-        // Each part takes the lowest node left and every node left with
-        // the same pattern.
-        let mut len = 0;
-        let mut rest = planes.nodes;
-        while rest != 0 {
-            let node = rest.trailing_zeros();
-            let mut pattern = 0;
-            let mut same = rest;
-            for k in 0..D {
-                let bit = (planes.hist[k] >> node) & 1;
-                pattern |= bit << k;
-                // All-ones when the bit is clear: the nodes that agree.
-                same &= planes.hist[k] ^ bit.wrapping_sub(1);
-            }
-            self.holders[len] = same;
-            self.patterns[len] = pattern as u8;
-            len += 1;
-            rest &= !same;
+        for (p, &m) in holders[..1 << D].iter().enumerate() {
+            visit(m, p);
         }
-        self.len = len;
+        return;
     }
-
-    #[inline(always)]
-    fn parts(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.holders[..self.len]
-            .iter()
-            .zip(&self.patterns[..self.len])
-            .map(|(&m, &p)| (m, p as usize))
+    // Each part takes the lowest node left and every node left with the
+    // same pattern.
+    let mut rest = nodes;
+    while rest != 0 {
+        let node = rest.trailing_zeros();
+        let mut pattern = 0;
+        let mut same = rest;
+        for (k, &plane) in hist.iter().enumerate() {
+            let bit = (plane >> node) & 1;
+            pattern |= bit << k;
+            // All-ones when the bit is clear: the nodes that agree.
+            same &= plane ^ bit.wrapping_sub(1);
+        }
+        visit(same, pattern as usize);
+        rest &= !same;
     }
 }
 
@@ -395,7 +359,10 @@ impl Held {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PasEntry {
-    planes: PasPlanes,
+    hist: [u64; MAX_DEPTH],
+    counters: Vec<[u64; 2]>,
+    /// The machine's nodes.
+    nodes: u64,
     depth: u8,
 }
 
@@ -411,20 +378,21 @@ pub struct RawPasEntry {
     pub depth: u8,
 }
 
-fn predict_at<const D: usize>(planes: &PasPlanes) -> u64 {
-    let mut held = Held::EMPTY;
-    held.refresh::<D>(planes);
-    planes.predict::<D>(&held)
+fn predict_at<const D: usize>(e: &PasEntry) -> u64 {
+    let hist = e.hist.first_chunk::<D>().expect("depth within MAX_DEPTH");
+    pas_predict(hist, &e.counters, e.nodes)
 }
 
-fn update_at<const D: usize>(planes: &mut PasPlanes, feedback: u64) {
-    let mut held = Held::EMPTY;
-    held.refresh::<D>(planes);
-    planes.train::<D>(feedback, &held);
+fn update_at<const D: usize>(e: &mut PasEntry, feedback: u64) {
+    let hist = e
+        .hist
+        .first_chunk_mut::<D>()
+        .expect("depth within MAX_DEPTH");
+    pas_train(hist, &mut e.counters, e.nodes, feedback);
 }
 
 /// [`PasEntry`]'s routines, by depth − 1.
-const PREDICT_AT: [fn(&PasPlanes) -> u64; MAX_DEPTH] = [
+const PREDICT_AT: [fn(&PasEntry) -> u64; MAX_DEPTH] = [
     predict_at::<1>,
     predict_at::<2>,
     predict_at::<3>,
@@ -434,7 +402,7 @@ const PREDICT_AT: [fn(&PasPlanes) -> u64; MAX_DEPTH] = [
     predict_at::<7>,
     predict_at::<8>,
 ];
-const UPDATE_AT: [fn(&mut PasPlanes, u64); MAX_DEPTH] = [
+const UPDATE_AT: [fn(&mut PasEntry, u64); MAX_DEPTH] = [
     update_at::<1>,
     update_at::<2>,
     update_at::<3>,
@@ -459,7 +427,9 @@ impl PasEntry {
             "PAs history depth must be in 1..={MAX_DEPTH}, got {depth}"
         );
         PasEntry {
-            planes: PasPlanes::cold(nodes, depth),
+            hist: [0; MAX_DEPTH],
+            counters: vec![[0; 2]; 1 << depth],
+            nodes: SharingBitmap::all(nodes).bits(),
             depth: depth as u8,
         }
     }
@@ -472,15 +442,15 @@ impl PasEntry {
     /// The raw two-level state, for serialization (e.g. table snapshots):
     /// one history byte per node, and per node its `2^depth` counters.
     pub fn to_raw(&self) -> RawPasEntry {
-        let nodes = self.planes.nodes.count_ones() as usize;
+        let nodes = self.nodes.count_ones() as usize;
         let depth = self.depth();
         let bit = |plane: u64, node: usize| ((plane >> node) & 1) as u8;
         let hist = (0..nodes)
-            .map(|i| (0..depth).fold(0, |h, k| h | (bit(self.planes.hist[k], i) << k)))
+            .map(|i| (0..depth).fold(0, |h, k| h | (bit(self.hist[k], i) << k)))
             .collect();
         let counters = (0..nodes)
             .flat_map(|i| {
-                self.planes.counters[..1 << depth]
+                self.counters[..1 << depth]
                     .iter()
                     .map(move |&[hi, lo]| (bit(hi, i) << 1) | bit(lo, i))
             })
@@ -530,35 +500,32 @@ impl PasEntry {
         if raw.hist.iter().any(|&h| h & !mask != 0) {
             return Err("PAs history register bits outside the width".into());
         }
-        let mut planes = PasPlanes::cold(nodes, depth);
+        let mut entry = PasEntry::new(nodes, depth);
         for (i, &h) in raw.hist.iter().enumerate() {
             for k in 0..depth {
-                planes.hist[k] |= u64::from((h >> k) & 1) << i;
+                entry.hist[k] |= u64::from((h >> k) & 1) << i;
             }
         }
         for (i, table) in raw.counters.chunks(1 << depth).enumerate() {
-            for (c, &v) in planes.counters.iter_mut().zip(table) {
+            for (c, &v) in entry.counters.iter_mut().zip(table) {
                 c[0] |= u64::from(v >> 1) << i;
                 c[1] |= u64::from(v & 1) << i;
             }
         }
-        Ok(PasEntry {
-            planes,
-            depth: raw.depth,
-        })
+        Ok(entry)
     }
 
     /// The predicted reader bitmap.
     #[inline]
     pub fn predict(&self) -> SharingBitmap {
-        SharingBitmap::from_bits(PREDICT_AT[self.depth() - 1](&self.planes))
+        SharingBitmap::from_bits(PREDICT_AT[self.depth() - 1](self))
     }
 
     /// Trains on a feedback bitmap: bumps each node's selected counter
     /// toward its actual bit and shifts the bit into its history register.
     #[inline]
     pub fn update(&mut self, feedback: SharingBitmap) {
-        UPDATE_AT[self.depth() - 1](&mut self.planes, feedback.bits());
+        UPDATE_AT[self.depth() - 1](self, feedback.bits());
     }
 }
 

@@ -1,23 +1,22 @@
-//! The slot-major kernel: the one production scorer behind every
+//! The trace-order kernel: the one production scorer behind every
 //! [`crate::engine`] entry point.
 //!
-//! A [`KeyStream`] groups a trace's table interactions by the predictor
-//! entry they touch (their *slot*). [`walk`] replays each slot's
-//! interactions in event order against one local cold entry — no table,
-//! no per-event hash probe, sequential reads of pre-gathered payloads —
-//! and hands every decision to a [`Sink`]. An entry's state depends only
-//! on earlier interactions with the same slot, so this visits exactly
-//! the entry states an event-order table loop would. A fresh (cold)
+//! A [`KeyStream`] gives every event the predictor entry (its *slot*) it
+//! predicts through and the slot its previous writer's tuple maps to.
+//! [`walk`] replays the trace in event order against one dense vector of
+//! entry states indexed by slot — no table, no per-event hash probe, the
+//! ground-truth columns read straight from the [`PreparedTrace`] — and
+//! hands every decision to a [`Sink`]. Every slot starts cold, and a cold
 //! entry predicts exactly like an absent one, matching the
 //! create-on-update semantics of [`crate::reference`].
 //!
-//! The walk keeps the replayed entry ([`State`]) local, apart from what
-//! it feeds ([`Sink`]), so a history window stays in registers:
+//! The walk keeps the entry states ([`State`]) apart from what it feeds
+//! ([`Sink`]):
 //!
 //! * [`BatchAcc`] — one scheme's decisions into the batched popcount
 //!   accumulator ([`crate::simd`]), for any [`Entry`] model;
-//! * [`Predictions`] — one scheme's prediction per event, written back
-//!   to trace order through each decision's event index;
+//! * [`Predictions`] — one scheme's prediction per event, in trace
+//!   order;
 //! * [`Family`] — every `union`/`inter` depth of one index at once, with
 //!   the per-decision fold unrolled over a const depth;
 //! * [`Columns`] — the listed history-fold schemes (`last`,
@@ -26,89 +25,76 @@
 //!   predicted positives for each listed column only, in fixed-capacity
 //!   accumulators ([`score_history`]).
 
-use crate::entry::{Held, PasPlanes};
-use crate::simd::{matrix_from_sums, prefetch_next, BatchAcc};
-use crate::{KeyStream, PredictionFunction, Scheme, UpdateMode, MAX_DEPTH};
+use crate::entry::pas_train;
+use crate::simd::{matrix_from_sums, BatchAcc};
+use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::SharingBitmap;
 use std::marker::PhantomData;
 
-/// The state of the predictor entry being replayed.
-pub(crate) trait State {
-    /// Makes the entry cold, as a new slot starts.
-    fn reset(&mut self);
+/// The state of one predictor entry, held inline in the walk's
+/// per-slot vector.
+pub(crate) trait State: Copy {
     /// Shifts `feedback` into the entry.
     fn train(&mut self, feedback: SharingBitmap);
 }
 
-/// What the walk feeds: each decision of the entry being replayed.
+/// What the walk feeds: each decision of an entry.
 pub(crate) trait Sink<S> {
     /// Scores one decision of `entry` against `actual`. `event` is the
     /// decision's index in trace order.
     fn score(&mut self, entry: &S, actual: SharingBitmap, event: usize);
 }
 
-/// The slot-major walk under one update mode (see the module docs):
+/// The trace-order walk under one update mode, over one state per slot,
+/// all starting as `cold`:
 ///
 /// * `direct` — a write with a previous writer shifts its invalidation
 ///   into its own entry, then the entry predicts;
 /// * `ordered` — the entry predicts, then learns the write's own actual;
-/// * `forwarded` — a write shifts its invalidation into the previous
-///   writer's entry and predicts from its own, so one event touches up
-///   to two slots. The walk follows the stream's merged per-slot op
-///   sequence: `op >> 1` is the event, the low bit tells a push (`0`)
-///   from a score (`1`).
-///
-/// The next slot's payload span is prefetched while the current one
-/// scores.
+/// * `forwarded` — a write with a previous writer shifts its invalidation
+///   into the previous writer's entry (its forward slot), then its own
+///   entry predicts.
 #[inline(always)]
 pub(crate) fn walk<S: State, K: Sink<S>>(
+    prepared: &PreparedTrace<'_>,
     stream: &KeyStream,
     update: UpdateMode,
-    mut entry: S,
+    cold: S,
     sink: &mut K,
 ) {
-    let slots = stream.slot_count();
+    let mut state = vec![cold; stream.slot_count()];
+    let events = stream
+        .slots()
+        .iter()
+        .zip(prepared.actuals())
+        .zip(prepared.invalidated().iter().zip(prepared.has_prev()))
+        .enumerate();
     match update {
         UpdateMode::Direct => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_data(slot + 1));
+            for (e, ((&slot, &actual), (&feedback, &has_prev))) in events {
+                let entry = &mut state[slot as usize];
+                if has_prev {
+                    entry.train(feedback);
                 }
-                entry.reset();
-                for (&event, d) in stream.slot_events(slot).iter().zip(stream.slot_data(slot)) {
-                    if d.has_prev {
-                        entry.train(d.feedback);
-                    }
-                    sink.score(&entry, d.actual, event as usize);
-                }
+                sink.score(entry, actual, e);
             }
         }
         UpdateMode::Ordered => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_data(slot + 1));
-                }
-                entry.reset();
-                for (&event, d) in stream.slot_events(slot).iter().zip(stream.slot_data(slot)) {
-                    sink.score(&entry, d.actual, event as usize);
-                    entry.train(d.actual);
-                }
+            for (e, ((&slot, &actual), _)) in events {
+                let entry = &mut state[slot as usize];
+                sink.score(entry, actual, e);
+                entry.train(actual);
             }
         }
         UpdateMode::Forwarded => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_op_data(slot + 1));
+            for ((e, ((&slot, &actual), (&feedback, &has_prev))), &forward) in
+                events.zip(stream.forward_slots())
+            {
+                if has_prev {
+                    state[forward as usize].train(feedback);
                 }
-                entry.reset();
-                for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    if op & 1 == 0 {
-                        entry.train(payload);
-                    } else {
-                        sink.score(&entry, payload, (op >> 1) as usize);
-                    }
-                }
+                sink.score(&state[slot as usize], actual, e);
             }
         }
     }
@@ -137,11 +123,6 @@ impl<const D: usize> Window<D> {
 }
 
 impl<const D: usize> State for Window<D> {
-    #[inline(always)]
-    fn reset(&mut self) {
-        *self = Window::cold();
-    }
-
     #[inline(always)]
     fn train(&mut self, feedback: SharingBitmap) {
         self.0.copy_within(0..D - 1, 1);
@@ -211,12 +192,15 @@ impl<const D: usize, F: Fold> History<D, F> {
     }
 }
 
-impl<const D: usize, F> State for History<D, F> {
-    #[inline(always)]
-    fn reset(&mut self) {
-        self.window.reset();
+impl<const D: usize, F> Clone for History<D, F> {
+    fn clone(&self) -> Self {
+        *self
     }
+}
 
+impl<const D: usize, F> Copy for History<D, F> {}
+
+impl<const D: usize, F> State for History<D, F> {
     #[inline(always)]
     fn train(&mut self, feedback: SharingBitmap) {
         self.window.train(feedback);
@@ -230,43 +214,49 @@ impl<const D: usize, F: Fold> Entry for History<D, F> {
     }
 }
 
-/// PAs at a const history depth `D`: the bit planes of [`PasPlanes`]
-/// and which nodes hold which pattern ([`Held`]), recomputed once per
-/// history change.
-pub(crate) struct Pas<const D: usize> {
-    planes: PasPlanes,
-    held: Held,
+/// PAs at a const history depth `D` with its `P = 2^D` patterns, held
+/// inline so a walk's per-slot states are one allocation: `D` history
+/// planes and `P` counter-plane pairs, run through the PAs plane math
+/// of `entry.rs`, plus the prediction of the current state, which each
+/// train returns.
+#[derive(Clone, Copy)]
+pub(crate) struct Pas<const D: usize, const P: usize> {
+    hist: [u64; D],
+    counters: [[u64; 2]; P],
+    /// The machine's nodes.
+    nodes: u64,
+    predicted: u64,
 }
 
-impl<const D: usize> Pas<D> {
+impl<const D: usize, const P: usize> Pas<D, P> {
     fn cold(nodes: usize) -> Self {
-        let mut pas = Pas {
-            planes: PasPlanes::cold(nodes, D),
-            held: Held::EMPTY,
-        };
-        pas.held.refresh::<D>(&pas.planes);
-        pas
+        const { assert!(P == 1 << D, "a depth-D PAs entry has 2^D patterns") };
+        Pas {
+            hist: [0; D],
+            counters: [[0; 2]; P],
+            nodes: SharingBitmap::all(nodes).bits(),
+            // Zero counters predict no reader.
+            predicted: 0,
+        }
     }
 }
 
-impl<const D: usize> State for Pas<D> {
-    #[inline(always)]
-    fn reset(&mut self) {
-        self.planes.reset();
-        self.held.refresh::<D>(&self.planes);
-    }
-
+impl<const D: usize, const P: usize> State for Pas<D, P> {
     #[inline(always)]
     fn train(&mut self, feedback: SharingBitmap) {
-        self.planes.train::<D>(feedback.bits(), &self.held);
-        self.held.refresh::<D>(&self.planes);
+        self.predicted = pas_train(
+            &mut self.hist,
+            &mut self.counters,
+            self.nodes,
+            feedback.bits(),
+        );
     }
 }
 
-impl<const D: usize> Entry for Pas<D> {
+impl<const D: usize, const P: usize> Entry for Pas<D, P> {
     #[inline(always)]
     fn predict(&self) -> SharingBitmap {
-        SharingBitmap::from_bits(self.planes.predict::<D>(&self.held))
+        SharingBitmap::from_bits(self.predicted)
     }
 }
 
@@ -291,14 +281,14 @@ pub(crate) fn with_entry<J: WithEntry>(scheme: &Scheme, nodes: usize, job: J) ->
         PredictionFunction::Union => by_depth::<UnionFold, J>(scheme.depth, job),
         PredictionFunction::Inter => by_depth::<InterFold, J>(scheme.depth, job),
         PredictionFunction::Pas => match scheme.depth {
-            1 => job.run(Pas::<1>::cold(nodes)),
-            2 => job.run(Pas::<2>::cold(nodes)),
-            3 => job.run(Pas::<3>::cold(nodes)),
-            4 => job.run(Pas::<4>::cold(nodes)),
-            5 => job.run(Pas::<5>::cold(nodes)),
-            6 => job.run(Pas::<6>::cold(nodes)),
-            7 => job.run(Pas::<7>::cold(nodes)),
-            8 => job.run(Pas::<8>::cold(nodes)),
+            1 => job.run(Pas::<1, 2>::cold(nodes)),
+            2 => job.run(Pas::<2, 4>::cold(nodes)),
+            3 => job.run(Pas::<3, 8>::cold(nodes)),
+            4 => job.run(Pas::<4, 16>::cold(nodes)),
+            5 => job.run(Pas::<5, 32>::cold(nodes)),
+            6 => job.run(Pas::<6, 64>::cold(nodes)),
+            7 => job.run(Pas::<7, 128>::cold(nodes)),
+            8 => job.run(Pas::<8, 256>::cold(nodes)),
             depth => panic!("PAs history depth must be in 1..={MAX_DEPTH}, got {depth}"),
         },
     }
@@ -500,7 +490,7 @@ impl<const D: usize, const N: usize> Sink<Window<D>> for Columns<D, N> {
 }
 
 /// Scores the history-fold `schemes` — all of one index, all under
-/// `update` — over `stream` in one walk, returning their matrices in
+/// `update` — over `prepared` through `stream` in one walk, returning their matrices in
 /// order. The window is as deep as the deepest scheme needs; schemes
 /// with the same prediction share a column. Both the depth and the
 /// column count (rounded up to a capacity) are const-dispatched, so the
@@ -511,34 +501,34 @@ impl<const D: usize, const N: usize> Sink<Window<D>> for Columns<D, N> {
 /// Panics if `schemes` is empty or holds a PAs scheme, or if a depth is
 /// out of `1..=MAX_DEPTH`.
 pub(crate) fn score_history(
+    prepared: &PreparedTrace<'_>,
     stream: &KeyStream,
     update: UpdateMode,
     schemes: &[Scheme],
-    nodes: usize,
 ) -> Vec<ConfusionMatrix> {
     fn at<const D: usize>(
+        prepared: &PreparedTrace<'_>,
         stream: &KeyStream,
         update: UpdateMode,
         slots: &[usize],
-        nodes: usize,
     ) -> Vec<ConfusionMatrix> {
         fn run<const D: usize, const N: usize>(
+            prepared: &PreparedTrace<'_>,
             stream: &KeyStream,
             update: UpdateMode,
             slots: &[usize],
-            nodes: usize,
         ) -> Vec<ConfusionMatrix> {
             let mut columns = Columns::<D, N>::new(slots);
-            walk(stream, update, Window::<D>::cold(), &mut columns);
-            columns.finish(slots.len(), nodes)
+            walk(prepared, stream, update, Window::<D>::cold(), &mut columns);
+            columns.finish(slots.len(), prepared.nodes())
         }
         match slots.len() {
-            1 => run::<D, 1>(stream, update, slots, nodes),
-            2 => run::<D, 2>(stream, update, slots, nodes),
-            3 => run::<D, 3>(stream, update, slots, nodes),
-            4 => run::<D, 4>(stream, update, slots, nodes),
-            5..=8 => run::<D, 8>(stream, update, slots, nodes),
-            _ => run::<D, PREDICTIONS>(stream, update, slots, nodes),
+            1 => run::<D, 1>(prepared, stream, update, slots),
+            2 => run::<D, 2>(prepared, stream, update, slots),
+            3 => run::<D, 3>(prepared, stream, update, slots),
+            4 => run::<D, 4>(prepared, stream, update, slots),
+            5..=8 => run::<D, 8>(prepared, stream, update, slots),
+            _ => run::<D, PREDICTIONS>(prepared, stream, update, slots),
         }
     }
     // The distinct slots, and each scheme's column among them.
@@ -556,14 +546,14 @@ pub(crate) fn score_history(
         })
         .collect();
     let matrices = match depth {
-        1 => at::<1>(stream, update, &slots, nodes),
-        2 => at::<2>(stream, update, &slots, nodes),
-        3 => at::<3>(stream, update, &slots, nodes),
-        4 => at::<4>(stream, update, &slots, nodes),
-        5 => at::<5>(stream, update, &slots, nodes),
-        6 => at::<6>(stream, update, &slots, nodes),
-        7 => at::<7>(stream, update, &slots, nodes),
-        8 => at::<8>(stream, update, &slots, nodes),
+        1 => at::<1>(prepared, stream, update, &slots),
+        2 => at::<2>(prepared, stream, update, &slots),
+        3 => at::<3>(prepared, stream, update, &slots),
+        4 => at::<4>(prepared, stream, update, &slots),
+        5 => at::<5>(prepared, stream, update, &slots),
+        6 => at::<6>(prepared, stream, update, &slots),
+        7 => at::<7>(prepared, stream, update, &slots),
+        8 => at::<8>(prepared, stream, update, &slots),
         _ => unreachable!("column_of checks every depth"),
     };
     columns.into_iter().map(|c| matrices[c]).collect()

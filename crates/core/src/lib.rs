@@ -79,7 +79,7 @@ pub use fingerprint::{
 };
 pub use function::PredictionFunction;
 pub use index::{node_bits, IndexSpec};
-pub use prepared::{KeyStream, PreparedTrace, SlotData};
+pub use prepared::{KeyStream, PreparedTrace};
 pub use scheme::{ParseSchemeError, Scheme, UpdateMode};
 pub use simd::SimdBackend;
 pub use table::{shard_of_key, EntryView, PredictorTable, TableEntry};

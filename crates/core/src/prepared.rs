@@ -14,16 +14,19 @@
 //!   of one tuple, so the table refines every spec, and a spec's
 //!   *signature* — the dense slot of each tuple — costs `O(tuples)`, not
 //!   `O(events)`;
-//! * [`KeyStream`] — the slot-major views the kernel walks under one
-//!   [`IndexSpec`], built from the spec's per-tuple slots gathered to
-//!   every event through the tuple ids. A stream keeps no key values:
-//!   [`PreparedTrace::event_keys`] gathers those on demand;
+//! * [`KeyStream`] — the two columns the kernel walks under one
+//!   [`IndexSpec`]: the slot of every event and of its previous writer's
+//!   tuple, gathered from the spec's per-tuple slots through the tuple
+//!   ids (8 bytes per event). A stream keeps no key values and no copy
+//!   of the ground truth: [`PreparedTrace::event_keys`] gathers keys on
+//!   demand, and the kernel reads actuals, feedback and previous-writer
+//!   flags from the [`PreparedTrace`] itself;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
 //!   previous-writer columns, resolved once), the lazily built tuple
 //!   table, and a concurrent cache of [`KeyStream`]s keyed by
 //!   [`IndexSpec`], shared by reference across every scheme in a sweep.
 //!
-//! The kernel reads a stream's event→slot partition, never its key
+//! The kernel reads a stream's event→slot columns, never its key
 //! values, so two specs with equal signatures score identically under
 //! every function, depth and update mode.
 //! [`PreparedTrace::partition_classes`] groups a spec list by signature,
@@ -48,7 +51,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// many indexes without evicting.
 const STREAM_CACHE_CAP: usize = 8;
 
-/// The slot-major views of one trace under one [`IndexSpec`]: everything
+/// The slot columns of one trace under one [`IndexSpec`]: everything
 /// the kernel needs from the access axis.
 ///
 /// # Example
@@ -65,32 +68,14 @@ const STREAM_CACHE_CAP: usize = 8;
 /// assert_eq!(keys, &[(3 << 8) | 0xab]);
 /// let stream = KeyStream::compute(&t, index);
 /// assert_eq!(stream.slot_count(), 1);
+/// assert_eq!(stream.slots(), &[0]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct KeyStream {
     index: IndexSpec,
     slot_count: usize,
-    slot_starts: Vec<u32>,
-    slot_events: Vec<u32>,
-    slot_data: Vec<SlotData>,
-    op_starts: Vec<u32>,
-    ops: Vec<u32>,
-    op_data: Vec<SharingBitmap>,
-}
-
-/// Everything the slot-major family loop needs about one event, gathered
-/// into slot order so the hot loop streams through memory instead of
-/// chasing event indices back into the event-order columns.
-#[derive(Clone, Copy, Debug)]
-pub struct SlotData {
-    /// The event's ground-truth actual bitmap (what to score, and the
-    /// *ordered*-update feedback).
-    pub actual: SharingBitmap,
-    /// The event's invalidation feedback (the *direct*-update feedback).
-    pub feedback: SharingBitmap,
-    /// Whether the event has a previous writer (gates the direct-update
-    /// push).
-    pub has_prev: bool,
+    slots: Vec<u32>,
+    forward_slots: Vec<u32>,
 }
 
 /// The fields an [`IndexSpec`] can read: one predictor entry's identity
@@ -198,7 +183,7 @@ fn gather<T: Copy>(table: &[T], ids: &[u32]) -> Vec<T> {
 }
 
 impl KeyStream {
-    /// Computes the key columns of `trace` under `index`.
+    /// Computes the slot columns of `trace` under `index`.
     ///
     /// This is the *single* key-derivation implementation in the
     /// workspace: it prepares `trace` and builds the stream exactly as
@@ -219,13 +204,13 @@ impl KeyStream {
     /// Number of events in the stream.
     #[inline]
     pub fn len(&self) -> usize {
-        self.slot_events.len()
+        self.slots.len()
     }
 
     /// Returns `true` for an empty trace.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slot_events.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of dense slots: the distinct keys in the union of the
@@ -236,100 +221,22 @@ impl KeyStream {
         self.slot_count
     }
 
-    /// The events of `slot`, in event order — the slot-major view of the
-    /// stream. An event's predictor-table interactions touch only its own
-    /// slot's entry (for `direct`/`ordered` updates), so a loop over
-    /// slots that replays each slot's events against one *local* entry
-    /// visits exactly the entry states the event-order loop would, with
-    /// the entry register-resident instead of randomly probed.
+    /// The slot of every event's predictor key, in trace order: the
+    /// entry the event predicts through (and, under *direct* and
+    /// *ordered* update, trains).
     #[inline]
-    pub fn slot_events(&self, slot: usize) -> &[u32] {
-        &self.slot_events[self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
     }
 
-    /// The payloads of [`KeyStream::slot_events`] — actual, feedback and
-    /// previous-writer flag of each of `slot`'s events, in event order,
-    /// pre-gathered so the slot-major loop reads contiguously.
+    /// The slot of every event's forward key, in trace order: the entry
+    /// of its previous writer, which *forwarded* update trains. An event
+    /// without a previous writer holds slot 0, which is not its forward
+    /// entry: readers gate on [`PreparedTrace::has_prev`].
     #[inline]
-    pub fn slot_data(&self, slot: usize) -> &[SlotData] {
-        &self.slot_data[self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize]
+    pub fn forward_slots(&self) -> &[u32] {
+        &self.forward_slots
     }
-
-    /// The table interactions targeting `slot` under *forwarded* update,
-    /// in event order: `op >> 1` is the event index, and the low bit
-    /// distinguishes a feedback push through the event's forward key
-    /// (`0`) from a prediction/score through its predictor key (`1`). A
-    /// forwarded event touches up to two slots (update via forward key,
-    /// predict via its own), so the slot-major view needs this merged
-    /// sequence rather than [`KeyStream::slot_events`].
-    #[inline]
-    pub fn slot_ops(&self, slot: usize) -> &[u32] {
-        &self.ops[self.op_starts[slot] as usize..self.op_starts[slot + 1] as usize]
-    }
-
-    /// The payloads of [`KeyStream::slot_ops`], parallel to them: a push
-    /// op's invalidation feedback, or a score op's actual bitmap.
-    #[inline]
-    pub fn slot_op_data(&self, slot: usize) -> &[SharingBitmap] {
-        &self.op_data[self.op_starts[slot] as usize..self.op_starts[slot + 1] as usize]
-    }
-}
-
-/// CSR layout of event indices grouped by slot, preserving event order
-/// within each slot.
-fn events_by_slot(slots: &[u32], slot_count: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut starts = vec![0u32; slot_count + 1];
-    for &s in slots {
-        starts[s as usize + 1] += 1;
-    }
-    for i in 0..slot_count {
-        starts[i + 1] += starts[i];
-    }
-    let mut cursor = starts.clone();
-    let mut events = vec![0u32; slots.len()];
-    for (e, &s) in slots.iter().enumerate() {
-        let c = &mut cursor[s as usize];
-        events[*c as usize] = e as u32;
-        *c += 1;
-    }
-    (starts, events)
-}
-
-/// CSR layout of forwarded-update table interactions grouped by target
-/// slot: for each event, a push op through its forward slot (where it has
-/// a previous writer) followed by a score op through its own slot. The
-/// scatter walks events in order, so within a slot ops stay in event
-/// order and a same-event push precedes its score — exactly the
-/// event-order update-then-predict sequence.
-fn ops_by_slot(
-    slots: &[u32],
-    forward_slots: &[u32],
-    has_prev: &[bool],
-    slot_count: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut starts = vec![0u32; slot_count + 1];
-    for e in 0..slots.len() {
-        if has_prev[e] {
-            starts[forward_slots[e] as usize + 1] += 1;
-        }
-        starts[slots[e] as usize + 1] += 1;
-    }
-    for i in 0..slot_count {
-        starts[i + 1] += starts[i];
-    }
-    let mut cursor = starts.clone();
-    let mut ops = vec![0u32; starts[slot_count] as usize];
-    for e in 0..slots.len() {
-        if has_prev[e] {
-            let c = &mut cursor[forward_slots[e] as usize];
-            ops[*c as usize] = (e as u32) << 1;
-            *c += 1;
-        }
-        let c = &mut cursor[slots[e] as usize];
-        ops[*c as usize] = ((e as u32) << 1) | 1;
-        *c += 1;
-    }
-    (starts, ops)
 }
 
 /// A trace prepared for repeated evaluation: ground truth resolved once,
@@ -536,49 +443,15 @@ impl<'t> PreparedTrace<'t> {
         let table = self.tuples();
         let (tuple_slots, slot_count) = table.slots(index, self.node_bits);
         let slots = gather(&tuple_slots, &table.ids);
-        // Forward columns of events without a previous writer hold the
+        // Forward slots of events without a previous writer hold the
         // sentinel's 0 and are never read: every consumer gates on the
         // event's `has_prev` column.
         let forward_slots = gather(&tuple_slots, &table.forward_ids);
-        let has_prev = self.has_prev();
-        let (slot_starts, slot_events) = events_by_slot(&slots, slot_count);
-        let (op_starts, ops) = ops_by_slot(&slots, &forward_slots, has_prev, slot_count);
-        // Gather the per-event payloads into slot/op order once, so the
-        // slot-major loops stream through contiguous memory instead of
-        // scattering loads across the event-order columns for every
-        // scheme of the sweep.
-        let (actuals, invalidated) = (self.actuals(), self.invalidated());
-        let slot_data = slot_events
-            .iter()
-            .map(|&e| {
-                let e = e as usize;
-                SlotData {
-                    actual: actuals[e],
-                    feedback: invalidated[e],
-                    has_prev: has_prev[e],
-                }
-            })
-            .collect();
-        let op_data = ops
-            .iter()
-            .map(|&op| {
-                let e = (op >> 1) as usize;
-                if op & 1 == 0 {
-                    invalidated[e]
-                } else {
-                    actuals[e]
-                }
-            })
-            .collect();
         KeyStream {
             index,
             slot_count,
-            slot_starts,
-            slot_events,
-            slot_data,
-            op_starts,
-            ops,
-            op_data,
+            slots,
+            forward_slots,
         }
     }
 
@@ -661,12 +534,26 @@ mod tests {
             assert_eq!(stream.index(), index);
             assert_eq!(stream.len(), trace.len());
             let (keys, forward_keys) = PreparedTrace::new(&trace).event_keys(index, 0..trace.len());
+            // Slots numbered by first occurrence over each event's
+            // predictor key, then its forward key.
+            let mut want: HashMap<u64, u32> = HashMap::new();
+            let mut slot_of = |key: u64| {
+                let next = want.len() as u32;
+                *want.entry(key).or_insert(next)
+            };
             for (i, event) in trace.events().iter().enumerate() {
-                assert_eq!(keys[i], index.key_of(event, nb), "event {i}");
-                if let Some(fkey) = index.forward_key_of(event, nb) {
-                    assert_eq!(forward_keys[i], fkey, "forward {i}");
+                let key = index.key_of(event, nb);
+                assert_eq!(keys[i], key, "event {i}");
+                assert_eq!(stream.slots()[i], slot_of(key), "slot {i}");
+                match index.forward_key_of(event, nb) {
+                    Some(fkey) => {
+                        assert_eq!(forward_keys[i], fkey, "forward {i}");
+                        assert_eq!(stream.forward_slots()[i], slot_of(fkey), "forward slot {i}");
+                    }
+                    None => assert_eq!(stream.forward_slots()[i], 0, "sentinel {i}"),
                 }
             }
+            assert_eq!(stream.slot_count(), want.len());
         }
     }
 

@@ -77,25 +77,6 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Requests the head of the next slot's pre-gathered payload span into
-/// cache while the current slot's batch is still scoring. A miss costs
-/// nothing (prefetch is a hint and any address is allowed); past the last
-/// slot the slice is empty and no hint is issued.
-#[inline(always)]
-pub(crate) fn prefetch_next<T>(upcoming: &[T]) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(first) = upcoming.first() {
-        // SAFETY: prefetch performs no memory access; the pointer is a
-        // valid in-bounds reference anyway.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(first as *const T as *const i8);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = upcoming;
-}
-
 /// Decisions per accumulator flush: two 256-bit vectors of packed
 /// bitmaps.
 const BATCH: usize = 8;

@@ -1,7 +1,7 @@
 //! Equivalence suite for the tuple-table stream build and the partition
 //! classes the sweep planner scores once each.
 //!
-//! * A key stream's slot views and [`PreparedTrace::event_keys`], both
+//! * A key stream's slot columns and [`PreparedTrace::event_keys`], both
 //!   gathered through the tuple table, equal a per-event
 //!   [`IndexSpec::key_of`] / [`IndexSpec::forward_key_of`] pass with
 //!   first-occurrence slot numbering, on every column.
@@ -115,31 +115,26 @@ fn expected(trace: &Trace, index: IndexSpec) -> Expected {
     out
 }
 
-/// The per-event slot and forward slot a stream assigns, read back from
-/// its slot-major views.
-fn slot_sequence(stream: &KeyStream) -> (Vec<u32>, Vec<Option<u32>>) {
-    let mut slots = vec![u32::MAX; stream.len()];
-    let mut forward = vec![None; stream.len()];
-    for s in 0..stream.slot_count() {
-        for &e in stream.slot_events(s) {
-            slots[e as usize] = s as u32;
-        }
-        for &op in stream.slot_ops(s) {
-            if op & 1 == 0 {
-                forward[(op >> 1) as usize] = Some(s as u32);
-            }
-        }
-    }
-    (slots, forward)
+/// The per-event slot and forward slot a stream assigns; an event
+/// without a previous writer has no forward slot.
+fn slot_sequence(prepared: &PreparedTrace<'_>, stream: &KeyStream) -> (Vec<u32>, Vec<Option<u32>>) {
+    let forward = stream
+        .forward_slots()
+        .iter()
+        .zip(prepared.has_prev())
+        .map(|(&slot, &has_prev)| has_prev.then_some(slot))
+        .collect();
+    (stream.slots().to_vec(), forward)
 }
 
-/// Asserts every column of `stream` against the direct computation.
+/// Asserts every column of `stream`, and the ground-truth columns the
+/// kernel reads beside it, against the direct computation.
 fn check_stream(trace: &Trace, stream: &KeyStream, index: IndexSpec) -> Result<(), TestCaseError> {
     let want = expected(trace, index);
-    let actuals = trace.resolve_actuals();
     let events = trace.events();
     prop_assert_eq!(stream.index(), index);
-    let (keys, forward_keys) = PreparedTrace::new(trace).event_keys(index, 0..events.len());
+    let prepared = PreparedTrace::new(trace);
+    let (keys, forward_keys) = prepared.event_keys(index, 0..events.len());
     prop_assert_eq!(keys.as_slice(), want.keys.as_slice(), "keys of {}", index);
     prop_assert_eq!(
         forward_keys.as_slice(),
@@ -153,44 +148,27 @@ fn check_stream(trace: &Trace, stream: &KeyStream, index: IndexSpec) -> Result<(
         "slot count of {}",
         index
     );
-    for s in 0..want.slot_count {
-        let slot = s as u32;
-        let members: Vec<u32> = (0..events.len() as u32)
-            .filter(|&e| want.slots[e as usize] == slot)
-            .collect();
-        prop_assert_eq!(
-            stream.slot_events(s),
-            members.as_slice(),
-            "slot {} of {}",
-            s,
-            index
-        );
-        for (&e, d) in members.iter().zip(stream.slot_data(s)) {
-            let e = e as usize;
-            prop_assert_eq!(d.actual, actuals[e]);
-            prop_assert_eq!(d.feedback, events[e].invalidated);
-            prop_assert_eq!(d.has_prev, events[e].prev_writer.is_some());
-        }
-        let mut ops = Vec::new();
-        let mut payloads = Vec::new();
-        for e in 0..events.len() {
-            if want.forward_slots[e] == Some(slot) {
-                ops.push((e as u32) << 1);
-                payloads.push(events[e].invalidated);
-            }
-            if want.slots[e] == slot {
-                ops.push(((e as u32) << 1) | 1);
-                payloads.push(actuals[e]);
-            }
-        }
-        prop_assert_eq!(
-            stream.slot_ops(s),
-            ops.as_slice(),
-            "ops of slot {} of {}",
-            s,
-            index
-        );
-        prop_assert_eq!(stream.slot_op_data(s), payloads.as_slice());
+    prop_assert_eq!(stream.slots(), want.slots.as_slice(), "slots of {}", index);
+    // Events without a previous writer hold the sentinel slot 0.
+    let forward: Vec<u32> = want.forward_slots.iter().map(|s| s.unwrap_or(0)).collect();
+    prop_assert_eq!(
+        stream.forward_slots(),
+        forward.as_slice(),
+        "forward slots of {}",
+        index
+    );
+    prop_assert_eq!(
+        slot_sequence(&prepared, stream),
+        (want.slots.clone(), want.forward_slots.clone()),
+        "slot sequence of {}",
+        index
+    );
+    // The payloads the walk reads in trace order beside the slots.
+    let actuals = trace.resolve_actuals();
+    prop_assert_eq!(prepared.actuals(), actuals.as_slice());
+    for (e, event) in events.iter().enumerate() {
+        prop_assert_eq!(prepared.invalidated()[e], event.invalidated);
+        prop_assert_eq!(prepared.has_prev()[e], event.prev_writer.is_some());
     }
     Ok(())
 }
@@ -243,7 +221,7 @@ proptest! {
         let classes = prepared.partition_classes(&specs);
         let sequences: Vec<_> = specs
             .iter()
-            .map(|&s| slot_sequence(&prepared.key_stream(s)))
+            .map(|&s| slot_sequence(&prepared, &prepared.key_stream(s)))
             .collect();
         for i in 0..specs.len() {
             for j in 0..i {

@@ -2,7 +2,7 @@
 //! bit-identical to the reference evaluator.
 //!
 //! Every engine entry point ([`engine::run_scheme_prepared`] and friends)
-//! runs the slot-major kernel over shared key streams, with a batched
+//! runs the trace-order kernel over shared key streams, with a batched
 //! popcount accumulator. [`reference`] evaluates DESIGN.md §3 one event
 //! at a time with its own actuals pass and a plain hash map of entries.
 //! None of the kernel's machinery may change a single count or a single
@@ -177,9 +177,10 @@ proptest! {
 
     /// Per-event predictions (not just aggregate matrices) equal the
     /// reference's for every function, update mode and depth, PAs
-    /// included — which pins the kernel's slot-to-event mapping, the
-    /// forwarded `op >> 1` included. Both accumulator backends score the
-    /// same decisions to the reference's matrix.
+    /// included — which pins the kernel's event-to-slot mapping, the
+    /// forwarded update's previous-writer slot included. Both
+    /// accumulator backends score the same decisions to the reference's
+    /// matrix.
     #[test]
     fn kernel_predictions_match_reference(
         raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),

@@ -2,7 +2,7 @@
 //!
 //! The barometer compares engines that differ in kind: the plain
 //! reference evaluator ([`csp_core::reference`], one event at a time
-//! over a hash map), the production slot-major kernel with its batched
+//! over a hash map), the production trace-order kernel with its batched
 //! SIMD accumulator ([`csp_core::engine`]), and the sharded online
 //! serving engine (per-key routing over worker threads). This module
 //! puts them behind one [`Engine`] trait and a data-driven registry
@@ -72,10 +72,10 @@ impl Engine for ReferenceEngine {
     }
 }
 
-/// The production kernel: shared key streams, slot-major entry windows,
-/// and confusion counts accumulated in 8-wide popcount batches (AVX2
-/// when the host has it, bit-identical scalar fallback otherwise — see
-/// [`csp_core::simd`]).
+/// The production kernel: shared key streams, a trace-order walk over
+/// one entry state per slot, and confusion counts accumulated in 8-wide
+/// popcount batches (AVX2 when the host has it, bit-identical scalar
+/// fallback otherwise — see [`csp_core::simd`]).
 pub struct SimdEngine;
 
 impl Engine for SimdEngine {
