@@ -18,8 +18,8 @@
 //!
 //! Every entry point here runs on one scorer: the trace-order walk of
 //! `kernel.rs` over a [`PreparedTrace`] and one of its key streams, with
-//! one entry state per slot, feeding a batched confusion accumulator, a
-//! per-event prediction sink, the all-depths family accumulator, or the
+//! one entry state per slot, feeding one scheme's running popcount sums,
+//! a per-event prediction sink, the all-depths family accumulator, or the
 //! listed-columns accumulator that [`run_index_schemes`] uses to score
 //! one index's history-fold schemes in one walk per update mode. The `*_prepared` entry points (and
 //! [`run_index_schemes`]) share an explicit `PreparedTrace` across many
@@ -27,8 +27,7 @@
 //! [`crate::reference`] is the independent definition every one of them
 //! is checked against.
 
-use crate::kernel::{self, Entry, Family, Predictions, Window, WithEntry};
-use crate::simd::{detect_backend, BatchAcc, SimdBackend};
+use crate::kernel::{self, Entry, Family, Predictions, Tally, Window, WithEntry};
 use crate::{IndexSpec, KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
@@ -45,48 +44,25 @@ pub fn run_scheme(trace: &Trace, scheme: &Scheme) -> ConfusionMatrix {
     run_scheme_prepared(&PreparedTrace::new(trace), scheme)
 }
 
-/// Runs `scheme` over an already-prepared trace, scoring every decision
-/// with the fastest accumulator the host supports (see
-/// [`crate::simd::detect_backend`]).
+/// Runs `scheme` over an already-prepared trace, scoring every decision.
 pub fn run_scheme_prepared(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> ConfusionMatrix {
-    run_scheme_with_backend(prepared, scheme, detect_backend())
-}
-
-/// [`run_scheme_prepared`] with an explicit accumulator backend: both
-/// backends sum the same integers, so the result is the same matrix.
-pub fn run_scheme_with_backend(
-    prepared: &PreparedTrace<'_>,
-    scheme: &Scheme,
-    backend: SimdBackend,
-) -> ConfusionMatrix {
-    score_one(
-        prepared,
-        &prepared.key_stream(scheme.index),
-        scheme,
-        backend,
-    )
+    score_one(prepared, &prepared.key_stream(scheme.index), scheme)
 }
 
 /// One walk of `scheme`'s own entry model over `prepared` through
 /// `stream`.
-fn score_one(
-    prepared: &PreparedTrace<'_>,
-    stream: &KeyStream,
-    scheme: &Scheme,
-    backend: SimdBackend,
-) -> ConfusionMatrix {
+fn score_one(prepared: &PreparedTrace<'_>, stream: &KeyStream, scheme: &Scheme) -> ConfusionMatrix {
     struct Score<'a, 't> {
         prepared: &'a PreparedTrace<'t>,
         stream: &'a KeyStream,
         update: UpdateMode,
-        backend: SimdBackend,
     }
     impl WithEntry for Score<'_, '_> {
         type Out = ConfusionMatrix;
         fn run<E: Entry>(self, entry: E) -> ConfusionMatrix {
-            let mut acc = BatchAcc::new(self.backend);
-            kernel::walk(self.prepared, self.stream, self.update, entry, &mut acc);
-            acc.finalize(self.prepared.nodes())
+            let mut tally = Tally::default();
+            kernel::walk(self.prepared, self.stream, self.update, entry, &mut tally);
+            tally.finish(self.prepared.nodes())
         }
     }
     kernel::with_entry(
@@ -96,7 +72,6 @@ fn score_one(
             prepared,
             stream,
             update: scheme.update,
-            backend,
         },
     )
 }
@@ -138,12 +113,11 @@ pub fn run_index_schemes(prepared: &PreparedTrace<'_>, schemes: &[Scheme]) -> Ve
             }
         }
     }
-    let backend = detect_backend();
     for (i, scheme) in schemes.iter().enumerate() {
         if out[i].is_none() {
             out[i] = Some(match schemes[..i].iter().position(|s| s == scheme) {
                 Some(earlier) => out[earlier].expect("earlier schemes are scored"),
-                None => score_one(prepared, &stream, scheme, backend),
+                None => score_one(prepared, &stream, scheme),
             });
         }
     }
@@ -528,8 +502,8 @@ mod tests {
         assert_eq!(m.decisions(), 0);
     }
 
-    /// Every function, update mode and depth, through both accumulator
-    /// backends and the per-event sink, against the reference.
+    /// Every function, update mode and depth, through the confusion
+    /// tally and the per-event sink, against the reference.
     #[test]
     fn kernel_matches_the_reference_on_every_function_update_and_depth() {
         for trace in [alternating_trace(60), mixed_trace(40)] {
@@ -544,14 +518,7 @@ mod tests {
                         };
                         let scheme: Scheme = spec.parse().unwrap();
                         let expected = reference::run_scheme(&trace, &scheme);
-                        for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
-                            assert_eq!(
-                                run_scheme_with_backend(&prepared, &scheme, backend),
-                                expected,
-                                "{spec} via {}",
-                                backend.name()
-                            );
-                        }
+                        assert_eq!(run_scheme_prepared(&prepared, &scheme), expected, "{spec}");
                         assert_eq!(
                             predictions_for_prepared(&prepared, &scheme),
                             reference::predictions(&trace, &scheme),

@@ -13,8 +13,8 @@
 //! The walk keeps the entry states ([`State`]) apart from what it feeds
 //! ([`Sink`]):
 //!
-//! * [`BatchAcc`] — one scheme's decisions into the batched popcount
-//!   accumulator ([`crate::simd`]), for any [`Entry`] model;
+//! * [`Tally`] — one scheme's decisions into three running popcount
+//!   sums, for any [`Entry`] model;
 //! * [`Predictions`] — one scheme's prediction per event, in trace
 //!   order;
 //! * [`Family`] — every `union`/`inter` depth of one index at once, with
@@ -24,9 +24,21 @@
 //!   at once: one fold of the window per decision, then true and
 //!   predicted positives for each listed column only, in fixed-capacity
 //!   accumulators ([`score_history`]).
+//!
+//! Every sink keeps the same exact confusion arithmetic: per decision,
+//!
+//! ```text
+//! tp        += popcount(predicted & actual)
+//! predicted += popcount(predicted)
+//! actual    += popcount(actual)
+//! ```
+//!
+//! with `fp = predicted − tp`, `fn = actual − tp` and
+//! `tn = decisions − tp − fp − fn` recovered at the end
+//! ([`matrix_from_sums`]) — the same integers per-event
+//! [`ConfusionMatrix::record`] calls sum.
 
 use crate::entry::pas_train;
-use crate::simd::{matrix_from_sums, BatchAcc};
 use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::SharingBitmap;
@@ -308,7 +320,51 @@ fn by_depth<F: Fold, J: WithEntry>(depth: usize, job: J) -> J::Out {
     }
 }
 
-impl<E: Entry> Sink<E> for BatchAcc {
+/// The full matrix from the three popcount sums over `decisions`
+/// per-node decisions (see the module docs).
+#[inline]
+fn matrix_from_sums(tp: u64, predicted: u64, actual: u64, decisions: u64) -> ConfusionMatrix {
+    let fp = predicted - tp;
+    let fn_ = actual - tp;
+    ConfusionMatrix {
+        tp,
+        fp,
+        fn_,
+        tn: decisions - tp - fp - fn_,
+    }
+}
+
+/// One scheme's confusion counts: the three running popcount sums and
+/// the number of decisions scored.
+#[derive(Default)]
+pub(crate) struct Tally {
+    tp: u64,
+    predicted: u64,
+    actual: u64,
+    scored: u64,
+}
+
+impl Tally {
+    #[inline(always)]
+    fn push(&mut self, predicted: u64, actual: u64) {
+        self.tp += u64::from((predicted & actual).count_ones());
+        self.predicted += u64::from(predicted.count_ones());
+        self.actual += u64::from(actual.count_ones());
+        self.scored += 1;
+    }
+
+    /// The full matrix over a `nodes`-wide machine.
+    pub(crate) fn finish(self, nodes: usize) -> ConfusionMatrix {
+        matrix_from_sums(
+            self.tp,
+            self.predicted,
+            self.actual,
+            self.scored * nodes as u64,
+        )
+    }
+}
+
+impl<E: Entry> Sink<E> for Tally {
     #[inline(always)]
     fn score(&mut self, entry: &E, actual: SharingBitmap, _event: usize) {
         self.push(entry.predict().bits(), actual.bits());
@@ -330,10 +386,8 @@ impl<E: Entry> Sink<E> for Predictions {
 /// the running fold prefixes.
 ///
 /// Only true positives and predicted positives are counted per depth;
-/// the full matrices follow at the end from `fp = predicted − tp`,
-/// `fn = actual − tp` and `tn = decisions − tp − fp − fn`, exact integer
-/// identities over the per-decision popcounts
-/// [`ConfusionMatrix::record`] sums.
+/// the actual bits once per decision, and the full matrices follow at the
+/// end ([`matrix_from_sums`]).
 pub(crate) struct Family<const MD: usize> {
     tp_union: [u64; MD],
     predicted_union: [u64; MD],
@@ -557,4 +611,27 @@ pub(crate) fn score_history(
         _ => unreachable!("column_of checks every depth"),
     };
     columns.into_iter().map(|c| matrices[c]).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tally_accumulates_exactly_what_record_sums() {
+        let pairs: Vec<(u64, u64)> = (0..8 * 7 + 5u64)
+            .map(|i| {
+                let p = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & 0xFFFF;
+                let a = (i * 0x2545_F491) & 0xFFFF;
+                (p, a)
+            })
+            .collect();
+        let mut expected = ConfusionMatrix::default();
+        let mut tally = Tally::default();
+        for &(p, a) in &pairs {
+            expected.record(SharingBitmap::from_bits(p), SharingBitmap::from_bits(a), 16);
+            tally.push(p, a);
+        }
+        assert_eq!(tally.finish(16), expected);
+    }
 }

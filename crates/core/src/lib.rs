@@ -48,10 +48,7 @@
 //! # Ok::<(), csp_core::ParseSchemeError>(())
 //! ```
 
-// `deny` rather than `forbid`: the [`simd`] module carries the crate's
-// only `unsafe` (runtime-dispatched `core::arch` intrinsics) under a
-// scoped allow; everything else stays unsafe-free at compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
@@ -68,7 +65,6 @@ mod kernel;
 mod prepared;
 pub mod reference;
 mod scheme;
-pub mod simd;
 pub mod sticky;
 mod table;
 
@@ -81,5 +77,4 @@ pub use function::PredictionFunction;
 pub use index::{node_bits, IndexSpec};
 pub use prepared::{KeyStream, PreparedTrace};
 pub use scheme::{ParseSchemeError, Scheme, UpdateMode};
-pub use simd::SimdBackend;
 pub use table::{shard_of_key, EntryView, PredictorTable, TableEntry};

@@ -2,19 +2,19 @@
 //! bit-identical to the reference evaluator.
 //!
 //! Every engine entry point ([`engine::run_scheme_prepared`] and friends)
-//! runs the trace-order kernel over shared key streams, with a batched
-//! popcount accumulator. [`reference`] evaluates DESIGN.md §3 one event
+//! runs the trace-order kernel over shared key streams, summing exact
+//! popcounts. [`reference`] evaluates DESIGN.md §3 one event
 //! at a time with its own actuals pass and a plain hash map of entries.
 //! None of the kernel's machinery may change a single count or a single
 //! per-event prediction relative to it: these properties pin that across
-//! random small traces, all three update modes, every prediction
-//! function, and both accumulator backends; PAs at every history depth
+//! random small traces, all three update modes and every prediction
+//! function; PAs at every history depth
 //! and at machine widths up to a full 64-bit word; and one index's mixed
 //! scheme list scored together by [`engine::run_index_schemes`].
 
 use csp_core::{
     engine, reference, IndexSpec, PredictionFunction, PredictorTable, PreparedTrace, Scheme,
-    SimdBackend, UpdateMode, MAX_DEPTH,
+    UpdateMode, MAX_DEPTH,
 };
 use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 use proptest::collection::vec;
@@ -178,9 +178,8 @@ proptest! {
     /// Per-event predictions (not just aggregate matrices) equal the
     /// reference's for every function, update mode and depth, PAs
     /// included — which pins the kernel's event-to-slot mapping, the
-    /// forwarded update's previous-writer slot included. Both
-    /// accumulator backends score the same decisions to the reference's
-    /// matrix.
+    /// forwarded update's previous-writer slot included — and the
+    /// matrices equal the reference's.
     #[test]
     fn kernel_predictions_match_reference(
         raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),
@@ -196,13 +195,11 @@ proptest! {
                         "scheme {}", scheme
                     );
                     let expected = reference::run_scheme(&trace, &scheme);
-                    for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
-                        prop_assert_eq!(
-                            engine::run_scheme_with_backend(&prepared, &scheme, backend),
-                            expected,
-                            "scheme {} via {}", scheme, backend.name()
-                        );
-                    }
+                    prop_assert_eq!(
+                        engine::run_scheme_prepared(&prepared, &scheme),
+                        expected,
+                        "scheme {}", scheme
+                    );
                 }
             }
         }
@@ -210,7 +207,7 @@ proptest! {
 
     /// Narrower machines keep the equivalence: the node count only
     /// changes the confusion matrix's true-negative algebra, which the
-    /// batched counters must reproduce exactly.
+    /// popcount sums must reproduce exactly.
     #[test]
     fn kernel_matches_reference_across_node_counts(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()), 1..30),
@@ -230,8 +227,7 @@ proptest! {
     }
 
     /// PAs at every history depth, under every update mode: per-event
-    /// predictions and matrices through both accumulator backends equal
-    /// the reference. The widths cover a lone node, a mask ending
+    /// predictions and matrices equal the reference. The widths cover a lone node, a mask ending
     /// mid-byte, the paper's machine and a full word (bit 63 set, no bits
     /// past the last node to mask).
     #[test]
@@ -251,13 +247,11 @@ proptest! {
                             "scheme {} nodes {}", scheme, nodes
                         );
                         let expected = reference::run_scheme(&trace, &scheme);
-                        for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
-                            prop_assert_eq!(
-                                engine::run_scheme_with_backend(&prepared, &scheme, backend),
-                                expected,
-                                "scheme {} nodes {} via {}", scheme, nodes, backend.name()
-                            );
-                        }
+                        prop_assert_eq!(
+                            engine::run_scheme_prepared(&prepared, &scheme),
+                            expected,
+                            "scheme {} nodes {}", scheme, nodes
+                        );
                     }
                 }
             }

@@ -2,8 +2,8 @@
 //!
 //! The barometer compares engines that differ in kind: the plain
 //! reference evaluator ([`csp_core::reference`], one event at a time
-//! over a hash map), the production trace-order kernel with its batched
-//! SIMD accumulator ([`csp_core::engine`]), and the sharded online
+//! over a hash map), the production trace-order kernel
+//! ([`csp_core::engine`]), and the sharded online
 //! serving engine (per-key routing over worker threads). This module
 //! puts them behind one [`Engine`] trait and a data-driven registry
 //! ([`ENGINE_SPECS`]) so the barometer can enumerate a
@@ -73,9 +73,12 @@ impl Engine for ReferenceEngine {
 }
 
 /// The production kernel: shared key streams, a trace-order walk over
-/// one entry state per slot, and confusion counts accumulated in 8-wide
-/// popcount batches (AVX2 when the host has it, bit-identical scalar
-/// fallback otherwise — see [`csp_core::simd`]).
+/// one entry state per slot, and confusion counts kept as three running
+/// popcount sums ([`csp_core::engine::run_scheme_prepared`]). It keeps
+/// the name `simd` from an earlier vectorised accumulator because the
+/// barometer's matrix fingerprint (`BarDefs::fingerprint` in `csp-bar`)
+/// hashes engine names: renaming it would orphan the committed
+/// trajectory.
 pub struct SimdEngine;
 
 impl Engine for SimdEngine {
