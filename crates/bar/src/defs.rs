@@ -373,7 +373,10 @@ iters 3
 shards 4
 
 # Engines, baseline (ratio denominator) first: the reference evaluator,
-# the production trace-order SIMD kernel, the sharded serving engine.
+# the production trace-order kernel, the sharded serving engine. The
+# kernel keeps the name `simd` from an earlier vectorised accumulator:
+# the matrix fingerprint hashes engine names, so renaming it would
+# orphan the committed trajectory.
 engine reference
 engine simd
 engine sharded

@@ -22,7 +22,7 @@
 //! paper's cost model ([`Scheme::size_log2_bits`]) and its textual notation
 //! (`inter(pid+pc8+add6)4[direct]`, Section 3.5) via `Display`/`FromStr`.
 //! The [`engine`] runs a scheme over a [`csp_trace::Trace`] and produces a
-//! [`csp_metrics::ConfusionMatrix`]; [`reference`] is the plain,
+//! [`csp_metrics::ConfusionMatrix`]; [`reference`](mod@reference) is the plain,
 //! independent evaluator every engine path is checked against.
 //!
 //! # Example

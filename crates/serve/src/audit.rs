@@ -30,7 +30,7 @@
 //!   checks it is monotonically non-decreasing per shard, then adopts
 //!   the recorded value into the expected record.
 //! * sampling — `--audit-sample 1/N` keeps a record iff
-//!   [`sample_keeps`](csp_trace::audit::sample_keeps)`(key, N)`, a pure
+//!   [`sample_keeps`]`(key, N)`, a pure
 //!   function of the key, so the twin applies the identical predicate
 //!   and a sampled log still verifies exactly.
 //!

@@ -6,9 +6,11 @@
 //! predictor tables as a long-lived service:
 //!
 //! * [`ShardedEngine`] — the predictor state partitioned across worker
-//!   threads by index key ([`csp_core::shard_of_key`]), with bounded FIFO
-//!   inboxes (backpressure), batched ingest, and no global lock. Sharding
-//!   is *exact*: replaying a trace yields bit-identical screening
+//!   threads by index key ([`csp_core::shard_of_key`]). Writes go through
+//!   bounded FIFO inboxes (backpressure) as batches; queries are answered
+//!   on the caller's thread under each shard's read lock, once that shard
+//!   has applied every write sent before the query. No lock spans shards.
+//!   Sharding is *exact*: replaying a trace yields bit-identical screening
 //!   statistics to the offline engine (see `tests/equivalence.rs`).
 //!   [`ShardedEngine::reset`] re-tasks the running workers with a fresh
 //!   session, so a caller that replays hundreds of short cells (the
@@ -27,7 +29,7 @@
 //!   carry read/write deadlines and per-connection error budgets
 //!   ([`ServerOptions`]), and [`ShutdownHandle`] drains the server
 //!   gracefully so a final snapshot can be taken.
-//! * [`bench`] — a load generator reporting queries/sec and p50/p99
+//! * [`bench`](mod@bench) — a load generator reporting queries/sec and p50/p99
 //!   latency against a running server.
 //! * [`replication`] — leader/follower replication: a totally-ordered,
 //!   journal-durable operation log on the leader, snapshot-bootstrapped

@@ -1,21 +1,27 @@
-//! The sharded predictor engine: one worker thread per shard, each owning
-//! a private [`PredictorTable`] partition. No global lock anywhere.
+//! The sharded predictor engine: one worker thread per shard, each the
+//! only writer of its [`PredictorTable`] partition. Queries are answered
+//! on the caller's thread, in place, under that shard's read lock; no
+//! lock spans shards.
 //!
 //! # Why sharding is exact
 //!
 //! A predictor entry's state depends only on the *ordered sequence of
 //! updates to its own key* — entries never interact. The dispatcher routes
-//! every operation (update, score, query) to the shard
-//! [`shard_of_key`] names, appending to that shard's FIFO inbox in global
-//! emission order. Restricted to one key, the shard's inbox order is
-//! therefore exactly the sequential engine's order, so each entry moves
-//! through the same states it would in one global table. Screening
-//! counters are integers and merge by addition, which commutes — the
-//! merged totals are bit-identical to a sequential run no matter how keys
-//! spread over shards. This holds for *forwarded* update too: the
-//! `update(fkey)` and the `score(key)` of one event may land on different
-//! shards, but each touches only its own key's entry, and each shard sees
-//! its share of operations in emission order.
+//! every update and score to the shard [`shard_of_key`] names, appending
+//! to that shard's FIFO inbox in global emission order. Restricted to one
+//! key, the shard's inbox order is therefore exactly the sequential
+//! engine's order, so each entry moves through the same states it would
+//! in one global table. Screening counters are integers and merge by
+//! addition, which commutes — the merged totals are bit-identical to a
+//! sequential run no matter how keys spread over shards. This holds for
+//! *forwarded* update too: the `update(fkey)` and the `score(key)` of one
+//! event may land on different shards, but each touches only its own
+//! key's entry, and each shard sees its share of operations in emission
+//! order.
+//!
+//! A query reads the same shard's table, and first waits until that
+//! shard has finished every message sent to it before the query began,
+//! so a caller always reads its own acknowledged writes.
 //!
 //! The one thing sharding reorders is *wall-clock interleaving across
 //! keys*, which no per-key state can observe.
@@ -26,8 +32,9 @@
 //! *checkpoint* (a clone of its state) plus a journal of the operations
 //! applied since; a batch that panics is rolled back by restoring the
 //! checkpoint, replaying the journal, and re-applying the batch one
-//! operation at a time with the poison skipped. Counters are published as
-//! *absolute* values after every message (see
+//! operation at a time with the poison skipped — all under the write
+//! lock, so no query sees the half-applied batch. The worker's counters
+//! are published as *absolute* values after every message (see
 //! [`csp_metrics::OnlineConfusion::store`]), so a recovery recomputes
 //! them instead of double-counting. Restart totals surface as
 //! [`ShardRestart`] entries in [`EngineSnapshot`].
@@ -45,7 +52,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -91,13 +98,9 @@ impl IngestOp {
 enum ShardMsg {
     /// A batch of in-order ingest operations.
     Ingest(Vec<IngestOp>),
-    /// Predict for `(position, key)` probes and reply. An empty probe list
-    /// doubles as a flush barrier: the reply proves every earlier message
+    /// A barrier: the reply proves every earlier message on this inbox
     /// has been applied.
-    Query {
-        probes: Vec<(usize, u64)>,
-        reply: Sender<Vec<(usize, SharingBitmap)>>,
-    },
+    Barrier(Sender<()>),
     /// Clone the worker's full state and reply with it. In-band, so the
     /// captured state reflects exactly the messages sent before it on
     /// this shard's inbox. Doubles as the worker's recovery checkpoint.
@@ -122,7 +125,10 @@ pub struct ShardState {
     pub updates: u64,
     /// Score operations applied.
     pub scored: u64,
-    /// Query probes answered.
+    /// Query probes answered. Live, the count is
+    /// [`ShardCounters::queries`], which the answering callers add to;
+    /// a captured state ([`ShardedEngine::snapshot_state`]) carries its
+    /// value, and a restored engine starts the counter from it.
     pub queries: u64,
     /// Supervised worker restarts so far.
     pub restarts: u64,
@@ -142,8 +148,8 @@ impl ShardState {
     }
 }
 
-/// Per-shard live counters, shared lock-free between the worker (writer)
-/// and monitoring readers.
+/// Per-shard live counters, shared lock-free between the worker (writer),
+/// the query callers (which add to `queries`) and monitoring readers.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// Screening counters over every scored decision on this shard.
@@ -204,13 +210,31 @@ impl EngineSnapshot {
 
 struct ShardHandle {
     tx: SyncSender<ShardMsg>,
+    shared: Arc<Shared>,
     counters: Arc<ShardCounters>,
     queue_depth: Arc<Gauge>,
-    join: Option<JoinHandle<PredictorTable>>,
+    query_ns: Arc<Histogram>,
+    join: Option<JoinHandle<()>>,
 }
 
-/// The owned instruments one shard worker records into. Registered on
-/// the engine registry at spawn time (cold); recording is lock-free.
+/// What a shard worker shares with the engine's callers: its state, which
+/// the worker writes under the write lock for each inbox message and
+/// queries read in place, and the progress counts that tell a query
+/// whether the state already holds every message sent before it.
+///
+/// `sent` is bumped before a message enters the inbox, `done` (with
+/// `Release`) after the worker drops the write guard for it. A query that
+/// loads `done >= sent` (with `Acquire`) therefore takes its read lock
+/// after the release of every message sent before it began.
+struct Shared {
+    state: RwLock<ShardState>,
+    sent: AtomicU64,
+    done: AtomicU64,
+}
+
+/// The instruments one shard records into: the worker its inbox and
+/// batch series, the query callers `query_ns`. Registered on the engine
+/// registry at spawn time (cold); recording is lock-free.
 struct ShardInstruments {
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
@@ -220,9 +244,9 @@ struct ShardInstruments {
 
 impl ShardInstruments {
     /// Registers shard `i`'s instruments plus callback series that
-    /// expose its [`ShardCounters`] — the counters the worker already
-    /// publishes — so the scrape reads them with zero extra hot-path
-    /// cost.
+    /// expose its [`ShardCounters`] — the counters the worker and the
+    /// query callers already keep — so the scrape reads them with zero
+    /// extra hot-path cost.
     fn register(registry: &Registry, i: usize, counters: &Arc<ShardCounters>) -> Self {
         let shard = i.to_string();
         let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
@@ -266,7 +290,7 @@ impl ShardInstruments {
         ShardInstruments {
             queue_depth: registry.gauge(
                 "csp_shard_queue_depth",
-                "Messages waiting in the shard inbox.",
+                "Messages (write batches and barriers) waiting in the shard inbox.",
                 labels,
             ),
             batch_size: registry.histogram(
@@ -281,7 +305,7 @@ impl ShardInstruments {
             ),
             query_ns: registry.histogram(
                 "csp_shard_query_service_ns",
-                "Per-probe service time in nanoseconds (one observation per answered probe).",
+                "Per-probe service time under the shard's read lock, in nanoseconds (one observation per answered probe).",
                 labels,
             ),
         }
@@ -469,8 +493,16 @@ impl ShardedEngine {
                 // engine's counters must be readable immediately, not
                 // only after the OS happens to schedule each worker.
                 publish(&counters, &initial);
+                counters.queries.store(initial.queries, Ordering::Relaxed);
                 let instruments = ShardInstruments::register(&registry, i, &counters);
                 let queue_depth = Arc::clone(&instruments.queue_depth);
+                let query_ns = Arc::clone(&instruments.query_ns);
+                let shared = Arc::new(Shared {
+                    state: RwLock::new(initial),
+                    sent: AtomicU64::new(0),
+                    done: AtomicU64::new(0),
+                });
+                let worker_shared = Arc::clone(&shared);
                 let worker_counters = Arc::clone(&counters);
                 let worker_pipeline = Arc::clone(&pipeline);
                 let join = std::thread::Builder::new()
@@ -480,17 +512,19 @@ impl ShardedEngine {
                             i as u16,
                             nodes,
                             rx,
+                            &worker_shared,
                             &worker_counters,
                             &instruments,
                             &worker_pipeline,
-                            initial,
                         )
                     })
                     .expect("spawn shard worker");
                 ShardHandle {
                     tx,
+                    shared,
                     counters,
                     queue_depth,
+                    query_ns,
                     join: Some(join),
                 }
             })
@@ -543,6 +577,12 @@ impl ShardedEngine {
     }
 
     fn send(&self, shard: usize, msg: ShardMsg) {
+        // Counted before it can be applied, so a query that begins after
+        // this call waits for the message (see [`Shared`]).
+        self.shards[shard]
+            .shared
+            .sent
+            .fetch_add(1, Ordering::SeqCst);
         // Depth counts messages between enqueue here and dequeue in the
         // worker, so a stalled shard shows up as a climbing gauge.
         self.shards[shard].queue_depth.add(1);
@@ -835,60 +875,84 @@ impl ShardedEngine {
     }
 
     /// Predicts for raw predictor keys, preserving input order.
+    ///
+    /// Answered on the caller's thread: each shard's keys are looked up
+    /// in place under its read lock, after the shard has applied every
+    /// operation sent to it before this call.
     pub fn predict_keys(&self, keys: &[u64]) -> Vec<SharingBitmap> {
         let shards = self.shards.len();
-        let mut per_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); shards];
+        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (pos, &key) in keys.iter().enumerate() {
-            per_shard[shard_of_key(key, shards)].push((pos, key));
-        }
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        let mut outstanding = 0usize;
-        for (s, probes) in per_shard.into_iter().enumerate() {
-            if probes.is_empty() {
-                continue;
-            }
-            outstanding += 1;
-            self.send(
-                s,
-                ShardMsg::Query {
-                    probes,
-                    reply: reply_tx.clone(),
-                },
-            );
+            per_shard[shard_of_key(key, shards)].push(pos);
         }
         let mut out = vec![SharingBitmap::empty(); keys.len()];
-        for _ in 0..outstanding {
-            let part = reply_rx.recv().expect("shard worker terminated early");
-            for (pos, bitmap) in part {
-                out[pos] = bitmap;
+        for (s, positions) in per_shard.iter().enumerate() {
+            if positions.is_empty() {
+                continue;
             }
+            let shard = &self.shards[s];
+            let state = self.read_state(s);
+            let started = Instant::now();
+            for &pos in positions {
+                out[pos] = state.table.predict(keys[pos]);
+            }
+            let elapsed = started.elapsed();
+            drop(state);
+            // One observation per answered probe, so the histogram count
+            // tracks the queries counter exactly. Both are added before
+            // returning: a caller that reads stats() next sees its own
+            // queries counted.
+            let answered = positions.len() as u64;
+            shard
+                .counters
+                .queries
+                .fetch_add(answered, Ordering::Relaxed);
+            shard.query_ns.record_duration_n(elapsed, answered);
         }
         out
     }
 
-    /// Blocks until every shard has applied all previously sent
-    /// operations (an empty query round-trip per shard).
-    pub fn flush(&self) {
+    /// Shard `s`'s state under its read lock, once the worker has
+    /// finished every message sent to it before this call. A shard that
+    /// is behind is waited for with a barrier on its inbox alone.
+    fn read_state(&self, s: usize) -> RwLockReadGuard<'_, ShardState> {
+        let shared = &self.shards[s].shared;
+        let sent = shared.sent.load(Ordering::SeqCst);
+        if shared.done.load(Ordering::Acquire) < sent {
+            self.barrier([s]);
+        }
+        shared
+            .state
+            .read()
+            .unwrap_or_else(|_| panic!("shard {s} worker panicked while applying"))
+    }
+
+    /// Sends a barrier to each of `shards` and blocks until all have
+    /// answered: every message sent to them earlier is then applied.
+    fn barrier(&self, shards: impl IntoIterator<Item = usize>) {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for s in 0..self.shards.len() {
-            self.send(
-                s,
-                ShardMsg::Query {
-                    probes: Vec::new(),
-                    reply: reply_tx.clone(),
-                },
-            );
+        let mut outstanding = 0usize;
+        for s in shards {
+            self.send(s, ShardMsg::Barrier(reply_tx.clone()));
+            outstanding += 1;
         }
-        for _ in 0..self.shards.len() {
-            let _ = reply_rx.recv().expect("shard worker terminated early");
+        for _ in 0..outstanding {
+            reply_rx.recv().expect("shard worker terminated early");
         }
+    }
+
+    /// Blocks until every shard has applied all previously sent
+    /// operations (a barrier round-trip per shard).
+    pub fn flush(&self) {
+        self.barrier(0..self.shards.len());
     }
 
     /// A live snapshot of the merged per-shard counters.
     ///
     /// Lock-free: reads the atomic counters without interrupting the
     /// workers. Call [`flush`](Self::flush) first when the snapshot must
-    /// reflect everything already *sent* (e.g. after a replay).
+    /// reflect everything already *sent* (e.g. after a replay); a
+    /// caller's own answered queries are always counted.
     pub fn stats(&self) -> EngineSnapshot {
         let per_shard: Vec<ConfusionMatrix> = self
             .shards
@@ -934,11 +998,14 @@ impl ShardedEngine {
         for shard in self.shards.drain(..) {
             drop(shard.tx); // close the inbox: the worker's recv loop ends
             if let Some(join) = shard.join {
-                match join.join() {
-                    Ok(table) => global.absorb(table),
-                    Err(_) => panic!("shard worker panicked"),
+                if join.join().is_err() {
+                    panic!("shard worker panicked");
                 }
             }
+            // The joined worker dropped its handle, so this one is the last.
+            let shared = Arc::into_inner(shard.shared).expect("shard worker joined");
+            let state = shared.state.into_inner().expect("shard worker panicked");
+            global.absorb(state.table);
         }
         global
     }
@@ -1043,44 +1110,51 @@ fn apply_op_audited(
 /// incremental) publication is what makes supervised recovery exact:
 /// after a restart the worker recomputes its counters from the
 /// checkpoint and the replayed journal, and the next publish overwrites
-/// any partially counted batch.
+/// any partially counted batch. `queries` is not the worker's: the query
+/// callers add to it.
 fn publish(counters: &ShardCounters, state: &ShardState) {
     counters.confusion.store(&state.confusion);
     counters.updates.store(state.updates, Ordering::Relaxed);
     counters.scored.store(state.scored, Ordering::Relaxed);
-    counters.queries.store(state.queries, Ordering::Relaxed);
     counters
         .entries
         .store(state.table.entries_touched() as u64, Ordering::Relaxed);
     counters.restarts.store(state.restarts, Ordering::Relaxed);
 }
 
-/// The shard worker loop: owns this shard's state, applies inbox
-/// messages in FIFO order, publishes counters, and supervises itself —
-/// a panic while applying a batch is recovered in place from the last
+/// The shard worker loop: the only writer of this shard's state, it
+/// applies inbox messages in FIFO order, each under the write lock held
+/// across apply, audit append and publish, and supervises itself — a
+/// panic while applying a batch is recovered in place from the last
 /// checkpoint plus the journal, with the poisonous operation skipped.
 fn shard_worker(
     shard: u16,
     nodes: usize,
     rx: Receiver<ShardMsg>,
+    shared: &Shared,
     counters: &ShardCounters,
     instruments: &ShardInstruments,
     pipeline: &Pipeline,
-    initial: ShardState,
-) -> PredictorTable {
-    let mut state = initial;
-    let mut checkpoint = state.clone();
+) {
+    let write = || {
+        shared
+            .state
+            .write()
+            .expect("only this worker writes the state")
+    };
+    let mut checkpoint = write().clone();
     let mut journal: Vec<IngestOp> = Vec::new();
     // Decisions below the watermark are already in the audit log: on a
     // restored engine, everything before the snapshot; afterwards,
     // everything up to the last appended batch. Recovery replays recompute
     // seqs below it and are skipped; the failed batch re-emits exactly once.
-    let mut audited: u64 = state.scored;
+    let mut audited: u64 = checkpoint.scored;
     let mut audit_buf: Vec<AuditRecord> = Vec::new();
     let mut audit_scratch: Vec<u8> = Vec::new();
-    publish(counters, &state);
+    publish(counters, &checkpoint);
     while let Ok(msg) = rx.recv() {
         instruments.queue_depth.sub(1);
+        let mut state = write();
         match msg {
             ShardMsg::Ingest(ops) => {
                 let started = Instant::now();
@@ -1103,16 +1177,12 @@ fn shard_worker(
                     // `state` inconsistent. Discard it: rebuild from the
                     // checkpoint, re-run the journal, then re-apply this
                     // batch one op at a time with the poison skipped.
-                    // Queries are not journaled (they don't mutate the
-                    // table), so carry their count over directly. Buffered
-                    // records are rebuilt too — the re-applied batch
-                    // recomputes the same seqs past the watermark.
+                    // Buffered records are rebuilt too — the re-applied
+                    // batch recomputes the same seqs past the watermark.
                     audit_buf.clear();
                     let restarts = state.restarts + 1;
-                    let queries = state.queries;
-                    state = checkpoint.clone();
+                    *state = checkpoint.clone();
                     state.restarts = restarts;
-                    state.queries = queries;
                     for &op in &journal {
                         let _ = catch_unwind(AssertUnwindSafe(|| {
                             apply(&mut state, op, &mut audit_buf)
@@ -1129,8 +1199,9 @@ fn shard_worker(
                 if let Some(sink) = sink {
                     // Journal-before-effect: the records are framed and
                     // flushed before the counters below publish the
-                    // batch. A sink write failure must not let the
-                    // engine keep deciding un-audited.
+                    // batch, and before the write lock lets a query see
+                    // it. A sink write failure must not let the engine
+                    // keep deciding un-audited.
                     sink.append_buffered(&audit_buf, &mut audit_scratch)
                         .expect("audit log append failed");
                     audit_buf.clear();
@@ -1145,48 +1216,35 @@ fn shard_worker(
                 }
                 instruments.batch_ns.record_duration(started.elapsed());
             }
-            ShardMsg::Query { probes, reply } => {
-                let started = Instant::now();
-                let answered = probes.len() as u64;
-                state.queries += answered;
-                let out: Vec<(usize, SharingBitmap)> = probes
-                    .into_iter()
-                    .map(|(pos, key)| (pos, state.table.predict(key)))
-                    .collect();
-                // One observation per answered probe, so the histogram
-                // count tracks the queries counter exactly (a zero-probe
-                // flush barrier records nothing). Amortized: one clock
-                // read and three atomic adds per message, not per probe.
-                instruments
-                    .query_ns
-                    .record_duration_n(started.elapsed(), answered);
-                // Publish before replying: a querier that reads stats()
-                // right after the reply must see its own queries counted
-                // (the reply is the synchronization point).
-                publish(counters, &state);
-                // A dropped reply receiver just means the querier went
-                // away; the prediction work is already done.
-                let _ = reply.send(out);
+            ShardMsg::Barrier(reply) => {
+                // A dropped reply receiver just means the waiter went away.
+                let _ = reply.send(());
             }
             ShardMsg::Snapshot { reply } => {
                 // The captured state doubles as the recovery checkpoint:
-                // both need the same "known consistent point" clone.
+                // both need the same "known consistent point" clone. The
+                // capture carries the live query count, which no message
+                // orders against.
                 checkpoint = state.clone();
                 journal.clear();
-                let _ = reply.send(checkpoint.clone());
+                let mut captured = checkpoint.clone();
+                captured.queries = counters.queries.load(Ordering::Relaxed);
+                let _ = reply.send(captured);
             }
             ShardMsg::Reset(fresh) => {
                 // A recovery must roll back to the new session, never
                 // replay the old one's journal into it.
-                state = *fresh;
+                *state = *fresh;
                 checkpoint = state.clone();
                 journal.clear();
                 audited = state.scored;
+                counters.queries.store(state.queries, Ordering::Relaxed);
             }
         }
         publish(counters, &state);
+        drop(state);
+        shared.done.fetch_add(1, Ordering::Release);
     }
-    state.table
 }
 
 #[cfg(test)]
@@ -1341,6 +1399,107 @@ mod tests {
         assert_eq!(snap.queries, 16);
         assert_eq!(snap.updates, 16);
         assert_eq!(snap.entries, 16);
+    }
+
+    #[test]
+    fn queries_read_their_own_writes_without_a_flush() {
+        let engine = ShardedEngine::new("last(pid)1[direct]".parse().unwrap(), 16, 3);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stale = std::thread::scope(|scope| {
+            // Concurrent readers of other keys on every shard.
+            let hammer = scope.spawn(|| {
+                let keys: Vec<u64> = (1000..1064).collect();
+                while !stop.load(Ordering::Relaxed) {
+                    engine.predict_keys(&keys);
+                }
+            });
+            // Collected, not asserted in place: a panic here would leave
+            // the scope waiting on the hammer forever.
+            let mut stale = Vec::new();
+            for i in 0..2000u64 {
+                // Filler updates ahead of the target keep the worker busy
+                // when the query arrives.
+                let mut ops: Vec<IngestOp> = (0..64)
+                    .map(|k| IngestOp::Update {
+                        key: 100 + k,
+                        feedback: bm(&[(k % 16) as u8]),
+                    })
+                    .collect();
+                let (key, feedback) = (i % 8, bm(&[(i % 16) as u8, ((i / 16) % 16) as u8]));
+                ops.push(IngestOp::Update { key, feedback });
+                engine.ingest_ops(ops);
+                if engine.predict_keys(&[key])[0] != feedback {
+                    stale.push(i);
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            hammer.join().unwrap();
+            stale
+        });
+        assert!(stale.is_empty(), "stale reads after batches {stale:?}");
+    }
+
+    /// `csp_shard_query_service_ns` observations summed over the shards.
+    fn query_service_count(engine: &ShardedEngine) -> u64 {
+        csp_obs::parse_text(&engine.registry().encode_prometheus())
+            .iter()
+            .filter(|s| s.name == "csp_shard_query_service_ns_count")
+            .filter_map(csp_obs::Sample::value_u64)
+            .sum()
+    }
+
+    #[test]
+    fn query_counts_are_exact_across_restart_and_restore() {
+        let trace = busy_trace(400);
+        let scheme: Scheme = "last(pid+pc8)1[direct]".parse().unwrap();
+        let nb = node_bits(trace.nodes());
+        let keys: Vec<u64> = trace
+            .events()
+            .iter()
+            .map(|e| scheme.index.key_of(e, nb))
+            .collect();
+        let engine = ShardedEngine::new(scheme, trace.nodes(), 3);
+        engine.replay_trace(&trace).unwrap();
+        let mut k = 0u64;
+        for chunk in keys.chunks(37) {
+            engine.predict_keys(chunk);
+            k += chunk.len() as u64;
+            assert_eq!(engine.stats().queries, k);
+            assert_eq!(query_service_count(&engine), k);
+        }
+
+        // A supervised restart keeps the count.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        engine.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        engine.flush();
+        std::panic::set_hook(hook);
+        assert_eq!(engine.stats().total_restarts(), 1);
+        engine.predict_keys(&keys[..10]);
+        k += 10;
+        assert_eq!(engine.stats().queries, k);
+        assert_eq!(query_service_count(&engine), k);
+
+        // A captured state carries the count, and a restored engine
+        // continues from it; its own histogram counts its own probes.
+        let states = engine.snapshot_state();
+        assert_eq!(states.iter().map(|s| s.queries).sum::<u64>(), k);
+        let restored = ShardedEngine::with_state(scheme, trace.nodes(), states).unwrap();
+        assert_eq!(restored.stats().queries, k);
+        restored.predict_keys(&keys);
+        assert_eq!(restored.stats().queries, k + keys.len() as u64);
+        assert_eq!(query_service_count(&restored), keys.len() as u64);
+        let states = restored.snapshot_state();
+        assert_eq!(
+            states.iter().map(|s| s.queries).sum::<u64>(),
+            k + keys.len() as u64
+        );
+
+        // A new session starts the count from its fresh state.
+        let mut restored = restored;
+        restored.reset(scheme).unwrap();
+        restored.predict_keys(&keys[..5]);
+        assert_eq!(restored.stats().queries, 5);
     }
 
     #[test]

@@ -392,7 +392,7 @@ impl SnapshotStore {
 
     /// Writes `state` durably (tmp sibling + fsync + rename, so a crash
     /// mid-write never damages an existing snapshot) and prunes all but
-    /// the newest [`RETAIN`] files. Returns the written path.
+    /// the newest two files. Returns the written path.
     ///
     /// # Errors
     ///
@@ -658,6 +658,27 @@ mod tests {
         assert_eq!(get("csp_snapshot_quarantines_total"), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_then_capture_resaves_byte_for_byte() {
+        let trace = training_trace(300);
+        let scheme: Scheme = "union(pid+pc8)2[forwarded]".parse().unwrap();
+        let engine = ShardedEngine::new(scheme, trace.nodes(), 3);
+        engine.replay_trace(&trace).unwrap();
+        // Query counts live outside the workers' state; the bytes must
+        // still carry them.
+        engine.predict_keys(&(0..100).collect::<Vec<u64>>());
+        let mut saved = Vec::new();
+        write_engine_state(&mut saved, &EngineState::capture(&engine, 7)).unwrap();
+        let restored = read_engine_state(saved.as_slice())
+            .unwrap()
+            .restore()
+            .unwrap();
+        assert_eq!(restored.stats().queries, 100);
+        let mut resaved = Vec::new();
+        write_engine_state(&mut resaved, &EngineState::capture(&restored, 7)).unwrap();
+        assert_eq!(saved, resaved);
     }
 
     #[test]

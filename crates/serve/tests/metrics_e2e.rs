@@ -2,7 +2,7 @@
 //! the load generator, fetch the `Metrics` wire frame, and hold the
 //! registry to *exact* agreement with the client's own accounting — the
 //! per-shard query counters (and the service-time histogram counts,
-//! which the shard worker records once per answered probe) must sum to
+//! which the querying thread records once per answered probe) must sum to
 //! precisely the number of probes the client got answers for.
 
 use csp_obs::{parse_text, sum_counter, Sample};
@@ -58,7 +58,7 @@ fn metrics_counters_match_load_exactly() {
         expected,
         "query counters disagree with the client's answered-probe count"
     );
-    // The shard worker records query service time once per answered
+    // The querying thread records query service time once per answered
     // probe, so the histogram count tracks the counter exactly.
     assert_eq!(
         sum_histogram_count(&samples, "csp_shard_query_service_ns"),
