@@ -243,13 +243,18 @@ impl Server {
         let active = Arc::clone(active);
         active.fetch_add(1, Ordering::AcqRel);
         std::thread::spawn(move || {
-            let reader = BufReader::new(&stream);
-            let writer = BufWriter::new(&stream);
+            let reader = BufReader::with_capacity(CONNECTION_BUFFER, &stream);
+            let writer = BufWriter::with_capacity(CONNECTION_BUFFER, &stream);
             let _ = serve_connection(reader, writer, &engine, &options, &shutdown);
             active.fetch_sub(1, Ordering::AcqRel);
         });
     }
 }
+
+/// Bytes of read and of write buffer per client connection. A pipelined
+/// burst is read this much at a time and answered in runs of up to this
+/// many reply bytes per socket write.
+const CONNECTION_BUFFER: usize = 64 * 1024;
 
 /// The wire-layer instruments one connection records into. Built from
 /// the engine registry when the connection opens (cold: a handful of
@@ -261,6 +266,7 @@ struct WireMetrics {
     errors: Arc<Counter>,
     decode_ns: Arc<Histogram>,
     encode_ns: Arc<Histogram>,
+    flushes: Arc<Counter>,
     ping: Arc<Counter>,
     predict: Arc<Counter>,
     predict_batch: Arc<Counter>,
@@ -305,7 +311,12 @@ impl WireMetrics {
             ),
             encode_ns: registry.histogram(
                 "csp_wire_encode_ns",
-                "Response encode + write + flush, in nanoseconds.",
+                "Reply encode + buffered write, plus the flush when one follows, in nanoseconds.",
+                &[],
+            ),
+            flushes: registry.counter(
+                "csp_wire_flushes_total",
+                "Flushes of buffered replies to the socket; frames over flushes is replies per write.",
                 &[],
             ),
             ping: frames("ping"),
@@ -388,8 +399,28 @@ fn send_error<W: Write>(writer: &mut W, msg: String) -> io::Result<()> {
     writer.flush()
 }
 
+/// Writes out the replies buffered in `writer`, counting the flush.
+fn flush_replies<W: Write>(writer: &mut W, metrics: &WireMetrics) -> io::Result<()> {
+    metrics.flushes.inc();
+    writer.flush()
+}
+
+/// Sends the error frame that ends the request loop, after any replies
+/// still buffered; best effort, as the connection closes either way.
+fn send_closing_error<W: Write>(writer: &mut W, metrics: &WireMetrics, msg: String) {
+    metrics.flushes.inc();
+    let _ = send_error(writer, msg);
+}
+
 /// Serves one connection until EOF, shutdown, or disqualification: read
-/// a request frame, answer it, flush.
+/// a request frame, answer it into `writer`, and flush `writer` unless
+/// `reader` already buffers the next whole request.
+///
+/// A pipelining client is thus answered in runs, in request order, one
+/// socket write per run of buffered requests; and every read that can
+/// block comes after a flush, so no reply is withheld while the server
+/// waits on its peer. `writer` should be buffered: the server's own
+/// connections buffer 64 KiB each way.
 ///
 /// Malformed-but-framed requests and checksum failures get a typed
 /// [`Response::Error`] and count against the connection's error budget;
@@ -401,7 +432,7 @@ fn send_error<W: Write>(writer: &mut W, msg: String) -> io::Result<()> {
 ///
 /// Propagates transport I/O errors (the connection is gone either way).
 pub fn serve_connection<R: Read, W: Write>(
-    mut reader: R,
+    mut reader: BufReader<R>,
     mut writer: W,
     engine: &ShardedEngine,
     options: &ServerOptions,
@@ -425,7 +456,11 @@ pub fn serve_connection<R: Read, W: Write>(
                 // Mid-frame stall: a slowloris peer. Best-effort notice,
                 // then hang up.
                 metrics.errors.inc();
-                let _ = send_error(&mut writer, "read deadline exceeded mid-frame".to_string());
+                send_closing_error(
+                    &mut writer,
+                    &metrics,
+                    "read deadline exceeded mid-frame".to_string(),
+                );
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -434,8 +469,9 @@ pub fn serve_connection<R: Read, W: Write>(
             FrameRead::Oversized { len } => {
                 metrics.invalid.inc();
                 metrics.errors.inc();
-                let _ = send_error(
+                send_closing_error(
                     &mut writer,
+                    &metrics,
                     format!(
                         "frame length {len} exceeds the {}-byte limit; closing",
                         wire::MAX_PAYLOAD
@@ -466,6 +502,7 @@ pub fn serve_connection<R: Read, W: Write>(
                         from,
                     });
                     metrics.decode_ns.record_duration(decode_started.elapsed());
+                    flush_replies(&mut writer, &metrics)?;
                     return stream_segments(
                         &mut writer,
                         engine,
@@ -480,6 +517,7 @@ pub fn serve_connection<R: Read, W: Write>(
                     // audit-record stream until it drops.
                     metrics.count_request(&Request::AuditSubscribe { fingerprint, from });
                     metrics.decode_ns.record_duration(decode_started.elapsed());
+                    flush_replies(&mut writer, &metrics)?;
                     return stream_audit(&mut writer, engine, shutdown, fingerprint, from);
                 }
                 Ok(request) => {
@@ -498,11 +536,14 @@ pub fn serve_connection<R: Read, W: Write>(
         };
         let encode_started = Instant::now();
         wire::write_response(&mut writer, &response)?;
-        writer.flush()?;
+        if !wire::holds_whole_frame(reader.buffer()) {
+            flush_replies(&mut writer, &metrics)?;
+        }
         metrics.encode_ns.record_duration(encode_started.elapsed());
         if errors > options.error_budget {
-            let _ = send_error(
+            send_closing_error(
                 &mut writer,
+                &metrics,
                 format!("error budget exhausted ({errors} protocol errors); closing",),
             );
             return Ok(());
@@ -896,6 +937,167 @@ mod tests {
             SharingBitmap::singleton(NodeId(15))
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Keeps the bytes written to it and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `input` as one connection's whole inbound stream, through
+    /// connection-sized buffers, and returns what reached the socket.
+    fn serve_bytes(engine: &ShardedEngine, input: &[u8]) -> CountingWriter {
+        let mut writer = BufWriter::with_capacity(CONNECTION_BUFFER, CountingWriter::default());
+        serve_connection(
+            BufReader::with_capacity(CONNECTION_BUFFER, input),
+            &mut writer,
+            engine,
+            &ServerOptions::default(),
+            &ShutdownHandle::new(),
+        )
+        .unwrap();
+        writer.into_inner().map_err(|e| e.into_error()).unwrap()
+    }
+
+    fn flushes(engine: &ShardedEngine) -> u64 {
+        engine
+            .registry()
+            .counter("csp_wire_flushes_total", "", &[])
+            .get()
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_with_one_write() {
+        let batch: Vec<Probe> = (0..16).map(probe).collect();
+        let requests = [
+            Request::Ping,
+            Request::Stats,
+            Request::PredictBatch(batch.clone()),
+            Request::Stats,
+            Request::Ping,
+            Request::PredictBatch(batch[..5].to_vec()),
+        ];
+        let frames: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| {
+                let mut frame = Vec::new();
+                wire::write_request(&mut frame, r).unwrap();
+                frame
+            })
+            .collect();
+
+        // One request per connection, in order, to one engine.
+        let alone_engine = engine();
+        let mut alone = Vec::new();
+        for frame in &frames {
+            let out = serve_bytes(&alone_engine, frame);
+            assert_eq!(out.writes, 1);
+            alone.extend(out.bytes);
+        }
+        assert_eq!(flushes(&alone_engine), frames.len() as u64);
+
+        // All of them buffered at once on one connection to a fresh
+        // engine: the same bytes, in one write.
+        let pipelined_engine = engine();
+        let out = serve_bytes(&pipelined_engine, &frames.concat());
+        assert_eq!(out.bytes, alone, "pipelined replies differ from lone ones");
+        assert_eq!(out.writes, 1, "a buffered burst takes one write");
+        assert_eq!(flushes(&pipelined_engine), 1);
+
+        let mut replies = out.bytes.as_slice();
+        let mut next = || wire::read_response(&mut replies).unwrap();
+        assert_eq!(next(), Response::Pong);
+        assert!(matches!(next(), Response::Stats(s) if s.queries == 0));
+        assert!(matches!(next(), Response::PredictionBatch(p) if p.len() == 16));
+        assert!(matches!(next(), Response::Stats(s) if s.queries == 16));
+        assert_eq!(next(), Response::Pong);
+        assert!(matches!(next(), Response::PredictionBatch(p) if p.len() == 5));
+        assert!(replies.is_empty());
+    }
+
+    #[test]
+    fn pipelined_partial_frame_does_not_withhold_the_previous_reply() {
+        let read_deadline = Duration::from_secs(2);
+        let server = Server::bind_tcp("127.0.0.1:0", engine())
+            .unwrap()
+            .with_options(ServerOptions {
+                read_timeout: Some(read_deadline),
+                ..ServerOptions::default()
+            });
+        let addr = server.local_addr().unwrap();
+        std::thread::spawn(move || server.run());
+
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        // Well inside the server's deadline: a reply held back until the
+        // server gives up on the stalled frame arrives too late.
+        stream.set_read_timeout(Some(read_deadline / 2)).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut ping = Vec::new();
+        wire::write_request(&mut ping, &Request::Ping).unwrap();
+        let mut batch = Vec::new();
+        let probes: Vec<Probe> = (0..16).map(probe).collect();
+        wire::write_request(&mut batch, &Request::PredictBatch(probes)).unwrap();
+        let (head, tail) = batch.split_at(batch.len() / 2);
+
+        (&stream).write_all(&[&ping[..], head].concat()).unwrap();
+        let reply = wire::read_response(&mut reader)
+            .unwrap_or_else(|e| panic!("the Ping reply was withheld: {e}"));
+        assert_eq!(reply, Response::Pong);
+        (&stream).write_all(tail).unwrap();
+        match wire::read_response(&mut reader).unwrap() {
+            Response::PredictionBatch(preds) => {
+                for (pid, pred) in preds.iter().enumerate() {
+                    assert_eq!(*pred, SharingBitmap::singleton(NodeId(15 - pid as u8)));
+                }
+                assert_eq!(preds.len(), 16);
+            }
+            other => panic!("expected the batch reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pipelined_replies_go_out_before_a_subscription_stream() {
+        let (engine, _, fp) = follower();
+        let server = Server::bind_tcp("127.0.0.1:0", engine).unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::spawn(move || server.run());
+
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        // Sooner than the idle log's first heartbeat: a Pong held back
+        // until the stream's first write arrives too late.
+        stream.set_read_timeout(Some(HEARTBEAT / 2)).unwrap();
+        let mut burst = Vec::new();
+        wire::write_request(&mut burst, &Request::Ping).unwrap();
+        let subscribe = Request::Subscribe {
+            fingerprint: fp,
+            epoch: 1,
+            from: 0,
+        };
+        wire::write_request(&mut burst, &subscribe).unwrap();
+        (&stream).write_all(&burst).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let reply = wire::read_response(&mut reader)
+            .unwrap_or_else(|e| panic!("the Ping reply waited for the stream: {e}"));
+        assert_eq!(reply, Response::Pong);
+        stream.set_read_timeout(Some(HEARTBEAT * 4)).unwrap();
+        match wire::read_response(&mut reader).unwrap() {
+            Response::JournalSegment(seg) => assert!(seg.ops.is_empty()),
+            other => panic!("expected a heartbeat segment, got {other:?}"),
+        }
     }
 
     #[test]

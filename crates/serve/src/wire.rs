@@ -679,6 +679,15 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// Whether `buffered` begins with a whole frame (length prefix, payload
+/// and checksum), so that reading it needs no further input.
+pub(crate) fn holds_whole_frame(buffered: &[u8]) -> bool {
+    buffered.first_chunk::<4>().is_some_and(|prefix| {
+        let payload = u64::from(u32::from_le_bytes(*prefix));
+        buffered.len() as u64 >= 4 + payload + 4
+    })
+}
+
 /// Outcome of reading one frame, with enough structure for a server to
 /// decide whether the connection's *framing* is still trustworthy.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -818,6 +827,20 @@ mod tests {
             NodeId(((seed + 3) % 16) as u8),
             LineAddr(seed * 1_000_003),
         )
+    }
+
+    #[test]
+    fn a_frame_is_whole_only_with_its_last_checksum_byte() {
+        let mut frame = Vec::new();
+        write_request(&mut frame, &Request::PredictBatch(vec![probe(1); 3])).unwrap();
+        for cut in 0..frame.len() {
+            assert!(!holds_whole_frame(&frame[..cut]), "cut at {cut}");
+        }
+        assert!(holds_whole_frame(&frame));
+        frame.push(0); // the first byte of the next frame
+        assert!(holds_whole_frame(&frame));
+        // A hostile length prefix never counts as buffered.
+        assert!(!holds_whole_frame(&[0xFF; 64]));
     }
 
     #[test]

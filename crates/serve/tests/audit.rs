@@ -246,7 +246,7 @@ fn live_logs_verify_byte_identical_across_the_suite() {
     let scheme: Scheme = SCHEME.parse().unwrap();
     let suite = generate_suite(SCALE, SEED);
     for (bench_idx, bench) in suite.iter().enumerate() {
-        let (trace, _events, nodes) = write_trace(&dir, bench_idx);
+        let (trace, events, nodes) = write_trace(&dir, bench_idx);
         let offline = run_scheme(&bench.trace, &scheme);
         let nodes_s = nodes.to_string();
         let log = dir.path(&format!("bench-{bench_idx}.cspaud"));
@@ -274,6 +274,12 @@ fn live_logs_verify_byte_identical_across_the_suite() {
         );
         let addr = wait_addr(&addr_file);
         push(&addr, &trace);
+        // An `IngestAck` only means the ops reached the shard inboxes:
+        // wait for the workers to publish every decision, then read the
+        // counters once more, after the publish that completed them.
+        wait_stats(&addr, "every decision scored", |s| {
+            s.scored == events as u64
+        });
         let live = stats(&addr);
         assert_eq!(
             live.confusion, offline,
