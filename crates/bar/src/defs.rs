@@ -384,7 +384,7 @@ engine sharded
 workload all
 
 # One scheme per update mode, mirroring the serve verification grid,
-# and PAs, whose sharded cells run the online table's PasEntry.
+# and PAs, whose sharded cells run the online table's PAs states.
 scheme last(pid+pc8)1[direct]
 scheme union(pid+pc8)2[forwarded]
 scheme union(dir+add8)2[ordered]

@@ -1,43 +1,34 @@
-//! Predictor entry state: bitmap histories and two-level PAs state.
+//! Predictor entry state at the table's edges: the raw, per-node form a
+//! snapshot stores, the PAs bit-plane math the kernel's entries run, and
+//! the paper's storage cost of one entry.
+//!
+//! The entry states themselves are the kernel's (`History<D, F>` and
+//! `Pas<D, P>`); [`crate::PredictorTable`] keeps one of them per key and
+//! converts to and from [`RawEntry`] only at the snapshot boundary.
 
-use csp_trace::{SharingBitmap, MAX_NODES};
+use csp_trace::SharingBitmap;
 
 /// Maximum supported history depth.
 pub const MAX_DEPTH: usize = 8;
 
-/// A ring of the most recent feedback bitmaps for one predictor entry.
-///
-/// `last`, `union` and `inter` prediction (and `overlap-last`) are all
-/// combinatorial functions over this state (paper Section 3.2): updates
-/// "replace the oldest bitmap in an entry with the feedback bitmap".
-///
-/// # Example
-///
-/// ```
-/// use csp_core::HistoryEntry;
-/// use csp_trace::{NodeId, SharingBitmap};
-///
-/// let mut h = HistoryEntry::new(2);
-/// h.push(SharingBitmap::from_nodes(&[NodeId(1), NodeId(2)]));
-/// h.push(SharingBitmap::from_nodes(&[NodeId(2), NodeId(3)]));
-/// assert_eq!(h.union(2).count(), 3);
-/// assert_eq!(h.inter(2), SharingBitmap::from_nodes(&[NodeId(2)]));
-/// assert_eq!(h.last(), SharingBitmap::from_nodes(&[NodeId(2), NodeId(3)]));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistoryEntry {
-    bitmaps: [SharingBitmap; MAX_DEPTH],
-    depth: u8,
-    len: u8,
-    head: u8, // slot of the most recent bitmap
+/// The raw, serializable state of one predictor table entry (see
+/// [`PredictorTable::entries`](crate::PredictorTable::entries) and
+/// [`PredictorTable::insert_entry`](crate::PredictorTable::insert_entry)).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RawEntry {
+    /// A history entry (`last`/`union`/`inter`/`overlap-last`).
+    History(RawHistoryEntry),
+    /// A two-level PAs entry.
+    Pas(RawPasEntry),
 }
 
-/// The raw, serializable state of a [`HistoryEntry`].
+/// The raw state of a history entry, laid out as a hardware ring of
+/// `depth` bitmaps: an update "replaces the oldest bitmap in an entry
+/// with the feedback bitmap" (paper Section 3.2).
 ///
-/// Produced by [`HistoryEntry::to_raw`] and consumed by
-/// [`HistoryEntry::from_raw`]: the exact ring contents, so a
-/// snapshot/restore round-trip reconstructs an entry that is equal (not
-/// just behaviorally equivalent) to the original.
+/// The ring contents are exact, so a snapshot/restore round-trip
+/// reproduces the entry bit for bit, including where in its ring the
+/// newest bitmap sits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RawHistoryEntry {
     /// All ring slots, including never-written (empty) ones.
@@ -50,167 +41,111 @@ pub struct RawHistoryEntry {
     pub head: u8,
 }
 
-impl HistoryEntry {
-    /// An empty history holding up to `depth` bitmaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or exceeds [`MAX_DEPTH`].
-    pub fn new(depth: usize) -> Self {
-        assert!(
-            (1..=MAX_DEPTH).contains(&depth),
-            "history depth must be in 1..={MAX_DEPTH}, got {depth}"
-        );
-        HistoryEntry {
-            bitmaps: [SharingBitmap::empty(); MAX_DEPTH],
-            depth: depth as u8,
-            len: 0,
-            head: 0,
-        }
-    }
+/// The raw state of a two-level PAs entry, per node.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RawPasEntry {
+    /// Per-node history registers.
+    pub hist: Vec<u8>,
+    /// Per-node pattern tables of two-bit counters, one per byte.
+    pub counters: Vec<u8>,
+    /// History register width in bits.
+    pub depth: u8,
+}
 
-    /// Number of bitmaps currently stored (saturates at the depth).
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
+/// Where a history entry's newest-first window sits in the ring its
+/// [`RawHistoryEntry`] records: the two bytes a table keeps beside each
+/// history state so snapshots re-save byte for byte.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Ring {
+    len: u8,
+    head: u8,
+}
 
-    /// The ring capacity this entry was created with.
-    pub fn depth(&self) -> usize {
-        self.depth as usize
-    }
-
-    /// The raw ring state, for serialization (e.g. table snapshots).
-    pub fn to_raw(&self) -> RawHistoryEntry {
-        RawHistoryEntry {
-            bitmaps: self.bitmaps,
-            depth: self.depth,
-            len: self.len,
-            head: self.head,
+impl Ring {
+    /// Follows one update of a `depth`-deep ring. The head advances by
+    /// compare-and-reset: it is always `< depth`, so `head + 1` either
+    /// stays in range or lands exactly on `depth`.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, depth: u8) {
+        self.head += 1;
+        if self.head == depth {
+            self.head = 0;
         }
-    }
-
-    /// Reconstructs an entry from raw ring state.
-    ///
-    /// # Errors
-    ///
-    /// Rejects state no sequence of [`push`](Self::push) calls could have
-    /// produced: a depth outside `1..=MAX_DEPTH`, `len > depth`,
-    /// `head >= depth`, or a non-empty bitmap in a slot the ring never
-    /// writes (`>= depth`). This is what lets a restore path trust a
-    /// decoded-but-hostile snapshot body.
-    pub fn from_raw(raw: &RawHistoryEntry) -> Result<Self, String> {
-        let depth = raw.depth as usize;
-        if !(1..=MAX_DEPTH).contains(&depth) {
-            return Err(format!("history depth {depth} outside 1..={MAX_DEPTH}"));
-        }
-        if raw.len > raw.depth {
-            return Err(format!("history len {} exceeds depth {depth}", raw.len));
-        }
-        if raw.head as usize >= depth {
-            return Err(format!("history head {} outside ring of {depth}", raw.head));
-        }
-        if raw.bitmaps[depth..].iter().any(|b| !b.is_empty()) {
-            return Err("non-empty bitmap beyond the ring depth".into());
-        }
-        Ok(HistoryEntry {
-            bitmaps: raw.bitmaps,
-            depth: raw.depth,
-            len: raw.len,
-            head: raw.head,
-        })
-    }
-
-    /// Returns `true` if no feedback has arrived yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Shifts in a feedback bitmap, replacing the oldest if full.
-    ///
-    /// The head advances by compare-and-reset rather than `% depth`:
-    /// `head` is always `< depth`, so `head + 1` either stays in range or
-    /// lands exactly on `depth` — and an integer division in the hottest
-    /// write path of every sweep is measurable.
-    #[inline]
-    pub fn push(&mut self, feedback: SharingBitmap) {
-        let mut head = self.head + 1;
-        if head == self.depth {
-            head = 0;
-        }
-        self.head = head;
-        self.bitmaps[head as usize] = feedback;
-        if self.len < self.depth {
+        if self.len < depth {
             self.len += 1;
         }
     }
+}
 
-    /// The most recent `k` bitmaps, newest first (fewer if less history
-    /// exists).
-    ///
-    /// Walks the ring backwards by decrement-and-wrap (no per-item
-    /// modulo; this iterator sits inside every `union`/`inter`
-    /// prediction).
-    #[inline]
-    pub fn recent(&self, k: usize) -> impl Iterator<Item = SharingBitmap> + '_ {
-        let take = k.min(self.len as usize);
-        let depth = self.depth as usize;
-        let mut slot = self.head as usize;
-        (0..take).map(move |i| {
-            if i > 0 {
-                slot = if slot == 0 { depth - 1 } else { slot - 1 };
-            }
-            self.bitmaps[slot]
-        })
+/// Lays a newest-first `window` out as the ring at `ring`. Window bits
+/// past the stored length are zero, as are the ring slots they map to.
+pub(crate) fn history_to_raw(window: &[u64], ring: Ring) -> RawHistoryEntry {
+    let depth = window.len();
+    let mut bitmaps = [SharingBitmap::empty(); MAX_DEPTH];
+    let mut slot = ring.head as usize;
+    for &bits in &window[..ring.len as usize] {
+        bitmaps[slot] = SharingBitmap::from_bits(bits);
+        slot = if slot == 0 { depth - 1 } else { slot - 1 };
     }
+    RawHistoryEntry {
+        bitmaps,
+        depth: depth as u8,
+        len: ring.len,
+        head: ring.head,
+    }
+}
 
-    /// Union of the most recent `k` bitmaps (empty if no history).
-    #[inline]
-    pub fn union(&self, k: usize) -> SharingBitmap {
-        self.recent(k)
-            .fold(SharingBitmap::empty(), |acc, b| acc | b)
+/// Reads a ring back into a newest-first `window`, returning its ring
+/// position.
+///
+/// # Errors
+///
+/// Rejects state no sequence of updates to a `window.len()`-deep entry
+/// could have produced: another depth, `len > depth`, `head >= depth`,
+/// a head that does not follow `len` updates of a ring that is not yet
+/// full, or a non-empty bitmap outside the `len` newest ring positions.
+/// This is what lets a restore path trust a decoded-but-hostile snapshot
+/// body.
+pub(crate) fn history_from_raw(raw: &RawHistoryEntry, window: &mut [u64]) -> Result<Ring, String> {
+    let depth = window.len();
+    if raw.depth as usize != depth {
+        return Err(format!(
+            "history entry depth {} in a depth-{depth} table",
+            raw.depth
+        ));
     }
-
-    /// Intersection of the most recent `k` bitmaps.
-    ///
-    /// A hardware entry's history slots initialize to all-zeros, so until
-    /// `k` feedbacks have arrived the intersection is empty: a cold or
-    /// warming intersection predictor bets on nothing. (Without this, a
-    /// single stored bitmap would be predicted at full confidence, which
-    /// poisons precision on migratory sharing.)
-    #[inline]
-    pub fn inter(&self, k: usize) -> SharingBitmap {
-        if (self.len as usize) < k {
-            return SharingBitmap::empty();
-        }
-        let mut it = self.recent(k);
-        match it.next() {
-            None => SharingBitmap::empty(),
-            Some(first) => it.fold(first, |acc, b| acc & b),
-        }
+    if raw.len > raw.depth {
+        return Err(format!("history len {} exceeds depth {depth}", raw.len));
     }
-
-    /// The most recent bitmap (empty if no history) — `last` prediction.
-    #[inline]
-    pub fn last(&self) -> SharingBitmap {
-        if self.len == 0 {
-            SharingBitmap::empty()
-        } else {
-            self.bitmaps[self.head as usize]
-        }
+    if raw.head as usize >= depth {
+        return Err(format!("history head {} outside ring of {depth}", raw.head));
     }
-
-    /// Kaxiras & Goodman's `overlap-last` function (paper Section 3.5):
-    /// predict the last bitmap only if it overlaps the one before it;
-    /// otherwise predict nothing. With fewer than two bitmaps stored,
-    /// predicts nothing (no evidence of stability yet).
-    #[inline]
-    pub fn overlap_last(&self) -> SharingBitmap {
-        let mut it = self.recent(2);
-        match (it.next(), it.next()) {
-            (Some(last), Some(prev)) if last.overlaps(prev) => last,
-            _ => SharingBitmap::empty(),
-        }
+    if raw.len < raw.depth && raw.head != raw.len {
+        return Err(format!(
+            "history head {} cannot follow {} updates",
+            raw.head, raw.len
+        ));
     }
+    let mut live = [false; MAX_DEPTH];
+    let mut slot = raw.head as usize;
+    for newest in window.iter_mut().take(raw.len as usize) {
+        *newest = raw.bitmaps[slot].bits();
+        live[slot] = true;
+        slot = if slot == 0 { depth - 1 } else { slot - 1 };
+    }
+    window[raw.len as usize..].fill(0);
+    if raw
+        .bitmaps
+        .iter()
+        .zip(live)
+        .any(|(b, live)| !live && !b.is_empty())
+    {
+        return Err("non-empty bitmap outside the stored ring positions".into());
+    }
+    Ok(Ring {
+        len: raw.len,
+        head: raw.head,
+    })
 }
 
 /// Depths up to which a PAs step visits every history pattern
@@ -231,11 +166,10 @@ const ENUMERATE_MAX_DEPTH: usize = 3;
 //   bits past the last node stay zero and equal state has one
 //   representation.
 //
-// `PasEntry` runs it at its runtime depth, the kernel's inline PAs
-// entry at a const one. Which nodes hold which pattern is recomputed
-// from the history planes on every call; a train also yields the trained
-// state's prediction, so a walk that predicts after training walks the
-// patterns once.
+// The kernel's PAs entry runs it at a const depth. Which nodes hold
+// which pattern is recomputed from the history planes on every call; a
+// train also yields the trained state's prediction, so a walk that
+// predicts after training walks the patterns once.
 
 /// The predicted reader bitmap, `OR_p (holders_p & hi[p])`.
 #[inline(always)]
@@ -333,200 +267,86 @@ fn for_each_pattern<const D: usize>(
     }
 }
 
-/// Two-level PAs state for one predictor entry (paper Section 3.2,
-/// after Yeh & Patt).
-///
-/// Per potential reader: a `depth`-bit history register of that reader's
-/// recent actual-sharing bits, indexing a private pattern table of
-/// `2^depth` two-bit saturating counters. The aggregate of the per-reader
-/// binary predictions is the predicted bitmap. The state is stored as bit
-/// planes over nodes, so one bitwise step covers every reader; each call
-/// dispatches its runtime depth once onto the routines the kernel runs
-/// at a const depth.
-///
-/// # Example
-///
-/// ```
-/// use csp_core::PasEntry;
-/// use csp_trace::{NodeId, SharingBitmap};
-///
-/// let mut e = PasEntry::new(16, 2);
-/// let readers = SharingBitmap::from_nodes(&[NodeId(3)]);
-/// for _ in 0..4 {
-///     e.update(readers);
-/// }
-/// assert!(e.predict().contains(NodeId(3)));
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PasEntry {
-    hist: [u64; MAX_DEPTH],
-    counters: Vec<[u64; 2]>,
-    /// The machine's nodes.
-    nodes: u64,
-    depth: u8,
-}
-
-/// The raw, serializable state of a [`PasEntry`] (see
-/// [`PasEntry::to_raw`] / [`PasEntry::from_raw`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RawPasEntry {
-    /// Per-node history registers.
-    pub hist: Vec<u8>,
-    /// Per-node pattern tables of two-bit counters, one per byte.
-    pub counters: Vec<u8>,
-    /// History register width in bits.
-    pub depth: u8,
-}
-
-fn predict_at<const D: usize>(e: &PasEntry) -> u64 {
-    let hist = e.hist.first_chunk::<D>().expect("depth within MAX_DEPTH");
-    pas_predict(hist, &e.counters, e.nodes)
-}
-
-fn update_at<const D: usize>(e: &mut PasEntry, feedback: u64) {
-    let hist = e
-        .hist
-        .first_chunk_mut::<D>()
-        .expect("depth within MAX_DEPTH");
-    pas_train(hist, &mut e.counters, e.nodes, feedback);
-}
-
-/// [`PasEntry`]'s routines, by depth − 1.
-const PREDICT_AT: [fn(&PasEntry) -> u64; MAX_DEPTH] = [
-    predict_at::<1>,
-    predict_at::<2>,
-    predict_at::<3>,
-    predict_at::<4>,
-    predict_at::<5>,
-    predict_at::<6>,
-    predict_at::<7>,
-    predict_at::<8>,
-];
-const UPDATE_AT: [fn(&mut PasEntry, u64); MAX_DEPTH] = [
-    update_at::<1>,
-    update_at::<2>,
-    update_at::<3>,
-    update_at::<4>,
-    update_at::<5>,
-    update_at::<6>,
-    update_at::<7>,
-    update_at::<8>,
-];
-
-impl PasEntry {
-    /// Creates cold PAs state for `nodes` potential readers with a
-    /// `depth`-bit history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or exceeds [`MAX_DEPTH`], or if `nodes`
-    /// exceeds [`MAX_NODES`].
-    pub fn new(nodes: usize, depth: usize) -> Self {
-        assert!(
-            (1..=MAX_DEPTH).contains(&depth),
-            "PAs history depth must be in 1..={MAX_DEPTH}, got {depth}"
-        );
-        PasEntry {
-            hist: [0; MAX_DEPTH],
-            counters: vec![[0; 2]; 1 << depth],
-            nodes: SharingBitmap::all(nodes).bits(),
-            depth: depth as u8,
-        }
-    }
-
-    /// The history register width in bits.
-    pub fn depth(&self) -> usize {
-        self.depth as usize
-    }
-
-    /// The raw two-level state, for serialization (e.g. table snapshots):
-    /// one history byte per node, and per node its `2^depth` counters.
-    pub fn to_raw(&self) -> RawPasEntry {
-        let nodes = self.nodes.count_ones() as usize;
-        let depth = self.depth();
-        let bit = |plane: u64, node: usize| ((plane >> node) & 1) as u8;
-        let hist = (0..nodes)
-            .map(|i| (0..depth).fold(0, |h, k| h | (bit(self.hist[k], i) << k)))
-            .collect();
-        let counters = (0..nodes)
+/// The per-node form of PAs bit planes at depth `hist.len()`: one
+/// history byte per node of `nodes`, and per node its `2^depth`
+/// counters.
+pub(crate) fn pas_to_raw(hist: &[u64], counters: &[[u64; 2]], nodes: u64) -> RawPasEntry {
+    let depth = hist.len();
+    let bit = |plane: u64, node: usize| ((plane >> node) & 1) as u8;
+    let nodes = nodes.count_ones() as usize;
+    RawPasEntry {
+        hist: (0..nodes)
+            .map(|i| (0..depth).fold(0, |h, k| h | (bit(hist[k], i) << k)))
+            .collect(),
+        counters: (0..nodes)
             .flat_map(|i| {
-                self.counters[..1 << depth]
+                counters[..1 << depth]
                     .iter()
                     .map(move |&[hi, lo]| (bit(hi, i) << 1) | bit(lo, i))
             })
-            .collect();
-        RawPasEntry {
-            hist,
-            counters,
-            depth: self.depth,
-        }
+            .collect(),
+        depth: depth as u8,
     }
+}
 
-    /// Reconstructs an entry from raw two-level state for an
-    /// `nodes`-node machine.
-    ///
-    /// # Errors
-    ///
-    /// Rejects state no sequence of [`update`](Self::update) calls could
-    /// have produced: a depth outside `1..=MAX_DEPTH`, a machine wider
-    /// than [`MAX_NODES`], vector lengths that disagree with
-    /// `nodes`/`depth`, a counter above the two-bit saturation ceiling, or
-    /// history bits outside the register width.
-    pub fn from_raw(raw: RawPasEntry, nodes: usize) -> Result<Self, String> {
-        let depth = raw.depth as usize;
-        if !(1..=MAX_DEPTH).contains(&depth) {
-            return Err(format!("PAs depth {depth} outside 1..={MAX_DEPTH}"));
-        }
-        if nodes > MAX_NODES {
-            return Err(format!("PAs entry for {nodes} nodes exceeds {MAX_NODES}"));
-        }
-        if raw.hist.len() != nodes {
-            return Err(format!(
-                "PAs history registers: {} for a {nodes}-node machine",
-                raw.hist.len()
-            ));
-        }
-        if raw.counters.len() != nodes << depth {
-            return Err(format!(
-                "PAs pattern table: {} counters, expected {}",
-                raw.counters.len(),
-                nodes << depth
-            ));
-        }
-        if raw.counters.iter().any(|&c| c > 3) {
-            return Err("PAs counter above two-bit saturation".into());
-        }
-        let mask = if depth >= 8 { 0xFF } else { (1u8 << depth) - 1 };
-        if raw.hist.iter().any(|&h| h & !mask != 0) {
-            return Err("PAs history register bits outside the width".into());
-        }
-        let mut entry = PasEntry::new(nodes, depth);
-        for (i, &h) in raw.hist.iter().enumerate() {
-            for k in 0..depth {
-                entry.hist[k] |= u64::from((h >> k) & 1) << i;
-            }
-        }
-        for (i, table) in raw.counters.chunks(1 << depth).enumerate() {
-            for (c, &v) in entry.counters.iter_mut().zip(table) {
-                c[0] |= u64::from(v >> 1) << i;
-                c[1] |= u64::from(v & 1) << i;
-            }
-        }
-        Ok(entry)
+/// Reads per-node PAs state back into bit planes for the machine
+/// `nodes`, overwriting `hist` and `counters`.
+///
+/// # Errors
+///
+/// Rejects state no sequence of updates to a `hist.len()`-deep entry
+/// could have produced: another depth, vector lengths that disagree with
+/// the machine width or depth, a counter above the two-bit saturation
+/// ceiling, or history bits outside the register width.
+pub(crate) fn pas_from_raw(
+    raw: &RawPasEntry,
+    hist: &mut [u64],
+    counters: &mut [[u64; 2]],
+    nodes: u64,
+) -> Result<(), String> {
+    let depth = hist.len();
+    let width = nodes.count_ones() as usize;
+    if raw.depth as usize != depth {
+        return Err(format!(
+            "PAs entry depth {} in a depth-{depth} table",
+            raw.depth
+        ));
     }
-
-    /// The predicted reader bitmap.
-    #[inline]
-    pub fn predict(&self) -> SharingBitmap {
-        SharingBitmap::from_bits(PREDICT_AT[self.depth() - 1](self))
+    if raw.hist.len() != width {
+        return Err(format!(
+            "PAs history registers: {} for a {width}-node machine",
+            raw.hist.len()
+        ));
     }
-
-    /// Trains on a feedback bitmap: bumps each node's selected counter
-    /// toward its actual bit and shifts the bit into its history register.
-    #[inline]
-    pub fn update(&mut self, feedback: SharingBitmap) {
-        UPDATE_AT[self.depth() - 1](self, feedback.bits());
+    if raw.counters.len() != width << depth {
+        return Err(format!(
+            "PAs pattern table: {} counters, expected {}",
+            raw.counters.len(),
+            width << depth
+        ));
     }
+    if raw.counters.iter().any(|&c| c > 3) {
+        return Err("PAs counter above two-bit saturation".into());
+    }
+    let mask = if depth >= 8 { 0xFF } else { (1u8 << depth) - 1 };
+    if raw.hist.iter().any(|&h| h & !mask != 0) {
+        return Err("PAs history register bits outside the width".into());
+    }
+    hist.fill(0);
+    for (i, &h) in raw.hist.iter().enumerate() {
+        for (k, plane) in hist.iter_mut().enumerate() {
+            *plane |= u64::from((h >> k) & 1) << i;
+        }
+    }
+    let counters = &mut counters[..1 << depth];
+    counters.fill([0; 2]);
+    for (i, table) in raw.counters.chunks(1 << depth).enumerate() {
+        for (c, &v) in counters.iter_mut().zip(table) {
+            c[0] |= u64::from(v >> 1) << i;
+            c[1] |= u64::from(v & 1) << i;
+        }
+    }
+    Ok(())
 }
 
 /// Bits of storage one entry of each kind costs (the paper's cost model,
@@ -549,240 +369,6 @@ pub(crate) fn entry_bits(function: crate::PredictionFunction, depth: usize, node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_trace::NodeId;
-    use proptest::prelude::*;
-
-    fn bm(nodes: &[u8]) -> SharingBitmap {
-        nodes.iter().map(|&n| NodeId(n)).collect()
-    }
-
-    #[test]
-    fn empty_history_predicts_nothing() {
-        let h = HistoryEntry::new(4);
-        assert!(h.is_empty());
-        assert_eq!(h.union(4), SharingBitmap::empty());
-        assert_eq!(h.inter(4), SharingBitmap::empty());
-        assert_eq!(h.last(), SharingBitmap::empty());
-        assert_eq!(h.overlap_last(), SharingBitmap::empty());
-    }
-
-    #[test]
-    fn ring_replaces_oldest() {
-        let mut h = HistoryEntry::new(2);
-        h.push(bm(&[1]));
-        h.push(bm(&[2]));
-        h.push(bm(&[3])); // evicts {1}
-        assert_eq!(h.union(2), bm(&[2, 3]));
-        assert_eq!(h.last(), bm(&[3]));
-        assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn partial_history_unions_but_does_not_intersect() {
-        let mut h = HistoryEntry::new(4);
-        h.push(bm(&[1, 2]));
-        // Union folds over whatever exists; intersection waits for a full
-        // history (empty slots are all-zeros).
-        assert_eq!(h.union(4), bm(&[1, 2]));
-        assert_eq!(h.inter(4), SharingBitmap::empty());
-        assert_eq!(h.inter(1), bm(&[1, 2]));
-        for _ in 0..3 {
-            h.push(bm(&[1, 2]));
-        }
-        assert_eq!(h.inter(4), bm(&[1, 2]));
-    }
-
-    #[test]
-    fn recent_is_newest_first() {
-        let mut h = HistoryEntry::new(3);
-        for i in 1..=3u8 {
-            h.push(bm(&[i]));
-        }
-        let v: Vec<_> = h.recent(3).collect();
-        assert_eq!(v, vec![bm(&[3]), bm(&[2]), bm(&[1])]);
-        // Asking for fewer returns only the newest.
-        let v2: Vec<_> = h.recent(2).collect();
-        assert_eq!(v2, vec![bm(&[3]), bm(&[2])]);
-    }
-
-    #[test]
-    fn overlap_last_requires_overlap() {
-        let mut h = HistoryEntry::new(2);
-        h.push(bm(&[1, 2]));
-        h.push(bm(&[2, 3]));
-        assert_eq!(h.overlap_last(), bm(&[2, 3])); // overlap at node 2
-        h.push(bm(&[7]));
-        assert_eq!(h.overlap_last(), SharingBitmap::empty()); // disjoint
-    }
-
-    #[test]
-    fn overlap_last_needs_two_bitmaps() {
-        let mut h = HistoryEntry::new(2);
-        h.push(bm(&[1]));
-        assert_eq!(h.overlap_last(), SharingBitmap::empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "history depth")]
-    fn zero_depth_rejected() {
-        let _ = HistoryEntry::new(0);
-    }
-
-    /// Ring semantics pinned against a straightforward deque model at
-    /// every supported depth: regression guard for the compare-and-reset
-    /// head advance in [`HistoryEntry::push`].
-    #[test]
-    fn ring_matches_deque_model_at_every_depth() {
-        use std::collections::VecDeque;
-        for depth in 1..=MAX_DEPTH {
-            let mut h = HistoryEntry::new(depth);
-            let mut model: VecDeque<SharingBitmap> = VecDeque::new();
-            for step in 0..3 * MAX_DEPTH as u64 + 1 {
-                let fb = SharingBitmap::from_bits(step.wrapping_mul(0x9E37_79B9) | 1);
-                h.push(fb);
-                model.push_front(fb);
-                model.truncate(depth);
-
-                assert_eq!(h.len(), model.len(), "depth {depth} step {step}");
-                let got: Vec<_> = h.recent(depth).collect();
-                let want: Vec<_> = model.iter().copied().collect();
-                assert_eq!(got, want, "depth {depth} step {step}: newest-first order");
-                assert_eq!(h.last(), model[0], "depth {depth} step {step}");
-                assert_eq!(
-                    h.union(depth),
-                    model.iter().fold(SharingBitmap::empty(), |a, &b| a | b),
-                    "depth {depth} step {step}"
-                );
-                if model.len() == depth {
-                    assert_eq!(
-                        h.inter(depth),
-                        model.iter().skip(1).fold(model[0], |a, &b| a & b),
-                        "depth {depth} step {step}"
-                    );
-                } else {
-                    assert_eq!(h.inter(depth), SharingBitmap::empty());
-                }
-                // Partial windows walk the same ring.
-                for k in 1..=depth {
-                    let got: Vec<_> = h.recent(k).collect();
-                    let want: Vec<_> = model.iter().take(k).copied().collect();
-                    assert_eq!(got, want, "depth {depth} step {step} window {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pas_learns_stable_reader() {
-        let mut e = PasEntry::new(16, 2);
-        let readers = bm(&[5, 9]);
-        assert_eq!(e.predict(), SharingBitmap::empty()); // cold
-        for _ in 0..4 {
-            e.update(readers);
-        }
-        assert_eq!(e.predict(), readers);
-    }
-
-    #[test]
-    fn pas_learns_alternating_pattern() {
-        // Node 3 reads every other interval: 1,0,1,0,... With depth 2 the
-        // PAs can learn both contexts (01 -> 0, 10 -> 1).
-        let mut e = PasEntry::new(16, 2);
-        let on = bm(&[3]);
-        let off = SharingBitmap::empty();
-        for _ in 0..12 {
-            e.update(on);
-            e.update(off);
-        }
-        // After an `off` the history is ..10 -> next is `on`.
-        assert!(e.predict().contains(NodeId(3)));
-        e.update(on); // history ..01 -> next is `off`
-        assert!(!e.predict().contains(NodeId(3)));
-    }
-
-    #[test]
-    fn pas_counters_saturate() {
-        let mut e = PasEntry::new(4, 1);
-        for _ in 0..100 {
-            e.update(bm(&[0]));
-        }
-        assert!(e.predict().contains(NodeId(0)));
-        // One disagreement must not unlearn the saturated pattern: once the
-        // sharing context recurs, the prediction persists.
-        e.update(SharingBitmap::empty());
-        e.update(bm(&[0]));
-        assert!(e.predict().contains(NodeId(0)));
-    }
-
-    #[test]
-    fn history_raw_round_trip_is_exact() {
-        for depth in 1..=MAX_DEPTH {
-            let mut h = HistoryEntry::new(depth);
-            for i in 0..2 * depth as u64 + 1 {
-                h.push(SharingBitmap::from_bits(i.wrapping_mul(0x1234_5677) | 1));
-                let back = HistoryEntry::from_raw(&h.to_raw()).expect("own raw state is valid");
-                assert_eq!(back, h, "depth {depth} step {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn history_from_raw_rejects_impossible_state() {
-        let good = HistoryEntry::new(2).to_raw();
-        for (name, bad) in [
-            ("zero depth", RawHistoryEntry { depth: 0, ..good }),
-            (
-                "oversized depth",
-                RawHistoryEntry {
-                    depth: MAX_DEPTH as u8 + 1,
-                    ..good
-                },
-            ),
-            ("len > depth", RawHistoryEntry { len: 3, ..good }),
-            ("head >= depth", RawHistoryEntry { head: 2, ..good }),
-            ("dirty dead slot", {
-                let mut r = good;
-                r.bitmaps[5] = bm(&[1]);
-                r
-            }),
-        ] {
-            assert!(HistoryEntry::from_raw(&bad).is_err(), "{name} accepted");
-        }
-    }
-
-    #[test]
-    fn pas_raw_round_trip_is_exact() {
-        let mut e = PasEntry::new(8, 3);
-        for i in 0..20u8 {
-            e.update(bm(&[i % 8, (i * 3) % 8]));
-            let back = PasEntry::from_raw(e.to_raw(), 8).expect("own raw state is valid");
-            assert_eq!(back, e, "step {i}");
-        }
-    }
-
-    #[test]
-    fn pas_from_raw_rejects_impossible_state() {
-        let good = PasEntry::new(4, 2).to_raw();
-        assert!(PasEntry::from_raw(good.clone(), 8).is_err(), "wrong nodes");
-        let mut hot = good.clone();
-        hot.counters[0] = 4;
-        assert!(PasEntry::from_raw(hot, 4).is_err(), "counter above 3");
-        let mut wide = good.clone();
-        wide.hist[0] = 0b100;
-        assert!(PasEntry::from_raw(wide, 4).is_err(), "history bits wide");
-        let mut short = good;
-        short.counters.pop();
-        assert!(PasEntry::from_raw(short, 4).is_err(), "short pattern table");
-        let too_wide = RawPasEntry {
-            hist: vec![0; MAX_NODES + 1],
-            counters: vec![0; (MAX_NODES + 1) << 1],
-            depth: 1,
-        };
-        assert!(
-            PasEntry::from_raw(too_wide, MAX_NODES + 1).is_err(),
-            "machine wider than a bitmap"
-        );
-    }
 
     #[test]
     fn entry_bits_matches_paper_cost_model() {
@@ -793,70 +379,5 @@ mod tests {
         assert_eq!(entry_bits(OverlapLast, 1, 16), 32);
         // PAs depth 2: 16*2 history + 16*4*2 counters = 160.
         assert_eq!(entry_bits(Pas, 2, 16), 160);
-    }
-
-    proptest! {
-        /// inter(k) ⊆ last ⊆ union(k): the containment chain behind the
-        /// paper's sensitivity ordering.
-        #[test]
-        fn prop_inter_subset_last_subset_union(
-            feedbacks in proptest::collection::vec(any::<u64>(), 1..20),
-            k in 1usize..=4,
-        ) {
-            let mut h = HistoryEntry::new(4);
-            for f in feedbacks {
-                h.push(SharingBitmap::from_bits(f));
-            }
-            prop_assert!(h.inter(k).is_subset(h.last()));
-            prop_assert!(h.last().is_subset(h.union(k)));
-        }
-
-        /// After any update sequence, at any depth and width, the bit
-        /// planes convert to the per-node raw state a plain model of the
-        /// paper's PAs holds, predict what that model predicts, and come
-        /// back from it unchanged.
-        #[test]
-        fn prop_pas_planes_match_per_node_model(
-            feedbacks in proptest::collection::vec(any::<u64>(), 0..40),
-            depth in 1usize..=MAX_DEPTH,
-            width in 0usize..4,
-        ) {
-            let nodes = [1, 5, 16, 64][width];
-            let mut e = PasEntry::new(nodes, depth);
-            let mut model = RawPasEntry {
-                hist: vec![0; nodes],
-                counters: vec![0; nodes << depth],
-                depth: depth as u8,
-            };
-            for f in feedbacks {
-                let predicted = (0..nodes)
-                    .filter(|&i| model.counters[(i << depth) | model.hist[i] as usize] >= 2)
-                    .fold(0u64, |b, i| b | (1 << i));
-                prop_assert_eq!(e.predict().bits(), predicted);
-                e.update(SharingBitmap::from_bits(f));
-                for i in 0..nodes {
-                    let bit = ((f >> i) & 1) as u8;
-                    let c = &mut model.counters[(i << depth) | model.hist[i] as usize];
-                    *c = if bit == 1 { (*c + 1).min(3) } else { c.saturating_sub(1) };
-                    model.hist[i] = (((u16::from(model.hist[i]) << 1) | u16::from(bit))
-                        & ((1 << depth) - 1)) as u8;
-                }
-                prop_assert_eq!(e.to_raw(), model.clone());
-                prop_assert_eq!(PasEntry::from_raw(e.to_raw(), nodes).expect("own raw state"), e.clone());
-            }
-        }
-
-        /// Deeper unions only grow; deeper intersections only shrink.
-        #[test]
-        fn prop_depth_monotonicity(feedbacks in proptest::collection::vec(any::<u64>(), 1..20)) {
-            let mut h = HistoryEntry::new(MAX_DEPTH);
-            for f in feedbacks {
-                h.push(SharingBitmap::from_bits(f));
-            }
-            for k in 1..MAX_DEPTH {
-                prop_assert!(h.union(k).is_subset(h.union(k + 1)));
-                prop_assert!(h.inter(k + 1).is_subset(h.inter(k)));
-            }
-        }
     }
 }

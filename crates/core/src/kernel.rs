@@ -38,8 +38,12 @@
 //! ([`matrix_from_sums`]) — the same integers per-event
 //! [`ConfusionMatrix::record`] calls sum.
 
-use crate::entry::pas_train;
-use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
+use crate::entry::{
+    history_from_raw, history_to_raw, pas_from_raw, pas_predict, pas_to_raw, pas_train, Ring,
+};
+use crate::{
+    KeyStream, PredictionFunction, PreparedTrace, RawEntry, Scheme, UpdateMode, MAX_DEPTH,
+};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::SharingBitmap;
 use std::marker::PhantomData;
@@ -112,11 +116,31 @@ pub(crate) fn walk<S: State, K: Sink<S>>(
     }
 }
 
-/// An entry model that predicts on its own: one scheme's entry.
-pub(crate) trait Entry: State {
+/// An entry model that predicts on its own: one scheme's entry. The
+/// online [`crate::PredictorTable`] stores these too, and converts them
+/// to [`RawEntry`] only for snapshots.
+pub(crate) trait Entry: State + Send + Sync + 'static {
+    /// The depth of the ring a table keeps beside each entry for its
+    /// raw form: the window depth of a history, 0 (no ring) for PAs.
+    const RING: u8;
+
     /// The entry's prediction.
     fn predict(&self) -> SharingBitmap;
+
+    /// The entry's raw state; `ring` places a history's window in its
+    /// ring.
+    fn to_raw(&self, ring: Ring) -> RawEntry;
+
+    /// Overwrites the entry with raw state, returning its ring position.
+    ///
+    /// # Errors
+    ///
+    /// Rejects raw state of the other family, of another depth or
+    /// machine width, or that no sequence of updates could produce.
+    fn load_raw(&mut self, raw: &RawEntry) -> Result<Ring, String>;
 }
+
+const OTHER_FAMILY: &str = "entry storage kind does not match the table's";
 
 /// A history as a linear shift window of raw bits: `0[0]` is the newest
 /// stored feedback, slots never written stay zero. Zero is the identity
@@ -143,7 +167,7 @@ impl<const D: usize> State for Window<D> {
 }
 
 /// One prediction function's fold over a shift window.
-pub(crate) trait Fold {
+pub(crate) trait Fold: Send + Sync + 'static {
     fn fold<const D: usize>(w: &[u64; D]) -> u64;
 }
 
@@ -220,9 +244,22 @@ impl<const D: usize, F> State for History<D, F> {
 }
 
 impl<const D: usize, F: Fold> Entry for History<D, F> {
+    const RING: u8 = D as u8;
+
     #[inline(always)]
     fn predict(&self) -> SharingBitmap {
         SharingBitmap::from_bits(F::fold(&self.window.0))
+    }
+
+    fn to_raw(&self, ring: Ring) -> RawEntry {
+        RawEntry::History(history_to_raw(&self.window.0, ring))
+    }
+
+    fn load_raw(&mut self, raw: &RawEntry) -> Result<Ring, String> {
+        match raw {
+            RawEntry::History(raw) => history_from_raw(raw, &mut self.window.0),
+            RawEntry::Pas(_) => Err(OTHER_FAMILY.into()),
+        }
     }
 }
 
@@ -266,9 +303,26 @@ impl<const D: usize, const P: usize> State for Pas<D, P> {
 }
 
 impl<const D: usize, const P: usize> Entry for Pas<D, P> {
+    const RING: u8 = 0;
+
     #[inline(always)]
     fn predict(&self) -> SharingBitmap {
         SharingBitmap::from_bits(self.predicted)
+    }
+
+    fn to_raw(&self, _ring: Ring) -> RawEntry {
+        RawEntry::Pas(pas_to_raw(&self.hist, &self.counters, self.nodes))
+    }
+
+    fn load_raw(&mut self, raw: &RawEntry) -> Result<Ring, String> {
+        match raw {
+            RawEntry::Pas(raw) => {
+                pas_from_raw(raw, &mut self.hist, &mut self.counters, self.nodes)?;
+                self.predicted = pas_predict(&self.hist, &self.counters, self.nodes);
+                Ok(Ring::default())
+            }
+            RawEntry::History(_) => Err(OTHER_FAMILY.into()),
+        }
     }
 }
 

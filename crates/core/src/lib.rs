@@ -51,7 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod confidence;
 pub mod cosmos;
 pub mod distribution;
@@ -68,8 +68,7 @@ mod scheme;
 pub mod sticky;
 mod table;
 
-pub use arena::HistoryArena;
-pub use entry::{HistoryEntry, PasEntry, RawHistoryEntry, RawPasEntry, MAX_DEPTH};
+pub use entry::{RawEntry, RawHistoryEntry, RawPasEntry, MAX_DEPTH};
 pub use fingerprint::{
     version_fingerprint, AUDIT_FORMAT_VERSION, FINGERPRINT_REVISION, WIRE_FORMAT_VERSION,
 };
@@ -77,4 +76,4 @@ pub use function::PredictionFunction;
 pub use index::{node_bits, IndexSpec};
 pub use prepared::{KeyStream, PreparedTrace};
 pub use scheme::{ParseSchemeError, Scheme, UpdateMode};
-pub use table::{shard_of_key, EntryView, PredictorTable, TableEntry};
+pub use table::{shard_of_key, PredictorTable};

@@ -1,10 +1,12 @@
-//! Predictor tables: sparse storage of entry state, keyed by index.
+//! Predictor tables: the online form of one global predictor, a sparse
+//! map from index key to the kernel's entry state.
 
-use crate::arena::HistoryArena;
-use crate::entry::{HistoryEntry, PasEntry};
-use crate::hash::FxHashMap;
-use crate::{PredictionFunction, Scheme};
+use crate::arena::SlotIndex;
+use crate::entry::Ring;
+use crate::kernel::{with_entry, Entry, WithEntry};
+use crate::{PredictionFunction, RawEntry, Scheme};
 use csp_trace::SharingBitmap;
+use std::fmt;
 
 /// The state of one global predictor: a sparse map from index key to entry.
 ///
@@ -13,10 +15,12 @@ use csp_trace::SharingBitmap;
 /// exercises. Prediction on a cold (never-updated) entry yields the empty
 /// bitmap — a cold predictor forwards nothing.
 ///
-/// History-family tables (`last`/`union`/`inter`/`overlap-last`) store
-/// their entries in a flat open-addressing [`HistoryArena`] — one probe
-/// touches one slot-major cache line. PAs entries are heap-backed and
-/// stay hashed.
+/// The entries are the offline kernel's own states, so a served table
+/// predicts through the same folds and PAs math the offline scorers run.
+/// An open-addressing key index maps each touched key to a dense slot
+/// of one state vector, whose entry type is chosen once, at
+/// construction, by prediction function and depth: each predict or
+/// update is one index probe and one call through that choice.
 ///
 /// # Example
 ///
@@ -32,98 +36,118 @@ use csp_trace::SharingBitmap;
 /// assert_eq!(t.predict(7).count(), 2); // union of the two feedbacks
 /// # Ok::<(), csp_core::ParseSchemeError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct PredictorTable {
     function: PredictionFunction,
     depth: usize,
     nodes: usize,
-    storage: Storage,
+    index: SlotIndex,
+    states: Box<dyn States>,
 }
 
-#[derive(Clone, Debug)]
-enum Storage {
-    Arena(HistoryArena),
-    Pas(FxHashMap<u64, PasEntry>),
+/// The entry states of one table, one per slot, behind the entry type
+/// chosen at construction.
+trait States: Send + Sync {
+    fn predict(&self, slot: usize) -> SharingBitmap;
+    /// Trains `slot`'s entry; `slot` may be the next new one, which
+    /// starts cold.
+    fn update(&mut self, slot: usize, feedback: SharingBitmap);
+    fn to_raw(&self, slot: usize) -> RawEntry;
+    /// Replaces `slot`'s entry (or appends the next new one) with raw
+    /// state; on error nothing changes.
+    fn load_raw(&mut self, slot: usize, raw: &RawEntry) -> Result<(), String>;
+    fn clone_box(&self) -> Box<dyn States>;
 }
 
-/// A borrowed view of one table entry (see [`PredictorTable::entries`]).
-#[derive(Clone, Copy, Debug)]
-pub enum EntryView<'a> {
-    /// A ring-history entry (`last`/`union`/`inter`/`overlap-last`).
-    History(&'a HistoryEntry),
-    /// A two-level PAs entry.
-    Pas(&'a PasEntry),
+impl Clone for Box<dyn States> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
-/// An owned table entry for [`PredictorTable::insert_entry`].
-#[derive(Clone, Debug)]
-pub enum TableEntry {
-    /// A ring-history entry.
-    History(HistoryEntry),
-    /// A two-level PAs entry.
-    Pas(PasEntry),
+/// One entry state per slot, each beside the ring position its raw form
+/// records (always zero for PAs, which has no ring).
+#[derive(Clone)]
+struct Slots<E> {
+    cold: E,
+    entries: Vec<(E, Ring)>,
+}
+
+impl<E: Entry> States for Slots<E> {
+    #[inline]
+    fn predict(&self, slot: usize) -> SharingBitmap {
+        self.entries[slot].0.predict()
+    }
+
+    #[inline]
+    fn update(&mut self, slot: usize, feedback: SharingBitmap) {
+        if slot == self.entries.len() {
+            self.entries.push((self.cold, Ring::default()));
+        }
+        let (entry, ring) = &mut self.entries[slot];
+        entry.train(feedback);
+        if E::RING > 0 {
+            ring.advance(E::RING);
+        }
+    }
+
+    fn to_raw(&self, slot: usize) -> RawEntry {
+        let (entry, ring) = &self.entries[slot];
+        entry.to_raw(*ring)
+    }
+
+    fn load_raw(&mut self, slot: usize, raw: &RawEntry) -> Result<(), String> {
+        let mut entry = self.cold;
+        let ring = entry.load_raw(raw)?;
+        if slot == self.entries.len() {
+            self.entries.push((entry, ring));
+        } else {
+            self.entries[slot] = (entry, ring);
+        }
+        Ok(())
+    }
+
+    fn clone_box(&self) -> Box<dyn States> {
+        Box::new(self.clone())
+    }
+}
+
+/// Builds the empty state vector for the entry type [`with_entry`] picks.
+struct EmptyStates;
+
+impl WithEntry for EmptyStates {
+    type Out = Box<dyn States>;
+    fn run<E: Entry>(self, cold: E) -> Box<dyn States> {
+        Box::new(Slots {
+            cold,
+            entries: Vec::new(),
+        })
+    }
 }
 
 impl PredictorTable {
     /// Creates an empty table for `scheme` on an `nodes`-node machine.
     pub fn new(scheme: &Scheme, nodes: usize) -> Self {
-        Self::with_capacity(scheme, nodes, 0)
-    }
-
-    /// Creates an empty table pre-sized for `capacity` entries, so a
-    /// caller that knows how many keys it will touch allocates the
-    /// end-state table up front instead of rehashing at every
-    /// power-of-two boundary.
-    pub fn with_capacity(scheme: &Scheme, nodes: usize, capacity: usize) -> Self {
-        // `last`/`overlap-last` need up to 2 stored bitmaps.
+        // `overlap-last` stores the last two bitmaps.
         let depth = match scheme.function {
             PredictionFunction::OverlapLast => 2,
             _ => scheme.depth,
-        };
-        let storage = if scheme.function.uses_history() {
-            Storage::Arena(HistoryArena::with_capacity(depth, capacity))
-        } else {
-            Storage::Pas(FxHashMap::with_capacity_and_hasher(
-                capacity,
-                Default::default(),
-            ))
         };
         PredictorTable {
             function: scheme.function,
             depth,
             nodes,
-            storage,
-        }
-    }
-
-    /// The prediction function applied to one history entry's state.
-    #[inline]
-    fn predict_history(
-        function: PredictionFunction,
-        depth: usize,
-        h: &HistoryEntry,
-    ) -> SharingBitmap {
-        match function {
-            PredictionFunction::Last => h.last(),
-            PredictionFunction::Union => h.union(depth),
-            PredictionFunction::Inter => h.inter(depth),
-            PredictionFunction::OverlapLast => h.overlap_last(),
-            PredictionFunction::Pas => unreachable!("PAs uses Pas storage"),
+            index: SlotIndex::default(),
+            states: with_entry(scheme, nodes, EmptyStates),
         }
     }
 
     /// The predicted reader bitmap for `key` (empty if the entry is cold).
     #[inline]
     pub fn predict(&self, key: u64) -> SharingBitmap {
-        match &self.storage {
-            Storage::Arena(arena) => match arena.get(key) {
-                None => SharingBitmap::empty(),
-                Some(h) => Self::predict_history(self.function, self.depth, h),
-            },
-            Storage::Pas(map) => map
-                .get(&key)
-                .map(PasEntry::predict)
-                .unwrap_or(SharingBitmap::empty()),
+        match self.index.get(key) {
+            None => SharingBitmap::empty(),
+            Some(slot) => self.states.predict(slot),
         }
     }
 
@@ -131,22 +155,14 @@ impl PredictorTable {
     /// needed.
     #[inline]
     pub fn update(&mut self, key: u64, feedback: SharingBitmap) {
-        match &mut self.storage {
-            Storage::Arena(arena) => {
-                arena.entry_mut(key).push(feedback);
-            }
-            Storage::Pas(map) => {
-                map.entry(key)
-                    .or_insert_with(|| PasEntry::new(self.nodes, self.depth))
-                    .update(feedback);
-            }
-        }
+        let slot = self.index.slot_or_insert(key);
+        self.states.update(slot, feedback);
     }
 
-    /// Whether this table stores ring-history entries (`true`) or
-    /// two-level PAs entries (`false`).
+    /// Whether this table stores history entries (`true`) or two-level
+    /// PAs entries (`false`).
     pub fn uses_history(&self) -> bool {
-        !matches!(self.storage, Storage::Pas(_))
+        self.function.uses_history()
     }
 
     /// The history depth entries of this table carry.
@@ -159,74 +175,35 @@ impl PredictorTable {
         self.nodes
     }
 
-    /// Iterates over every allocated entry as `(key, view)` pairs, in
-    /// arbitrary (hash-map) order. Serialization callers that need a
-    /// canonical byte stream should sort by key.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, EntryView<'_>)> + '_ {
-        let arena = match &self.storage {
-            Storage::Arena(a) => Some(a.iter().map(|(k, e)| (k, EntryView::History(e)))),
-            _ => None,
-        };
-        let pas = match &self.storage {
-            Storage::Pas(m) => Some(m.iter().map(|(&k, e)| (k, EntryView::Pas(e)))),
-            _ => None,
-        };
-        arena.into_iter().flatten().chain(pas.into_iter().flatten())
+    /// Every allocated entry as `(key, raw state)`, in arbitrary order.
+    /// Serialization callers that need a canonical byte stream should
+    /// sort by key.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, RawEntry)> + '_ {
+        self.index
+            .iter()
+            .map(|(key, slot)| (key, self.states.to_raw(slot)))
     }
 
-    /// Inserts a fully-formed entry under `key` (the restore half of
+    /// Inserts an entry from raw state under `key` (the restore half of
     /// [`entries`](Self::entries); replaces any existing entry).
     ///
     /// # Errors
     ///
     /// Rejects an entry of the wrong storage family for this table's
-    /// prediction function, a history entry whose ring depth differs from
-    /// the table's, or a PAs entry sized for a different machine width —
-    /// the corruption classes a snapshot decoder cannot rule out on its
-    /// own.
-    pub fn insert_entry(&mut self, key: u64, entry: TableEntry) -> Result<(), String> {
-        match (&mut self.storage, entry) {
-            (Storage::Arena(arena), TableEntry::History(e)) => {
-                if e.depth() != self.depth {
-                    return Err(format!(
-                        "history entry depth {} in a depth-{} table",
-                        e.depth(),
-                        self.depth
-                    ));
-                }
-                arena.insert(key, e);
-                Ok(())
-            }
-            (Storage::Pas(map), TableEntry::Pas(e)) => {
-                if e.depth() != self.depth {
-                    return Err(format!(
-                        "PAs entry depth {} in a depth-{} table",
-                        e.depth(),
-                        self.depth
-                    ));
-                }
-                map.insert(key, e);
-                Ok(())
-            }
-            _ => Err("entry storage kind does not match the table's".into()),
-        }
+    /// prediction function, of another depth or machine width, or one no
+    /// sequence of updates could produce — the corruption classes a
+    /// snapshot decoder cannot rule out on its own. A rejected entry
+    /// leaves the table unchanged.
+    pub fn insert_entry(&mut self, key: u64, entry: RawEntry) -> Result<(), String> {
+        let slot = self.index.get(key).unwrap_or(self.index.len());
+        self.states.load_raw(slot, &entry)?;
+        self.index.slot_or_insert(key);
+        Ok(())
     }
 
     /// Number of entries allocated so far (distinct keys touched).
     pub fn entries_touched(&self) -> usize {
-        match &self.storage {
-            Storage::Arena(a) => a.len(),
-            Storage::Pas(m) => m.len(),
-        }
-    }
-
-    /// Direct access to the history entry for `key`, if this is a
-    /// history-based table and the entry exists.
-    pub fn history(&self, key: u64) -> Option<&HistoryEntry> {
-        match &self.storage {
-            Storage::Arena(a) => a.get(key),
-            Storage::Pas(_) => None,
-        }
+        self.index.len()
     }
 
     /// Splits an empty table into `shards` independent shard tables.
@@ -258,17 +235,28 @@ impl PredictorTable {
     /// # Panics
     ///
     /// Panics if the tables use different storage kinds (different
-    /// prediction-function families).
+    /// prediction-function families) or depths.
     pub fn absorb(&mut self, other: PredictorTable) {
-        match (&mut self.storage, other.storage) {
-            (Storage::Arena(a), Storage::Arena(b)) => {
-                for (k, e) in b.iter() {
-                    a.insert(k, *e);
-                }
+        assert!(
+            self.uses_history() == other.uses_history(),
+            "cannot absorb a table of a different storage kind"
+        );
+        for (key, entry) in other.entries() {
+            if let Err(e) = self.insert_entry(key, entry) {
+                panic!("cannot absorb a table of a different storage kind: {e}");
             }
-            (Storage::Pas(a), Storage::Pas(b)) => a.extend(b),
-            _ => panic!("cannot absorb a table of a different storage kind"),
         }
+    }
+}
+
+impl fmt::Debug for PredictorTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PredictorTable")
+            .field("function", &self.function)
+            .field("depth", &self.depth)
+            .field("nodes", &self.nodes)
+            .field("entries", &self.index.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -297,7 +285,9 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RawHistoryEntry, RawPasEntry, MAX_DEPTH};
     use csp_trace::NodeId;
+    use proptest::prelude::*;
 
     fn bm(nodes: &[u8]) -> SharingBitmap {
         nodes.iter().map(|&n| NodeId(n)).collect()
@@ -305,6 +295,13 @@ mod tests {
 
     fn table(spec: &str) -> PredictorTable {
         PredictorTable::new(&spec.parse().unwrap(), 16)
+    }
+
+    /// The raw state of `key`'s entry.
+    fn raw_of(t: &PredictorTable, key: u64) -> RawEntry {
+        t.entries()
+            .find_map(|(k, raw)| (k == key).then_some(raw))
+            .expect("entry exists")
     }
 
     #[test]
@@ -351,8 +348,26 @@ mod tests {
     }
 
     #[test]
+    fn partial_history_unions_but_does_not_intersect() {
+        let mut u = table("union(pid)4");
+        let mut i = table("inter(pid)4");
+        u.update(0, bm(&[1, 2]));
+        i.update(0, bm(&[1, 2]));
+        // Union folds over whatever exists; intersection waits for a full
+        // history (empty slots are all-zeros).
+        assert_eq!(u.predict(0), bm(&[1, 2]));
+        assert!(i.predict(0).is_empty());
+        for _ in 0..3 {
+            i.update(0, bm(&[1, 2]));
+        }
+        assert_eq!(i.predict(0), bm(&[1, 2]));
+    }
+
+    #[test]
     fn overlap_last_gates_on_overlap() {
         let mut t = table("overlap-last(pid)");
+        t.update(0, bm(&[1]));
+        assert!(t.predict(0).is_empty()); // needs two bitmaps
         t.update(0, bm(&[1, 2]));
         t.update(0, bm(&[2, 3]));
         assert_eq!(t.predict(0), bm(&[2, 3]));
@@ -372,12 +387,207 @@ mod tests {
     }
 
     #[test]
-    fn history_accessor() {
-        let mut t = table("union(pid)2");
-        t.update(0, bm(&[1]));
-        assert_eq!(t.history(0).unwrap().last(), bm(&[1]));
-        assert!(t.history(9).is_none());
-        assert!(table("pas(pid)2").history(0).is_none());
+    fn pas_learns_alternating_pattern() {
+        // Node 3 reads every other interval: 1,0,1,0,... With depth 2 the
+        // PAs can learn both contexts (01 -> 0, 10 -> 1).
+        let mut t = table("pas(pid)2");
+        for _ in 0..12 {
+            t.update(0, bm(&[3]));
+            t.update(0, SharingBitmap::empty());
+        }
+        // After an `off` the history is ..10 -> next is `on`.
+        assert!(t.predict(0).contains(NodeId(3)));
+        t.update(0, bm(&[3])); // history ..01 -> next is `off`
+        assert!(!t.predict(0).contains(NodeId(3)));
+    }
+
+    #[test]
+    fn pas_counters_saturate() {
+        let mut t = PredictorTable::new(&"pas(pid)1".parse().unwrap(), 4);
+        for _ in 0..100 {
+            t.update(0, bm(&[0]));
+        }
+        assert!(t.predict(0).contains(NodeId(0)));
+        // One disagreement must not unlearn the saturated pattern: once the
+        // sharing context recurs, the prediction persists.
+        t.update(0, SharingBitmap::empty());
+        t.update(0, bm(&[0]));
+        assert!(t.predict(0).contains(NodeId(0)));
+    }
+
+    /// Every history function at every depth against a newest-first
+    /// deque model: the prediction, and the raw ring read back from its
+    /// head (a regression guard for the ring position a table keeps).
+    #[test]
+    fn ring_matches_deque_model_at_every_depth() {
+        use std::collections::VecDeque;
+        let mut specs = vec!["last(pid)".to_string(), "overlap-last(pid)".to_string()];
+        for depth in 1..=MAX_DEPTH {
+            specs.push(format!("union(pid){depth}"));
+            specs.push(format!("inter(pid){depth}"));
+        }
+        for spec in specs {
+            let scheme: Scheme = spec.parse().unwrap();
+            let mut t = PredictorTable::new(&scheme, 64);
+            let depth = t.depth();
+            let mut model: VecDeque<SharingBitmap> = VecDeque::new();
+            for step in 0..3 * MAX_DEPTH as u64 + 1 {
+                let fb = SharingBitmap::from_bits(step.wrapping_mul(0x9E37_79B9) | 1);
+                t.update(0, fb);
+                model.push_front(fb);
+                model.truncate(depth);
+
+                let RawEntry::History(raw) = raw_of(&t, 0) else {
+                    panic!("{spec}: not a history entry");
+                };
+                assert_eq!(raw.depth as usize, depth, "{spec} step {step}");
+                assert_eq!(raw.len as usize, model.len(), "{spec} step {step}");
+                let ring: Vec<_> = (0..model.len())
+                    .map(|i| raw.bitmaps[(raw.head as usize + depth - i) % depth])
+                    .collect();
+                assert!(
+                    ring.iter().eq(model.iter()),
+                    "{spec} step {step}: ring order"
+                );
+
+                let union = model.iter().fold(SharingBitmap::empty(), |a, &b| a | b);
+                let want = match scheme.function {
+                    PredictionFunction::Last => model[0],
+                    PredictionFunction::Union => union,
+                    PredictionFunction::Inter if model.len() == depth => {
+                        model.iter().fold(model[0], |a, &b| a & b)
+                    }
+                    PredictionFunction::OverlapLast if model.len() == 2 => {
+                        if model[0].overlaps(model[1]) {
+                            model[0]
+                        } else {
+                            SharingBitmap::empty()
+                        }
+                    }
+                    _ => SharingBitmap::empty(),
+                };
+                assert_eq!(t.predict(0), want, "{spec} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn history_raw_round_trip_is_exact() {
+        for depth in 1..=MAX_DEPTH {
+            let scheme: Scheme = format!("inter(pid){depth}").parse().unwrap();
+            let mut t = PredictorTable::new(&scheme, 64);
+            for i in 0..2 * depth as u64 + 1 {
+                t.update(9, SharingBitmap::from_bits(i.wrapping_mul(0x1234_5677) | 1));
+                let raw = raw_of(&t, 9);
+                let mut back = PredictorTable::new(&scheme, 64);
+                back.insert_entry(9, raw.clone())
+                    .expect("own raw state is valid");
+                assert_eq!(raw_of(&back, 9), raw, "depth {depth} step {i}");
+                assert_eq!(back.predict(9), t.predict(9), "depth {depth} step {i}");
+                // The restored entry keeps training like the original.
+                let fb = SharingBitmap::from_bits(i + 7);
+                t.update(9, fb);
+                back.update(9, fb);
+                assert_eq!(raw_of(&back, 9), raw_of(&t, 9), "depth {depth} step {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn insert_entry_rejects_impossible_history() {
+        let cold = RawHistoryEntry {
+            bitmaps: [SharingBitmap::empty(); MAX_DEPTH],
+            depth: 4,
+            len: 0,
+            head: 0,
+        };
+        let one = RawHistoryEntry {
+            len: 1,
+            head: 1,
+            ..cold
+        };
+        let with = |mut raw: RawHistoryEntry, slot: usize| {
+            raw.bitmaps[slot] = bm(&[1]);
+            raw
+        };
+        for (name, bad) in [
+            ("zero depth", RawHistoryEntry { depth: 0, ..cold }),
+            ("other depth", RawHistoryEntry { depth: 2, ..cold }),
+            (
+                "oversized depth",
+                RawHistoryEntry {
+                    depth: MAX_DEPTH as u8 + 1,
+                    ..cold
+                },
+            ),
+            ("len > depth", RawHistoryEntry { len: 5, ..cold }),
+            ("head >= depth", RawHistoryEntry { head: 4, ..cold }),
+            ("head ahead of len", RawHistoryEntry { head: 3, ..one }),
+            ("dirty dead slot", with(cold, 5)),
+            ("dirty slot of a cold ring", with(cold, 0)),
+            ("dirty slot past len", with(with(one, 1), 3)),
+        ] {
+            let mut t = table("union(pid)4");
+            assert!(
+                t.insert_entry(0, RawEntry::History(bad)).is_err(),
+                "{name} accepted"
+            );
+            assert_eq!(t.entries_touched(), 0, "{name} left an entry");
+        }
+        let mut t = table("union(pid)4");
+        assert!(t.insert_entry(0, RawEntry::History(with(one, 1))).is_ok());
+        assert_eq!(t.predict(0), bm(&[1]));
+    }
+
+    #[test]
+    fn pas_raw_round_trip_is_exact() {
+        let scheme: Scheme = "pas(pid)3".parse().unwrap();
+        let mut t = PredictorTable::new(&scheme, 8);
+        for i in 0..20u8 {
+            t.update(0, bm(&[i % 8, (i * 3) % 8]));
+            let raw = raw_of(&t, 0);
+            let mut back = PredictorTable::new(&scheme, 8);
+            back.insert_entry(0, raw.clone())
+                .expect("own raw state is valid");
+            assert_eq!(raw_of(&back, 0), raw, "step {i}");
+            assert_eq!(back.predict(0), t.predict(0), "step {i}");
+        }
+    }
+
+    #[test]
+    fn insert_entry_rejects_impossible_pas() {
+        let RawEntry::Pas(good) = ({
+            let mut t = PredictorTable::new(&"pas(pid)2".parse().unwrap(), 4);
+            t.update(0, SharingBitmap::empty());
+            raw_of(&t, 0)
+        }) else {
+            panic!("not a PAs entry");
+        };
+        let mut hot = good.clone();
+        hot.counters[0] = 4;
+        let mut wide = good.clone();
+        wide.hist[0] = 0b100;
+        let mut short = good.clone();
+        short.counters.pop();
+        let deep = RawPasEntry {
+            hist: vec![0; 4],
+            counters: vec![0; 4 << 3],
+            depth: 3,
+        };
+        for (name, nodes, bad) in [
+            ("wrong nodes", 8, good.clone()),
+            ("counter above 3", 4, hot),
+            ("history bits wide", 4, wide),
+            ("short pattern table", 4, short),
+            ("other depth", 4, deep),
+        ] {
+            let mut t = PredictorTable::new(&"pas(pid)2".parse().unwrap(), nodes);
+            assert!(
+                t.insert_entry(0, RawEntry::Pas(bad)).is_err(),
+                "{name} accepted"
+            );
+            assert_eq!(t.entries_touched(), 0, "{name} left an entry");
+        }
     }
 
     #[test]
@@ -441,11 +651,7 @@ mod tests {
                 original.update(key % 13, bm(&[(key % 16) as u8]));
             }
             let mut rebuilt = PredictorTable::new(&scheme, 16);
-            for (key, view) in original.entries() {
-                let entry = match view {
-                    EntryView::History(h) => TableEntry::History(*h),
-                    EntryView::Pas(p) => TableEntry::Pas(p.clone()),
-                };
+            for (key, entry) in original.entries() {
                 rebuilt.insert_entry(key, entry).unwrap();
             }
             assert_eq!(rebuilt.entries_touched(), original.entries_touched());
@@ -460,29 +666,27 @@ mod tests {
     }
 
     #[test]
-    fn insert_entry_rejects_mismatches() {
-        let mut history = table("union(pid)3");
-        let mut pas = table("pas(pid)2");
-        assert!(history
-            .insert_entry(0, TableEntry::Pas(PasEntry::new(16, 2)))
-            .is_err());
-        assert!(pas
-            .insert_entry(0, TableEntry::History(HistoryEntry::new(2)))
-            .is_err());
-        // Right family, wrong depth.
-        assert!(history
-            .insert_entry(0, TableEntry::History(HistoryEntry::new(2)))
-            .is_err());
-        assert!(pas
-            .insert_entry(0, TableEntry::Pas(PasEntry::new(16, 3)))
-            .is_err());
-        // Right family and depth.
-        assert!(history
-            .insert_entry(0, TableEntry::History(HistoryEntry::new(3)))
-            .is_ok());
-        assert!(pas
-            .insert_entry(0, TableEntry::Pas(PasEntry::new(16, 2)))
-            .is_ok());
+    fn insert_entry_rejects_the_other_family() {
+        let history = raw_of(
+            &{
+                let mut t = table("union(pid)2");
+                t.update(0, bm(&[1]));
+                t
+            },
+            0,
+        );
+        let pas = raw_of(
+            &{
+                let mut t = table("pas(pid)2");
+                t.update(0, bm(&[1]));
+                t
+            },
+            0,
+        );
+        assert!(table("union(pid)2").insert_entry(0, pas.clone()).is_err());
+        assert!(table("pas(pid)2").insert_entry(0, history.clone()).is_err());
+        assert!(table("union(pid)2").insert_entry(0, history).is_ok());
+        assert!(table("pas(pid)2").insert_entry(0, pas).is_ok());
     }
 
     #[test]
@@ -492,19 +696,83 @@ mod tests {
         a.absorb(table("pas(pid)2"));
     }
 
-    #[test]
-    fn with_capacity_behaves_identically() {
-        let scheme: Scheme = "union(pid)2".parse().unwrap();
-        let mut hinted = PredictorTable::with_capacity(&scheme, 16, 128);
-        let mut plain = PredictorTable::new(&scheme, 16);
-        for key in 0..200u64 {
-            let fb = bm(&[(key % 16) as u8]);
-            hinted.update(key, fb);
-            plain.update(key, fb);
+    proptest! {
+        /// inter(k) ⊆ last ⊆ union(k): the containment chain behind the
+        /// paper's sensitivity ordering.
+        #[test]
+        fn prop_inter_subset_last_subset_union(
+            feedbacks in proptest::collection::vec(any::<u64>(), 1..20),
+            k in 1usize..=4,
+        ) {
+            let mut inter = table(&format!("inter(pid){k}"));
+            let mut last = table("last(pid)");
+            let mut union = table(&format!("union(pid){k}"));
+            for f in feedbacks {
+                let f = SharingBitmap::from_bits(f);
+                inter.update(0, f);
+                last.update(0, f);
+                union.update(0, f);
+            }
+            prop_assert!(inter.predict(0).is_subset(last.predict(0)));
+            prop_assert!(last.predict(0).is_subset(union.predict(0)));
         }
-        assert_eq!(hinted.entries_touched(), plain.entries_touched());
-        for key in 0..200u64 {
-            assert_eq!(hinted.predict(key), plain.predict(key));
+
+        /// Deeper unions only grow; deeper intersections only shrink.
+        #[test]
+        fn prop_depth_monotonicity(feedbacks in proptest::collection::vec(any::<u64>(), 1..20)) {
+            let mut unions: Vec<_> =
+                (1..=MAX_DEPTH).map(|d| table(&format!("union(pid){d}"))).collect();
+            let mut inters: Vec<_> =
+                (1..=MAX_DEPTH).map(|d| table(&format!("inter(pid){d}"))).collect();
+            for f in feedbacks {
+                for t in unions.iter_mut().chain(&mut inters) {
+                    t.update(0, SharingBitmap::from_bits(f));
+                }
+            }
+            for k in 0..MAX_DEPTH - 1 {
+                prop_assert!(unions[k].predict(0).is_subset(unions[k + 1].predict(0)));
+                prop_assert!(inters[k + 1].predict(0).is_subset(inters[k].predict(0)));
+            }
+        }
+
+        /// After any update sequence, at any depth and width, a PAs
+        /// table's raw export is the per-node state a plain model of the
+        /// paper's PAs holds, it predicts what that model predicts, and a
+        /// table restored from the export is the same entry.
+        #[test]
+        fn prop_pas_planes_match_per_node_model(
+            feedbacks in proptest::collection::vec(any::<u64>(), 0..40),
+            depth in 1usize..=MAX_DEPTH,
+            width in 0usize..4,
+        ) {
+            let nodes = [1, 5, 16, 64][width];
+            let scheme: Scheme = format!("pas(pid){depth}").parse().unwrap();
+            let mut t = PredictorTable::new(&scheme, nodes);
+            let mut model = RawPasEntry {
+                hist: vec![0; nodes],
+                counters: vec![0; nodes << depth],
+                depth: depth as u8,
+            };
+            for f in feedbacks {
+                let predicted = (0..nodes)
+                    .filter(|&i| model.counters[(i << depth) | model.hist[i] as usize] >= 2)
+                    .fold(0u64, |b, i| b | (1 << i));
+                prop_assert_eq!(t.predict(0).bits(), predicted);
+                t.update(0, SharingBitmap::from_bits(f));
+                for i in 0..nodes {
+                    let bit = ((f >> i) & 1) as u8;
+                    let c = &mut model.counters[(i << depth) | model.hist[i] as usize];
+                    *c = if bit == 1 { (*c + 1).min(3) } else { c.saturating_sub(1) };
+                    model.hist[i] = (((u16::from(model.hist[i]) << 1) | u16::from(bit))
+                        & ((1 << depth) - 1)) as u8;
+                }
+                let raw = RawEntry::Pas(model.clone());
+                prop_assert_eq!(raw_of(&t, 0), raw.clone());
+                let mut back = PredictorTable::new(&scheme, nodes);
+                back.insert_entry(0, raw.clone()).expect("own raw state");
+                prop_assert_eq!(raw_of(&back, 0), raw);
+                prop_assert_eq!(back.predict(0), t.predict(0));
+            }
         }
     }
 }

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benefit;
 pub mod compare;
 mod confusion;
 pub mod online;

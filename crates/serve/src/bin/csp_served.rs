@@ -1359,7 +1359,7 @@ fn cmd_snapshot(o: &Args) -> Result<ExitCode, CliError> {
     let store = SnapshotStore::open(dir.as_str()).map_err(rt)?;
     match store.load_latest().map_err(rt)? {
         Some((state, path)) => {
-            let entries: usize = state.shards.iter().map(|s| s.table.entries().count()).sum();
+            let entries: usize = state.shards.iter().map(|s| s.table.entries_touched()).sum();
             let updates: u64 = state.shards.iter().map(|s| s.updates).sum();
             println!(
                 "{}: {} over {} nodes, {} shards, seq {}, {} entries, {} updates",

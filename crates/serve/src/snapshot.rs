@@ -31,10 +31,7 @@
 
 use crate::error::ServeError;
 use crate::shard::{ShardState, ShardedEngine};
-use csp_core::{
-    EntryView, HistoryEntry, PasEntry, PredictorTable, RawHistoryEntry, RawPasEntry, Scheme,
-    TableEntry, MAX_DEPTH,
-};
+use csp_core::{PredictorTable, RawEntry, RawHistoryEntry, RawPasEntry, Scheme, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::io::{write_file_atomically, ChecksumReader, ChecksumWriter};
 use csp_trace::SharingBitmap;
@@ -139,21 +136,19 @@ pub fn write_engine_state<W: Write>(w: W, state: &EngineState) -> io::Result<()>
         ] {
             put_u64(&mut w, v)?;
         }
-        let mut entries: Vec<(u64, EntryView<'_>)> = shard.table.entries().collect();
-        entries.sort_by_key(|&(key, _)| key);
+        let mut entries: Vec<(u64, RawEntry)> = shard.table.entries().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
         put_u64(&mut w, entries.len() as u64)?;
         for (key, entry) in entries {
             put_u64(&mut w, key)?;
             match entry {
-                EntryView::History(e) => {
-                    let raw = e.to_raw();
+                RawEntry::History(raw) => {
                     w.write_all(&[raw.depth, raw.len, raw.head])?;
                     for slot in &raw.bitmaps[..raw.depth as usize] {
                         put_u64(&mut w, slot.bits())?;
                     }
                 }
-                EntryView::Pas(e) => {
-                    let raw = e.to_raw();
+                RawEntry::Pas(raw) => {
                     w.write_all(&[raw.depth])?;
                     w.write_all(&raw.hist)?;
                     w.write_all(&raw.counters)?;
@@ -245,13 +240,12 @@ pub fn read_engine_state<R: Read>(r: R) -> io::Result<EngineState> {
                     }
                     *slot = SharingBitmap::from_bits(bits);
                 }
-                let raw = RawHistoryEntry {
+                RawEntry::History(RawHistoryEntry {
                     bitmaps,
                     depth,
                     len,
                     head,
-                };
-                TableEntry::History(HistoryEntry::from_raw(&raw).map_err(bad)?)
+                })
             } else {
                 let depth = get_u8(&mut r)?;
                 if depth as usize > MAX_DEPTH {
@@ -261,12 +255,11 @@ pub fn read_engine_state<R: Read>(r: R) -> io::Result<EngineState> {
                 r.read_exact(&mut hist)?;
                 let mut counters = vec![0u8; nodes << depth];
                 r.read_exact(&mut counters)?;
-                let raw = RawPasEntry {
+                RawEntry::Pas(RawPasEntry {
                     hist,
                     counters,
                     depth,
-                };
-                TableEntry::Pas(PasEntry::from_raw(raw, nodes).map_err(bad)?)
+                })
             };
             table.insert_entry(key, entry).map_err(bad)?;
         }
@@ -556,6 +549,43 @@ mod tests {
         for len in [0, 1, 7, 8, 20, bytes.len() - 1] {
             let m = Mutation::Truncate { len };
             assert!(read_engine_state(m.apply(&bytes).as_slice()).is_err());
+        }
+    }
+
+    #[test]
+    fn impossible_rings_are_rejected_as_invalid_data() {
+        // One `union(pid)4` entry after one update: len 1, head 1.
+        let scheme: Scheme = "union(pid)4[direct]".parse().unwrap();
+        let mut shard = ShardState::empty(&scheme, 16);
+        shard
+            .table
+            .update(5, SharingBitmap::from_nodes(&[NodeId(2)]));
+        let state = EngineState {
+            scheme,
+            nodes: 16,
+            seq: 1,
+            shards: vec![shard],
+        };
+        let mut bytes = Vec::new();
+        write_engine_state(&mut bytes, &state).unwrap();
+        let header = 8 + 2 + scheme.to_string().len() + 1 + 2 + 8 + 4 + 4;
+        // Counters, entry count and key, then depth, len and head.
+        let ring = header + 8 * 8 + 8 + 8;
+        assert_eq!(bytes[ring..ring + 3], [4, 1, 1]);
+        let slot = |i: usize| ring + 3 + 8 * i;
+        assert!(read_engine_state(bytes.as_slice()).is_ok());
+        for (name, at, value) in [
+            // Slot 3 lies outside the one stored position (slot 1).
+            ("bitmap outside the stored positions", slot(3), 0x01),
+            ("head that no update count reaches", ring + 2, 3),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at] = value;
+            let body = header..bad.len() - 4;
+            let crc = csp_trace::crc32c::checksum(&bad[body.clone()]);
+            bad[body.end..].copy_from_slice(&crc.to_le_bytes());
+            let err = read_engine_state(bad.as_slice()).expect_err(name);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
         }
     }
 
