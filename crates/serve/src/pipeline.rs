@@ -12,7 +12,7 @@
 
 use crate::audit::AuditSink;
 use crate::error::ServeError;
-use crate::replication::{PromoteHook, ReplOp, ReplicationLog, Role};
+use crate::replication::{Journaled, PromoteHook, ReplOp, ReplicationLog, Role};
 use crate::shard::IngestOp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -89,7 +89,7 @@ impl Pipeline {
     /// when a log is attached. A journal failure panics rather than
     /// dispatching unjournaled operations, which would silently diverge
     /// every follower.
-    pub(crate) fn write(&self, ops: Vec<IngestOp>, dispatch: impl FnOnce(Vec<IngestOp>)) {
+    pub(crate) fn write(&self, ops: &[IngestOp], dispatch: impl FnOnce(&[IngestOp])) {
         match self.log.get() {
             Some(log) => {
                 let repl: Vec<ReplOp> = ops.iter().filter_map(ReplOp::from_ingest).collect();
@@ -100,6 +100,12 @@ impl Pipeline {
         }
     }
 
+    /// `ops` with the journal encoding the attached log writes (none
+    /// without a durable log), built before any lock is taken.
+    pub(crate) fn encode<'a>(&self, ops: &'a [ReplOp]) -> Journaled<'a> {
+        Journaled::encode(ops, self.log.get().is_some_and(|log| log.is_durable()))
+    }
+
     /// Admits a wire write claiming term `epoch` and returns the head
     /// after it: a follower refuses it, a stale claim is fenced under the
     /// log lock, and otherwise the ops are journaled, dispatched and
@@ -107,12 +113,12 @@ impl Pipeline {
     pub(crate) fn admit(
         &self,
         epoch: u64,
-        ops: &[ReplOp],
-        dispatch: impl FnOnce(Vec<IngestOp>),
+        batch: &Journaled<'_>,
+        dispatch: impl FnOnce(&[ReplOp]),
     ) -> Result<u64, ServeError> {
-        let ingest = ops.iter().map(ReplOp::to_ingest).collect();
+        let ops = batch.ops();
         let Some(log) = self.log.get() else {
-            dispatch(ingest);
+            dispatch(ops);
             let n = ops.len() as u64;
             return Ok(self.ingested.fetch_add(n, Ordering::Relaxed) + n);
         };
@@ -120,7 +126,7 @@ impl Pipeline {
         if *role == Role::Follower {
             return Err(refuse("follower is read-only; ingest at the leader"));
         }
-        let (head, ()) = log.append_claimed(epoch, false, ops, || dispatch(ingest))?;
+        let (head, ()) = log.append_claimed(epoch, false, batch, || dispatch(ops))?;
         Ok(head)
     }
 
@@ -131,8 +137,8 @@ impl Pipeline {
     pub(crate) fn follow(
         &self,
         epoch: u64,
-        ops: &[ReplOp],
-        dispatch: impl FnOnce(Vec<IngestOp>),
+        batch: &Journaled<'_>,
+        dispatch: impl FnOnce(&[ReplOp]),
     ) -> Result<u64, ServeError> {
         let log = self
             .log
@@ -142,10 +148,9 @@ impl Pipeline {
         if *role == Role::Leader {
             return Err(refuse("this engine leads; it applies no upstream segments"));
         }
-        let ingest = ops.iter().map(ReplOp::to_ingest).collect();
-        let (head, ()) = log.append_claimed(epoch, true, ops, || {
+        let (head, ()) = log.append_claimed(epoch, true, batch, || {
             self.stamp();
-            dispatch(ingest);
+            dispatch(batch.ops());
         })?;
         Ok(head)
     }

@@ -65,9 +65,10 @@ use crate::shard::{IngestOp, ShardedEngine};
 use crate::snapshot::EngineState;
 use crate::wire::{self, Request, Response};
 use csp_core::{PreparedTrace, Scheme};
-use csp_obs::Registry;
+use csp_obs::{Histogram, Registry};
 use csp_trace::journal::{read_journal, JournalHeader, SegmentWriter};
 use csp_trace::{crc32c, SharingBitmap};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -75,7 +76,7 @@ use std::net::TcpStream;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Encoded size of one [`ReplOp`]: tag, key, bitmap.
@@ -190,6 +191,76 @@ pub fn encode_ops(ops: &[ReplOp]) -> Vec<u8> {
         op.encode_into(&mut buf);
     }
     buf
+}
+
+/// Operations on their way into a [`ReplicationLog`], with the journal
+/// segments that carry them: the ops' contiguous 17-byte encodings and
+/// the CRC32c of each segment body (`count ‖ records`, at most
+/// [`MAX_SEGMENT_OPS`] ops per segment). Built once, outside the log
+/// lock, so an append writes bytes it neither encodes nor checksums.
+pub(crate) struct Journaled<'a> {
+    ops: &'a [ReplOp],
+    records: Cow<'a, [u8]>,
+    /// Each segment body's CRC, in `records` order; none when the log
+    /// keeps no journal.
+    crcs: Vec<u32>,
+}
+
+/// Record bytes of one full journal segment.
+const SEGMENT_BYTES: usize = MAX_SEGMENT_OPS * REPL_OP_LEN;
+
+impl<'a> Journaled<'a> {
+    /// Encodes and checksums `ops` in one pass when `durable` (the log
+    /// writes a journal); otherwise carries the ops alone.
+    pub(crate) fn encode(ops: &'a [ReplOp], durable: bool) -> Self {
+        if !durable || ops.is_empty() {
+            return Journaled {
+                ops,
+                records: Cow::Borrowed(&[]),
+                crcs: Vec::new(),
+            };
+        }
+        let records = encode_ops(ops);
+        let crcs = records
+            .chunks(SEGMENT_BYTES)
+            .map(|bytes| {
+                let mut crc = crc32c::Hasher::new();
+                crc.update(&((bytes.len() / REPL_OP_LEN) as u32).to_le_bytes());
+                crc.update(bytes);
+                crc.finalize()
+            })
+            .collect();
+        Journaled {
+            ops,
+            records: Cow::Owned(records),
+            crcs,
+        }
+    }
+
+    /// One segment received verbatim: `records` are the encodings `ops`
+    /// were decoded from, and `crc` is the CRC32c of `count ‖ records`.
+    pub(crate) fn verbatim(ops: &'a [ReplOp], records: &'a [u8], crc: u32) -> Self {
+        debug_assert!(ops.len() <= MAX_SEGMENT_OPS);
+        debug_assert_eq!(records.len(), ops.len() * REPL_OP_LEN);
+        Journaled {
+            ops,
+            records: Cow::Borrowed(records),
+            crcs: vec![crc],
+        }
+    }
+
+    /// The operations, in log order.
+    pub(crate) fn ops(&self) -> &'a [ReplOp] {
+        self.ops
+    }
+
+    /// Each journal segment: its op count, records and body CRC.
+    fn segments(&self) -> impl Iterator<Item = (u32, &[u8], u32)> + '_ {
+        self.records
+            .chunks(SEGMENT_BYTES)
+            .zip(&self.crcs)
+            .map(|(records, &crc)| ((records.len() / REPL_OP_LEN) as u32, records, crc))
+    }
 }
 
 /// Decodes `count` operations from `records`, validating the count
@@ -313,6 +384,8 @@ pub struct CompactStats {
 /// source subscribers stream from.
 pub struct ReplicationLog {
     fingerprint: u32,
+    /// Whether appends write a journal (fixed at construction).
+    durable: bool,
     inner: Mutex<LogInner>,
     grew: Condvar,
     /// Mirror of `LogInner::epoch` for lock-free reads.
@@ -324,6 +397,9 @@ pub struct ReplicationLog {
     /// Bytes the last compaction left on disk only because a live lease
     /// pinned them (the `csp_repl_compact_held_bytes` gauge).
     held_bytes: AtomicU64,
+    /// Write-and-flush time per journal segment, once
+    /// [`bind_metrics`](Self::bind_metrics) registered it.
+    append_ns: OnceLock<Arc<Histogram>>,
 }
 
 impl std::fmt::Debug for ReplicationLog {
@@ -340,6 +416,7 @@ impl ReplicationLog {
         let epoch = inner.epoch;
         Arc::new(ReplicationLog {
             fingerprint,
+            durable: inner.durable.is_some(),
             inner: Mutex::new(inner),
             grew: Condvar::new(),
             epoch_cell: AtomicU64::new(epoch),
@@ -347,6 +424,7 @@ impl ReplicationLog {
             lease_seq: AtomicU64::new(0),
             lease_ttl_ms: AtomicU64::new(DEFAULT_LEASE.as_millis() as u64),
             held_bytes: AtomicU64::new(0),
+            append_ns: OnceLock::new(),
         })
     }
 
@@ -391,6 +469,12 @@ impl ReplicationLog {
                 epoch,
             },
         ))
+    }
+
+    /// Whether this log writes a journal (a [`durable`](Self::durable)
+    /// log) rather than keeping its operations in memory only.
+    pub(crate) fn is_durable(&self) -> bool {
+        self.durable
     }
 
     /// The compatibility fingerprint this log was opened under.
@@ -460,7 +544,8 @@ impl ReplicationLog {
         ops: &[ReplOp],
         dispatch: impl FnOnce() -> R,
     ) -> io::Result<(u64, R)> {
-        self.append_locked(self.lock(), ops, dispatch)
+        let batch = Journaled::encode(ops, self.durable);
+        self.append_locked(self.lock(), &batch, dispatch)
     }
 
     /// [`append_with`](Self::append_with) for a write claiming fencing
@@ -473,7 +558,7 @@ impl ReplicationLog {
         &self,
         claimed: u64,
         adopt: bool,
-        ops: &[ReplOp],
+        batch: &Journaled<'_>,
         dispatch: impl FnOnce() -> R,
     ) -> Result<(u64, R), ServeError> {
         let mut inner = self.lock();
@@ -486,24 +571,32 @@ impl ReplicationLog {
         if adopt && claimed > inner.epoch {
             self.enter_epoch(&mut inner, claimed)?;
         }
-        Ok(self.append_locked(inner, ops, dispatch)?)
+        Ok(self.append_locked(inner, batch, dispatch)?)
     }
 
+    /// The one append path: writes `batch`'s ready-made segments, runs
+    /// `dispatch`, then publishes the ops.
     fn append_locked<R>(
         &self,
         mut inner: std::sync::MutexGuard<'_, LogInner>,
-        ops: &[ReplOp],
+        batch: &Journaled<'_>,
         dispatch: impl FnOnce() -> R,
     ) -> io::Result<(u64, R)> {
-        if !ops.is_empty() {
-            if let Some(d) = inner.durable.as_mut() {
-                for chunk in ops.chunks(MAX_SEGMENT_OPS) {
-                    d.writer.append(chunk.len() as u32, &encode_ops(chunk))?;
+        if let Some(d) = inner.durable.as_mut() {
+            debug_assert!(
+                batch.ops.is_empty() || !batch.records.is_empty(),
+                "an unencoded batch reached a durable log"
+            );
+            for (count, records, crc) in batch.segments() {
+                let started = Instant::now();
+                d.writer.append_checksummed(count, records, crc)?;
+                if let Some(h) = self.append_ns.get() {
+                    h.record_duration(started.elapsed());
                 }
             }
         }
         let out = dispatch();
-        inner.ops.extend(ops.iter().copied());
+        inner.ops.extend(batch.ops().iter().copied());
         let head = inner.base + inner.ops.len() as u64;
         drop(inner);
         self.grew.notify_all();
@@ -686,8 +779,15 @@ impl ReplicationLog {
     }
 
     /// Registers this log's gauges — current epoch, live downstream
-    /// leases, and compaction bytes held by laggards — on `registry`.
+    /// leases, and compaction bytes held by laggards — and its journal
+    /// append histogram on `registry`. Appends are timed from the first
+    /// call on; a second call keeps the first registry's histogram.
     pub fn bind_metrics(self: &Arc<Self>, registry: &Registry) {
+        let _ = self.append_ns.set(registry.histogram(
+            "csp_journal_append_ns",
+            "Write and flush time per journal segment appended, in nanoseconds.",
+            &[],
+        ));
         let log = Arc::clone(self);
         registry.register_gauge_fn(
             "csp_repl_epoch",
@@ -1596,6 +1696,25 @@ mod tests {
         assert_eq!(store.recover_all().unwrap().head(), 50);
     }
 
+    #[test]
+    fn bound_log_times_each_journal_segment() {
+        let dir = TempDir::new("append-ns");
+        let store = JournalStore::open(dir.path(), 42).unwrap();
+        let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
+        log.append_with(&ops(1, 3), || ()).unwrap(); // before binding: untimed
+        let registry = Registry::new();
+        log.bind_metrics(&registry);
+        log.append_with(&ops(2, MAX_SEGMENT_OPS + 1), || ())
+            .unwrap();
+        log.append_with(&[], || ()).unwrap();
+        let timed = registry.histogram("csp_journal_append_ns", "", &[]);
+        assert_eq!(
+            timed.snapshot().count(),
+            2,
+            "one sample per segment written"
+        );
+    }
+
     /// Journals 30 ops as three 10-op segments of one file in `dir`;
     /// returns the ops, the reopened store and the file's path.
     fn three_segment_journal(dir: &TempDir, seed: u64) -> (Vec<ReplOp>, JournalStore, PathBuf) {
@@ -1746,7 +1865,8 @@ mod tests {
     #[test]
     fn claimed_appends_adopt_only_newer_terms() {
         let log = ReplicationLog::in_memory(1);
-        let adopt = |epoch| log.append_claimed(epoch, true, &[], || log.epoch());
+        let none = Journaled::encode(&[], false);
+        let adopt = |epoch| log.append_claimed(epoch, true, &none, || log.epoch());
         assert_eq!(log.epoch(), 1);
         assert_eq!(adopt(1).unwrap().1, 1);
         assert_eq!(adopt(5).unwrap().1, 5);

@@ -23,7 +23,7 @@
 
 use crate::audit::AuditStreamError;
 use crate::error::ServeError;
-use crate::replication::{self, SegmentError, MAX_SEGMENT_OPS};
+use crate::replication::{self, Journaled, SegmentError, MAX_SEGMENT_OPS};
 use crate::shard::ShardedEngine;
 use crate::wire::{self, FrameRead, Request, Response, SegmentFrame, StatsReply};
 use csp_obs::{Counter, Gauge, Histogram, Registry};
@@ -488,7 +488,7 @@ pub fn serve_connection<R: Read, W: Write>(
                     "frame checksum mismatch: stored {stored:#010X}, computed {computed:#010X}"
                 ))
             }
-            FrameRead::Frame(payload) => match wire::decode_request(&payload) {
+            FrameRead::Frame { payload, crc } => match wire::decode_request(&payload) {
                 Ok(Request::Subscribe {
                     fingerprint,
                     epoch,
@@ -519,6 +519,19 @@ pub fn serve_connection<R: Read, W: Write>(
                     metrics.decode_ns.record_duration(decode_started.elapsed());
                     flush_replies(&mut writer, &metrics)?;
                     return stream_audit(&mut writer, engine, shutdown, fingerprint, from);
+                }
+                Ok(Request::Ingest {
+                    fingerprint,
+                    epoch,
+                    ops,
+                }) => {
+                    // Journaled as received: the records under a CRC
+                    // derived from the frame's verified one.
+                    metrics.ingest.inc();
+                    metrics.decode_ns.record_duration(decode_started.elapsed());
+                    let (records, records_crc) = wire::ingest_segment(&payload, crc);
+                    let batch = Journaled::verbatim(&ops, records, records_crc);
+                    ingest(engine, fingerprint, epoch, &batch)
                 }
                 Ok(request) => {
                     metrics.count_request(&request);
@@ -718,21 +731,7 @@ pub fn answer(engine: &ShardedEngine, request: Request) -> Response {
             fingerprint,
             epoch,
             ops,
-        } => {
-            let expected = replication::fingerprint(engine.scheme(), engine.nodes());
-            if fingerprint != expected {
-                return Response::Error(format!(
-                    "ingest fingerprint mismatch: got {fingerprint:#010X}, \
-                     engine is {expected:#010X} (scheme/width/revision differ)"
-                ));
-            }
-            match engine.ingest_replicated(epoch, &ops) {
-                Ok(head) => Response::IngestAck { head },
-                Err(e @ ServeError::Fenced { .. }) => Response::Error(e.to_string()),
-                Err(ServeError::Replication { detail }) => Response::Error(detail),
-                Err(e) => Response::Error(format!("ingest journal write failed: {e}")),
-            }
-        }
+        } => ingest(engine, fingerprint, epoch, &engine.pipeline().encode(&ops)),
         // Subscribe is intercepted by `serve_connection` before `answer`;
         // reaching it here means a direct caller asked for a stream a
         // single response cannot carry.
@@ -751,6 +750,30 @@ pub fn answer(engine: &ShardedEngine, request: Request) -> Response {
             Ok((epoch, head)) => Response::Promoted { epoch, head },
             Err(msg) => Response::Error(msg),
         },
+    }
+}
+
+/// The reply to an `Ingest` of `batch` claiming `fingerprint` and term
+/// `epoch`: a foreign fingerprint is refused before anything is
+/// journaled, and the admission's refusals map to error frames.
+pub(crate) fn ingest(
+    engine: &ShardedEngine,
+    fingerprint: u32,
+    epoch: u64,
+    batch: &Journaled<'_>,
+) -> Response {
+    let expected = replication::fingerprint(engine.scheme(), engine.nodes());
+    if fingerprint != expected {
+        return Response::Error(format!(
+            "ingest fingerprint mismatch: got {fingerprint:#010X}, \
+             engine is {expected:#010X} (scheme/width/revision differ)"
+        ));
+    }
+    match engine.ingest_journaled(epoch, batch) {
+        Ok(head) => Response::IngestAck { head },
+        Err(e @ ServeError::Fenced { .. }) => Response::Error(e.to_string()),
+        Err(ServeError::Replication { detail }) => Response::Error(detail),
+        Err(e) => Response::Error(format!("ingest journal write failed: {e}")),
     }
 }
 

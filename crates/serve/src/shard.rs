@@ -41,7 +41,7 @@
 
 use crate::audit::AuditSink;
 use crate::pipeline::Pipeline;
-use crate::replication::{ReplOp, ReplicationLog, Role};
+use crate::replication::{Journaled, ReplOp, ReplicationLog, Role};
 use crate::{error::ServeError, Probe};
 use csp_core::{node_bits, shard_of_key, PredictorTable, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::{ConfusionMatrix, OnlineConfusion, Screening};
@@ -644,18 +644,27 @@ impl ShardedEngine {
     /// than dispatching unjournaled operations — continuing would
     /// silently diverge every follower.
     pub fn ingest_ops(&self, ops: Vec<IngestOp>) {
-        self.pipeline.write(ops, |ops| self.dispatch_ops(ops));
+        self.pipeline
+            .write(&ops, |ops| self.dispatch(ops, |&op| op));
     }
 
-    /// Buckets `ops` per shard (preserving emission order within each
-    /// shard's FIFO) and sends. The raw dispatch under every ingest path.
-    fn dispatch_ops(&self, ops: Vec<IngestOp>) {
+    /// Buckets `ops` per shard as `to_op` maps them (preserving emission
+    /// order within each shard's FIFO) and sends. The raw dispatch under
+    /// every ingest path. Each bucket is sized on its first op for an
+    /// even share plus slack, so a batch seldom regrows one.
+    fn dispatch<T>(&self, ops: &[T], to_op: impl Fn(&T) -> IngestOp) {
         let shards = self.shards.len();
-        let mut buffers: Vec<Vec<IngestOp>> = vec![Vec::new(); shards];
+        let share = ops.len() / shards + ops.len() / 8 + 1;
+        let mut buckets: Vec<Vec<IngestOp>> = vec![Vec::new(); shards];
         for op in ops {
-            buffers[shard_of_key(op.route_key(), shards)].push(op);
+            let op = to_op(op);
+            let bucket = &mut buckets[shard_of_key(op.route_key(), shards)];
+            if bucket.capacity() == 0 {
+                bucket.reserve_exact(share);
+            }
+            bucket.push(op);
         }
-        for (s, batch) in buffers.into_iter().enumerate() {
+        for (s, batch) in buckets.into_iter().enumerate() {
             if !batch.is_empty() {
                 self.send(s, ShardMsg::Ingest(batch));
             }
@@ -718,8 +727,19 @@ impl ShardedEngine {
     /// for an epoch below the log's term, or a journal write failure;
     /// the operations were applied nowhere.
     pub fn ingest_replicated(&self, epoch: u64, ops: &[ReplOp]) -> Result<u64, ServeError> {
+        self.ingest_journaled(epoch, &self.pipeline.encode(ops))
+    }
+
+    /// [`ingest_replicated`](Self::ingest_replicated) for operations that
+    /// arrive with their journal encoding (a verified wire frame's
+    /// records), so the journal writes those bytes as they are.
+    pub(crate) fn ingest_journaled(
+        &self,
+        epoch: u64,
+        batch: &Journaled<'_>,
+    ) -> Result<u64, ServeError> {
         self.pipeline
-            .admit(epoch, ops, |ops| self.dispatch_ops(ops))
+            .admit(epoch, batch, |ops| self.dispatch(ops, ReplOp::to_ingest))
     }
 
     /// Applies one upstream segment on a follower, adopting its term
@@ -733,7 +753,9 @@ impl ShardedEngine {
     /// journal failure.
     pub fn apply_upstream(&self, epoch: u64, ops: &[ReplOp]) -> Result<u64, ServeError> {
         self.pipeline
-            .follow(epoch, ops, |ops| self.dispatch_ops(ops))
+            .follow(epoch, &self.pipeline.encode(ops), |ops| {
+                self.dispatch(ops, ReplOp::to_ingest)
+            })
     }
 
     /// Replays a full recorded trace through the engine, updating *and
@@ -1143,7 +1165,10 @@ fn shard_worker(
             .expect("only this worker writes the state")
     };
     let mut checkpoint = write().clone();
-    let mut journal: Vec<IngestOp> = Vec::new();
+    // The batches applied since the checkpoint, kept by move, and their
+    // op count.
+    let mut journal: Vec<Vec<IngestOp>> = Vec::new();
+    let mut journaled: usize = 0;
     // Decisions below the watermark are already in the audit log: on a
     // restored engine, everything before the snapshot; afterwards,
     // everything up to the last appended batch. Recovery replays recompute
@@ -1171,7 +1196,8 @@ fn shard_worker(
                 .is_ok();
                 instruments.batch_size.record(ops.len() as u64);
                 if healthy {
-                    journal.extend_from_slice(&ops);
+                    journaled += ops.len();
+                    journal.push(ops);
                 } else {
                     // The batch died partway through and may have left
                     // `state` inconsistent. Discard it: rebuild from the
@@ -1183,18 +1209,21 @@ fn shard_worker(
                     let restarts = state.restarts + 1;
                     *state = checkpoint.clone();
                     state.restarts = restarts;
-                    for &op in &journal {
+                    for &op in journal.iter().flatten() {
                         let _ = catch_unwind(AssertUnwindSafe(|| {
                             apply(&mut state, op, &mut audit_buf)
                         }));
                     }
+                    let mut kept = Vec::with_capacity(ops.len());
                     for &op in &ops {
                         if catch_unwind(AssertUnwindSafe(|| apply(&mut state, op, &mut audit_buf)))
                             .is_ok()
                         {
-                            journal.push(op);
+                            kept.push(op);
                         }
                     }
+                    journaled += kept.len();
+                    journal.push(kept);
                 }
                 if let Some(sink) = sink {
                     // Journal-before-effect: the records are framed and
@@ -1210,9 +1239,10 @@ fn shard_worker(
                 // sink attached late (against the "before traffic"
                 // contract) never re-emits earlier decisions.
                 audited = state.scored;
-                if journal.len() >= JOURNAL_CAP {
+                if journaled >= JOURNAL_CAP {
                     checkpoint = state.clone();
                     journal.clear();
+                    journaled = 0;
                 }
                 instruments.batch_ns.record_duration(started.elapsed());
             }
@@ -1227,6 +1257,7 @@ fn shard_worker(
                 // orders against.
                 checkpoint = state.clone();
                 journal.clear();
+                journaled = 0;
                 let mut captured = checkpoint.clone();
                 captured.queries = counters.queries.load(Ordering::Relaxed);
                 let _ = reply.send(captured);
@@ -1237,6 +1268,7 @@ fn shard_worker(
                 *state = *fresh;
                 checkpoint = state.clone();
                 journal.clear();
+                journaled = 0;
                 audited = state.scored;
                 counters.queries.store(state.queries, Ordering::Relaxed);
             }
@@ -1552,6 +1584,67 @@ mod tests {
             .collect();
         let (ta, tb) = (clean.shutdown(), poisoned.shutdown());
         for key in keys {
+            assert_eq!(ta.predict(key), tb.predict(key), "key {key}");
+        }
+    }
+
+    /// The worker keeps applied batches by move: a recovery must re-run
+    /// every op of several kept batches, and, just after the kept ops
+    /// cross `JOURNAL_CAP`, roll back to the checkpoint cut there.
+    #[test]
+    fn poisoned_batch_recovers_across_moved_batches_and_the_journal_cap() {
+        let trace = busy_trace(40_000);
+        let scheme: Scheme = "last(pid+pc8)1[direct]".parse().unwrap();
+        let clean = ShardedEngine::new(scheme, trace.nodes(), 1);
+        clean.replay_trace(&trace).unwrap();
+
+        // One shard, so each replay_range below (under REPLAY_CHUNK
+        // events) is exactly one batch in the worker's journal.
+        let poisoned = ShardedEngine::new(scheme, trace.nodes(), 1);
+        let prepared = PreparedTrace::new(&trace);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the injected panics
+        for range in [0..100, 100..250, 250..400] {
+            poisoned.replay_range(&prepared, range).unwrap();
+        }
+        poisoned.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        // Journaled ops since the start (no checkpoint has been cut: the
+        // poison's batch kept none).
+        let mut journaled = replay_ops(&prepared, &scheme, 0..400).len();
+        let (mut pos, mut crossed) = (400, false);
+        let mut after = 0;
+        while pos < trace.len() {
+            let end = (pos + 1000).min(trace.len());
+            poisoned.replay_range(&prepared, pos..end).unwrap();
+            journaled += replay_ops(&prepared, &scheme, pos..end).len();
+            pos = end;
+            if !crossed && journaled >= JOURNAL_CAP {
+                // This batch crossed the cap: the checkpoint is fresh and
+                // the journal empty.
+                crossed = true;
+                poisoned.ingest_ops(vec![IngestOp::Poison { key: 1 }]);
+            } else if crossed && after < 2 {
+                after += 1;
+                if after == 2 {
+                    // Two batches past the new checkpoint.
+                    poisoned.ingest_ops(vec![IngestOp::Poison { key: 2 }]);
+                }
+            }
+        }
+        std::panic::set_hook(hook);
+        assert!(crossed && after == 2, "the trace never crossed JOURNAL_CAP");
+
+        let (a, b) = (clean.stats(), poisoned.stats());
+        assert_eq!(a.confusion, b.confusion);
+        assert_eq!(
+            (a.updates, a.scored, a.entries),
+            (b.updates, b.scored, b.entries)
+        );
+        assert_eq!(b.total_restarts(), 3, "restarts: {:?}", b.restarts);
+        let nb = node_bits(trace.nodes());
+        let (ta, tb) = (clean.shutdown(), poisoned.shutdown());
+        for e in trace.events() {
+            let key = scheme.index.key_of(e, nb);
             assert_eq!(ta.predict(key), tb.predict(key), "key {key}");
         }
     }

@@ -427,6 +427,26 @@ pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
     }
 }
 
+/// Where an `Ingest` payload's `count ‖ records` begin: after the type
+/// byte, the fingerprint and the epoch.
+const INGEST_SEGMENT_AT: usize = 13;
+
+/// The records of a decoded `Ingest` payload and the CRC32c of its
+/// `count ‖ records` — the body of the journal segment that carries
+/// them. `payload_crc` is the payload's verified wire CRC; the segment's
+/// CRC is derived from it ([`crc32c::combine`]), so the records are never
+/// read for a checksum again.
+///
+/// # Panics
+///
+/// If `payload` is shorter than an `Ingest` header; call it only on a
+/// payload [`decode_request`] accepted as [`Request::Ingest`].
+pub(crate) fn ingest_segment(payload: &[u8], payload_crc: u32) -> (&[u8], u32) {
+    let (header, segment) = payload.split_at(INGEST_SEGMENT_AT);
+    let shifted = crc32c::combine(crc32c::checksum(header), 0, segment.len() as u64);
+    (&segment[4..], payload_crc ^ shifted)
+}
+
 /// Encodes a response into a payload (type byte + body).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -693,7 +713,12 @@ pub(crate) fn holds_whole_frame(buffered: &[u8]) -> bool {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameRead {
     /// A checksum-verified payload.
-    Frame(Vec<u8>),
+    Frame {
+        /// The payload bytes.
+        payload: Vec<u8>,
+        /// Their verified CRC32c (the frame's trailer).
+        crc: u32,
+    },
     /// The frame arrived whole but its payload fails the CRC. Framing is
     /// intact (length and trailer were consumed), so the connection can
     /// continue after reporting the error.
@@ -739,7 +764,10 @@ pub fn read_frame_after_first<R: Read>(r: &mut R, first: u8) -> io::Result<Frame
     if stored != computed {
         return Ok(FrameRead::BadChecksum { stored, computed });
     }
-    Ok(FrameRead::Frame(payload))
+    Ok(FrameRead::Frame {
+        payload,
+        crc: computed,
+    })
 }
 
 /// Reads one frame and verifies its checksum, returning the payload.
@@ -757,7 +785,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     match read_frame_after_first(r, first[0])? {
-        FrameRead::Frame(payload) => Ok(Some(payload)),
+        FrameRead::Frame { payload, .. } => Ok(Some(payload)),
         FrameRead::Oversized { len } => Err(invalid(format!(
             "frame length {len} exceeds the {MAX_PAYLOAD}-byte limit"
         ))),

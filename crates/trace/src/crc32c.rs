@@ -11,6 +11,11 @@
 //! loop serialized the audit emit path, where every 42-byte decision
 //! record is checksummed on the serving hot path.
 //!
+//! [`combine`] joins the checksums of two adjacent byte runs without
+//! reading either run again (zlib's `crc32_combine`), so a layer that
+//! holds a verified checksum of a larger buffer can derive the checksum
+//! of a part of it with work logarithmic in the part's length.
+//!
 //! Self-contained on purpose: the build environment has no registry
 //! access, and a hundred lines of table-driven CRC beat a dependency.
 
@@ -54,6 +59,76 @@ const fn build_tables() -> [[u32; 256]; SLICES] {
         s += 1;
     }
     table
+}
+
+/// Powers of x in [`X2N`]: x^(2^k) for every bit `k - 3` of a `u64`
+/// byte length.
+const X2N_LEN: usize = 64 + 3;
+
+/// `X2N[k]` is x^(2^k) modulo the polynomial, in the reflected bit
+/// order the tables use (bit 31 is the coefficient of x^0). Multiplying
+/// by it advances a CRC register over 2^k zero bits.
+static X2N: [u32; X2N_LEN] = build_x2n();
+
+const fn build_x2n() -> [u32; X2N_LEN] {
+    let mut table = [0u32; X2N_LEN];
+    let mut p = 1 << 30; // x^1
+    let mut k = 0;
+    while k < X2N_LEN {
+        table[k] = p;
+        p = mul_mod(p, p);
+        k += 1;
+    }
+    table
+}
+
+/// `a * b` modulo the polynomial, both in reflected bit order.
+const fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit += 1;
+    }
+    product
+}
+
+/// x^(8·len) modulo the polynomial: the factor that moves a CRC register
+/// past `len` bytes.
+fn x_pow_bytes(len: u64) -> u32 {
+    let mut p = 1 << 31; // x^0
+    let (mut n, mut k) = (len, 3);
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC32c of `a ‖ b`, given `crc_a` = CRC32c of `a`, `crc_b` = CRC32c
+/// of `b` and `len_b` = the length of `b`.
+///
+/// Because the checksum is linear, the identity also runs the other way:
+/// `combine(crc_a, 0, len_b) ^ crc_ab` is the CRC32c of `b` alone, for
+/// `crc_ab` the checksum of the whole `a ‖ b`.
+///
+/// # Example
+///
+/// ```
+/// use csp_trace::crc32c::{checksum, combine};
+///
+/// let (a, b) = (b"12345".as_slice(), b"6789".as_slice());
+/// assert_eq!(combine(checksum(a), checksum(b), 4), checksum(b"123456789"));
+/// assert_eq!(combine(checksum(a), 0, 4) ^ checksum(b"123456789"), checksum(b));
+/// ```
+pub fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    mul_mod(x_pow_bytes(len_b), crc_a) ^ crc_b
 }
 
 /// Incremental CRC32c state.
@@ -154,7 +229,7 @@ mod tests {
         assert_eq!(h.finalize(), checksum(data));
     }
 
-    /// The slice-by-8 fast path must agree with the one-table reference
+    /// The slice-by-16 fast path must agree with the one-table reference
     /// at every input length (exercising every head/tail remainder
     /// split) and across every split point of an incremental feed.
     #[test]
@@ -177,6 +252,47 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), reference(&data), "split {split}");
+        }
+    }
+
+    #[test]
+    fn combine_matches_oneshot_at_every_split() {
+        let data: Vec<u8> = (0..257u32)
+            .map(|i| (i.wrapping_mul(151) >> 2) as u8)
+            .collect();
+        let whole = checksum(&data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            let len_b = b.len() as u64;
+            assert_eq!(
+                combine(checksum(a), checksum(b), len_b),
+                whole,
+                "split {split}"
+            );
+            assert_eq!(
+                combine(checksum(a), 0, len_b) ^ whole,
+                checksum(b),
+                "split {split}, suffix derived from the whole"
+            );
+        }
+    }
+
+    /// Advancing over `m + n` bytes is advancing over `m`, then `n`, up
+    /// to lengths whose top bits reach the last power of x in the table.
+    #[test]
+    fn combine_composes_over_any_length() {
+        let crc = checksum(b"123456789");
+        for (m, n) in [
+            (1u64, 2u64),
+            (1 << 29, 3),
+            (1 << 40, (1 << 40) + 7),
+            (u64::MAX / 2, u64::MAX / 2),
+        ] {
+            assert_eq!(
+                combine(crc, 0, m + n),
+                combine(combine(crc, 0, m), 0, n),
+                "{m} + {n}"
+            );
         }
     }
 

@@ -191,21 +191,36 @@ impl<W: Write> FrameWriter<W> {
     /// [`io::ErrorKind::InvalidInput`] for a body over the format's
     /// maximum (nothing is written); otherwise propagates I/O errors.
     pub fn append(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        let mut crc = crc32c::Hasher::new();
+        for part in parts {
+            crc.update(part);
+        }
+        self.append_checksummed(parts, crc.finalize())
+    }
+
+    /// [`append`](Self::append) for a body whose CRC32c the caller
+    /// already holds: `body_crc` is the checksum of the concatenated
+    /// `parts`, and the frame's CRC is derived from it with
+    /// [`crc32c::combine`] instead of reading the body again. A wrong
+    /// `body_crc` writes a frame every reader rejects.
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](Self::append).
+    pub fn append_checksummed(&mut self, parts: &[&[u8]], body_crc: u32) -> io::Result<()> {
         let len: usize = parts.iter().map(|p| p.len()).sum();
         let (name, max) = (self.format.name, self.format.max_body);
         if len > max as usize {
             let what = format!("{name}: a {len}-byte frame exceeds the {max}-byte limit");
             return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
         }
-        let len = (len as u32).to_le_bytes();
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&len);
-        self.inner.write_all(&len)?;
+        let prefix = (len as u32).to_le_bytes();
+        let crc = crc32c::combine(crc32c::checksum(&prefix), body_crc, len as u64);
+        self.inner.write_all(&prefix)?;
         for part in parts {
-            crc.update(part);
             self.inner.write_all(part)?;
         }
-        self.inner.write_all(&crc.finalize().to_le_bytes())?;
+        self.inner.write_all(&crc.to_le_bytes())?;
         self.inner.flush()
     }
 

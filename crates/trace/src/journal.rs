@@ -131,6 +131,24 @@ impl<W: Write> SegmentWriter<W> {
     pub fn append(&mut self, count: u32, records: &[u8]) -> io::Result<()> {
         self.inner.append(&[&count.to_le_bytes(), records])
     }
+
+    /// [`append`](Self::append) for a segment whose checksum the caller
+    /// already holds: `body_crc` is the CRC32c of `count` (little-endian)
+    /// followed by `records`, the segment's frame body. The records go
+    /// out without being read for a checksum again.
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](Self::append).
+    pub fn append_checksummed(
+        &mut self,
+        count: u32,
+        records: &[u8],
+        body_crc: u32,
+    ) -> io::Result<()> {
+        self.inner
+            .append_checksummed(&[&count.to_le_bytes(), records], body_crc)
+    }
 }
 
 /// Reads a journal, tolerating a torn tail: every whole, checksummed
@@ -170,6 +188,7 @@ pub fn read_journal<R: Read>(r: R) -> io::Result<JournalContents> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32c;
 
     #[test]
     fn oversized_append_is_rejected() {
@@ -182,5 +201,27 @@ mod tests {
         let mut w = SegmentWriter::create(&mut bytes, &header).unwrap();
         let big = vec![0u8; MAX_SEGMENT_BYTES + 1];
         assert!(w.append(1, &big).is_err());
+    }
+
+    #[test]
+    fn checksummed_append_writes_the_same_bytes() {
+        let header = JournalHeader {
+            fingerprint: 7,
+            start_offset: 3,
+            epoch: 2,
+        };
+        let (records, count) = (b"seventeen bytes!!", 1u32);
+        let mut plain = Vec::new();
+        SegmentWriter::create(&mut plain, &header)
+            .and_then(|mut w| w.append(count, records))
+            .unwrap();
+        let mut body = count.to_le_bytes().to_vec();
+        body.extend_from_slice(records);
+        let mut derived = Vec::new();
+        SegmentWriter::create(&mut derived, &header)
+            .and_then(|mut w| w.append_checksummed(count, records, crc32c::checksum(&body)))
+            .unwrap();
+        assert_eq!(plain, derived);
+        assert_eq!(read_journal(derived.as_slice()).unwrap().segments.len(), 1);
     }
 }
