@@ -39,7 +39,8 @@
 //! the twin never produced is a coverage failure.
 
 use crate::error::ServeError;
-use crate::shard::{apply_op, replay_ops, ShardState, ShardedEngine};
+use crate::replication::trace_to_ops;
+use crate::shard::{apply_op, ShardState, ShardedEngine};
 use crate::snapshot::EngineState;
 use csp_core::{shard_of_key, version_fingerprint, PreparedTrace, Scheme};
 use csp_obs::Registry;
@@ -658,8 +659,8 @@ pub fn verify_log(
     let mut cursors = vec![0usize; shards];
     let mut checked = 0u64;
     let mut decisions = 0u64;
-    for op in replay_ops(prepared, scheme, start_event..prepared.len()) {
-        let s = shard_of_key(op.route_key(), shards);
+    for op in trace_to_ops(prepared, scheme, start_event..prepared.len()) {
+        let s = shard_of_key(op.key(), shards);
         let seq = states[s].scored;
         let Some((key, predicted, actual)) = apply_op(&mut states[s], op, nodes) else {
             continue;

@@ -96,7 +96,7 @@ pub use replication::{
     ReplicaStatus, ReplicationLog, DEFAULT_LEASE, MAX_SEGMENT_OPS,
 };
 pub use server::{Server, ServerOptions, ShutdownHandle};
-pub use shard::{EngineSnapshot, IngestOp, ShardCounters, ShardRestart, ShardState, ShardedEngine};
+pub use shard::{EngineSnapshot, ShardCounters, ShardRestart, ShardState, ShardedEngine};
 pub use snapshot::{EngineState, SnapshotStore};
 
 use csp_trace::{LineAddr, NodeId, Pc};

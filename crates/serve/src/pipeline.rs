@@ -3,9 +3,12 @@
 //!
 //! Each [`ShardedEngine`](crate::ShardedEngine) owns one [`Pipeline`],
 //! shared with its shard workers (they read the attached audit sink per
-//! batch). Every mutation passes through it journal-before-effect:
-//! journal append, shard dispatch and in-memory publish happen under the
-//! replication log's lock. Every term change happens here too — a
+//! batch). Every write passes through it, as [`ReplOp`]s, by one of two
+//! doors: [`Pipeline::admit`] (wire frames, replays, live events) or
+//! [`Pipeline::follow`] (a follower's upstream segments). Both check the
+//! role, then append journal-before-effect: journal append, shard
+//! dispatch and in-memory publish happen under the replication log's
+//! lock. Every term change happens here too — a
 //! promotion, a follower adopting its upstream's term, and attaching a
 //! sink to a logged engine all stamp the audit sink with the log's epoch
 //! before a decision under that term is dispatched.
@@ -13,20 +16,20 @@
 use crate::audit::AuditSink;
 use crate::error::ServeError;
 use crate::replication::{Journaled, PromoteHook, ReplOp, ReplicationLog, Role};
-use crate::shard::IngestOp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Role, term and journal of one engine.
 #[derive(Default)]
 pub(crate) struct Pipeline {
-    /// A leader until a follower's log attaches. Held across every wire
+    /// A leader until a follower's log attaches. Held across every logged
     /// write and term change, so a promotion cannot land between a
     /// write's checks and its append.
     role: Mutex<Role>,
     log: OnceLock<Arc<ReplicationLog>>,
     audit: OnceLock<Arc<AuditSink>>,
-    /// Running op count for wire-ingest acks when no log is attached.
+    /// Every op admitted so far when no log is attached: the ack head
+    /// then, with the meaning a log's head has.
     ingested: AtomicU64,
     /// Given the new epoch after each promotion.
     promoted: OnceLock<PromoteHook>,
@@ -85,31 +88,18 @@ impl Pipeline {
         Ok(())
     }
 
-    /// A local write (replay, live events): journaled before `dispatch`
-    /// when a log is attached. A journal failure panics rather than
-    /// dispatching unjournaled operations, which would silently diverge
-    /// every follower.
-    pub(crate) fn write(&self, ops: &[IngestOp], dispatch: impl FnOnce(&[IngestOp])) {
-        match self.log.get() {
-            Some(log) => {
-                let repl: Vec<ReplOp> = ops.iter().filter_map(ReplOp::from_ingest).collect();
-                log.append_with(&repl, || dispatch(ops))
-                    .expect("replication journal append failed");
-            }
-            None => dispatch(ops),
-        }
-    }
-
     /// `ops` with the journal encoding the attached log writes (none
     /// without a durable log), built before any lock is taken.
     pub(crate) fn encode<'a>(&self, ops: &'a [ReplOp]) -> Journaled<'a> {
         Journaled::encode(ops, self.log.get().is_some_and(|log| log.is_durable()))
     }
 
-    /// Admits a wire write claiming term `epoch` and returns the head
-    /// after it: a follower refuses it, a stale claim is fenced under the
-    /// log lock, and otherwise the ops are journaled, dispatched and
-    /// published. Without a log the head is a process-local count.
+    /// Admits a write claiming term `epoch` (0: none) and returns the
+    /// head after it: a follower refuses it, a stale claim is fenced
+    /// under the log lock, and otherwise the ops are journaled,
+    /// dispatched and published. Every write that does not come from
+    /// upstream enters here: wire frames, replays and live events.
+    /// Without a log the head counts every op admitted.
     pub(crate) fn admit(
         &self,
         epoch: u64,
@@ -241,7 +231,8 @@ mod tests {
     use crate::audit::AuditSink;
     use crate::replication::{self, bring_up, ReplOp, ReplicationLog, Role};
     use crate::{ServeError, ShardedEngine};
-    use csp_trace::SharingBitmap;
+    use csp_core::PreparedTrace;
+    use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -288,6 +279,26 @@ mod tests {
             Err(ServeError::Replication { detail }) => assert!(detail.contains("read-only")),
             other => panic!("a follower admitted a wire write: {other:?}"),
         }
+        // Local writes are refused too: they would fork the follower's log.
+        let event = SharingEvent::new(
+            NodeId(1),
+            Pc(0),
+            LineAddr(0),
+            NodeId(0),
+            SharingBitmap::from_bits(2),
+            Some((NodeId(0), Pc(0))),
+        );
+        let mut trace = Trace::new(16);
+        trace.push(event);
+        let refused = [
+            engine.replay_range(&PreparedTrace::new(&trace), 0..1),
+            engine.replay_trace(&trace),
+            engine.ingest_event(&event).map(|_| ()),
+        ];
+        for result in refused {
+            assert!(matches!(result, Err(ServeError::Replication { .. })));
+        }
+        assert_eq!(log.head(), 0, "a refused local write moved the log");
         assert_eq!(engine.apply_upstream(1, &[OP]).unwrap(), 1);
         assert_eq!(
             replication::promote(&engine, fp(&engine), 0).unwrap(),
@@ -298,7 +309,8 @@ mod tests {
             Err(ServeError::Replication { .. })
         ));
         assert_eq!(engine.ingest_replicated(2, &[OP]).unwrap(), 2);
-        assert_eq!(log.head(), 2);
+        assert_eq!(engine.ingest_event(&event).unwrap(), 3);
+        assert_eq!(log.head(), 3);
     }
 
     #[test]

@@ -61,10 +61,10 @@
 
 use crate::error::ServeError;
 use crate::server::ShutdownHandle;
-use crate::shard::{IngestOp, ShardedEngine};
+use crate::shard::ShardedEngine;
 use crate::snapshot::EngineState;
 use crate::wire::{self, Request, Response};
-use csp_core::{PreparedTrace, Scheme};
+use csp_core::{PreparedTrace, Scheme, UpdateMode};
 use csp_obs::{Histogram, Registry};
 use csp_trace::journal::{read_journal, JournalHeader, SegmentWriter};
 use csp_trace::{crc32c, SharingBitmap};
@@ -161,21 +161,11 @@ impl ReplOp {
         }
     }
 
-    /// The shard-inbox operation this replicated op applies as.
-    pub fn to_ingest(&self) -> IngestOp {
+    /// The predictor key this operation touches, which routes it to
+    /// its shard.
+    pub(crate) fn key(&self) -> u64 {
         match *self {
-            ReplOp::Update { key, feedback } => IngestOp::Update { key, feedback },
-            ReplOp::Score { key, actual } => IngestOp::Score { key, actual },
-        }
-    }
-
-    /// The replicated form of a shard operation; `None` for operations
-    /// that do not mutate replicated state (e.g. the test-only poison).
-    pub fn from_ingest(op: &IngestOp) -> Option<ReplOp> {
-        match *op {
-            IngestOp::Update { key, feedback } => Some(ReplOp::Update { key, feedback }),
-            IngestOp::Score { key, actual } => Some(ReplOp::Score { key, actual }),
-            IngestOp::Poison { .. } => None,
+            ReplOp::Update { key, .. } | ReplOp::Score { key, .. } => key,
         }
     }
 }
@@ -529,31 +519,22 @@ impl ReplicationLog {
         self.lock().base
     }
 
-    /// Appends `ops` and dispatches them while holding the log lock:
+    /// Appends `batch` for a write claiming fencing term `claimed` and
+    /// dispatches it, all under the log lock: the term check, then
     /// journal write (durability), then `dispatch` (shard FIFOs), then
-    /// in-memory publish, all in one critical section — which is what
-    /// makes the log order and the apply order the same total order.
-    /// Returns the new head and `dispatch`'s result.
+    /// in-memory publish, in one critical section — which is what makes
+    /// the log order and the apply order the same total order. A nonzero
+    /// claim below the current term is refused before anything is
+    /// journaled, and with `adopt` a newer claim first becomes the
+    /// current term, durably (a restarted follower must not trust a
+    /// leader it already saw deposed). Returns the new head and
+    /// `dispatch`'s result.
     ///
     /// # Errors
     ///
-    /// A journal write failure aborts the append *before* dispatch: the
-    /// operation is applied nowhere, so leader and followers still agree.
-    pub fn append_with<R>(
-        &self,
-        ops: &[ReplOp],
-        dispatch: impl FnOnce() -> R,
-    ) -> io::Result<(u64, R)> {
-        let batch = Journaled::encode(ops, self.durable);
-        self.append_locked(self.lock(), &batch, dispatch)
-    }
-
-    /// [`append_with`](Self::append_with) for a write claiming fencing
-    /// term `claimed`, checked under the same lock: a nonzero claim below
-    /// the current term is refused before anything is journaled, and
-    /// with `adopt` a newer claim first becomes the current term,
-    /// durably (a restarted follower must not trust a leader it already
-    /// saw deposed).
+    /// [`ServeError::Fenced`] for a stale claim. A journal write failure
+    /// aborts the append *before* dispatch: the operations are applied
+    /// nowhere, so leader and followers still agree.
     pub(crate) fn append_claimed<R>(
         &self,
         claimed: u64,
@@ -1047,12 +1028,12 @@ impl JournalStore {
     }
 }
 
-/// The exact operation stream [`ShardedEngine::replay_range`] would
-/// dispatch for events `range` of a prepared trace — the producer side
-/// of push-based ingest. A remote producer that pushes these operations
-/// through [`crate::Client::ingest`] trains the leader bit-identically
-/// to a local file replay, because the actuals and keys come from the
-/// same shared preparation.
+/// The exact operation stream for events `range` of a prepared trace, in
+/// emission order, mirroring the event-order definition of
+/// `csp_core::reference` exactly. [`ShardedEngine::replay_range`] admits
+/// these operations, and a remote producer pushes them through
+/// [`crate::Client::ingest`]; both derive them here, from the same shared
+/// preparation, so a remote push and a local replay cannot disagree.
 ///
 /// # Panics
 ///
@@ -1062,10 +1043,36 @@ pub fn trace_to_ops(
     scheme: &Scheme,
     range: Range<usize>,
 ) -> Vec<ReplOp> {
-    crate::shard::replay_ops(prepared, scheme, range)
-        .iter()
-        .filter_map(ReplOp::from_ingest)
-        .collect()
+    assert!(range.end <= prepared.len(), "replay range out of bounds");
+    let (keys, forward_keys) = prepared.event_keys(scheme.index, range.clone());
+    let (has_prev, invalidated, actuals) = (
+        prepared.has_prev(),
+        prepared.invalidated(),
+        prepared.actuals(),
+    );
+    let mut out = Vec::with_capacity(range.len() * 2);
+    for (k, i) in range.enumerate() {
+        let (key, actual, feedback) = (keys[k], actuals[i], invalidated[i]);
+        let score = ReplOp::Score { key, actual };
+        // Direct trains the writer's own entry before predicting,
+        // forwarded the previous writer's; ordered predicts first, then
+        // trains on the event's own readers.
+        match scheme.update {
+            UpdateMode::Direct if has_prev[i] => {
+                out.extend([ReplOp::Update { key, feedback }, score]);
+            }
+            UpdateMode::Forwarded if has_prev[i] => {
+                let key = forward_keys[k];
+                out.extend([ReplOp::Update { key, feedback }, score]);
+            }
+            UpdateMode::Direct | UpdateMode::Forwarded => out.push(score),
+            UpdateMode::Ordered => {
+                let feedback = actual;
+                out.extend([score, ReplOp::Update { key, feedback }]);
+            }
+        }
+    }
+    out
 }
 
 /// Captures engine state as an exact cut at the replication log's head,
@@ -1159,7 +1166,7 @@ pub fn bring_up(
             let skip = (snap_seq - base) as usize;
             let tail = recovered.ops.get(skip..).unwrap_or(&[]);
             if !tail.is_empty() {
-                engine.ingest_ops(tail.iter().map(ReplOp::to_ingest).collect());
+                engine.ingest_replicated(0, tail)?;
                 engine.flush();
                 reapplied = tail.len();
             }
@@ -1594,6 +1601,13 @@ mod tests {
             .collect()
     }
 
+    /// Appends `ops` as a write claiming no term; returns the head
+    /// after them.
+    fn append(log: &ReplicationLog, ops: &[ReplOp]) -> u64 {
+        let batch = Journaled::encode(ops, log.is_durable());
+        log.append_claimed(0, false, &batch, || ()).unwrap().0
+    }
+
     #[test]
     fn op_codec_round_trips() {
         let original = ops(7, 100);
@@ -1632,10 +1646,8 @@ mod tests {
     fn log_appends_serve_segments_in_order() {
         let log = ReplicationLog::in_memory(1);
         let batch = ops(3, 10);
-        let (head, ()) = log.append_with(&batch[..4], || ()).unwrap();
-        assert_eq!(head, 4);
-        let (head, ()) = log.append_with(&batch[4..], || ()).unwrap();
-        assert_eq!(head, 10);
+        assert_eq!(append(&log, &batch[..4]), 4);
+        assert_eq!(append(&log, &batch[4..]), 10);
         let seg = log.wait_segment(0, 6, Duration::from_millis(10)).unwrap();
         assert_eq!(seg.start, 0);
         assert_eq!(seg.head, 10);
@@ -1647,7 +1659,7 @@ mod tests {
     #[test]
     fn caught_up_subscriber_gets_heartbeats_and_edges_are_typed() {
         let log = ReplicationLog::in_memory(1);
-        log.append_with(&ops(3, 5), || ()).unwrap();
+        append(&log, &ops(3, 5));
         // Caught up: an empty heartbeat after the timeout.
         let seg = log.wait_segment(5, 100, Duration::from_millis(5)).unwrap();
         assert!(seg.ops.is_empty());
@@ -1675,10 +1687,10 @@ mod tests {
         {
             let store = JournalStore::open(dir.path(), 42).unwrap();
             let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-            log.append_with(&batch[..20], || ()).unwrap();
+            append(&log, &batch[..20]);
             // Snapshot at 20: rotate, prune below 20.
             log.compact(20).unwrap();
-            log.append_with(&batch[20..], || ()).unwrap();
+            append(&log, &batch[20..]);
         }
         let store = JournalStore::open(dir.path(), 42).unwrap();
         let recovered = store.recover_all().unwrap();
@@ -1701,12 +1713,11 @@ mod tests {
         let dir = TempDir::new("append-ns");
         let store = JournalStore::open(dir.path(), 42).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-        log.append_with(&ops(1, 3), || ()).unwrap(); // before binding: untimed
+        append(&log, &ops(1, 3)); // before binding: untimed
         let registry = Registry::new();
         log.bind_metrics(&registry);
-        log.append_with(&ops(2, MAX_SEGMENT_OPS + 1), || ())
-            .unwrap();
-        log.append_with(&[], || ()).unwrap();
+        append(&log, &ops(2, MAX_SEGMENT_OPS + 1));
+        append(&log, &[]);
         let timed = registry.histogram("csp_journal_append_ns", "", &[]);
         assert_eq!(
             timed.snapshot().count(),
@@ -1722,7 +1733,7 @@ mod tests {
         let store = JournalStore::open(dir.path(), 7).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
         for chunk in batch.chunks(10) {
-            log.append_with(chunk, || ()).unwrap();
+            append(&log, chunk);
         }
         drop(log);
         let store = JournalStore::open(dir.path(), 7).unwrap();
@@ -1771,7 +1782,7 @@ mod tests {
         let dir = TempDir::new("foreign");
         let store = JournalStore::open(dir.path(), 1).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-        log.append_with(&ops(1, 5), || ()).unwrap();
+        append(&log, &ops(1, 5));
         drop(log);
         let store = JournalStore::open(dir.path(), 2).unwrap();
         assert!(matches!(
@@ -1785,7 +1796,7 @@ mod tests {
         let dir = TempDir::new("abort");
         let store = JournalStore::open(dir.path(), 9).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-        log.append_with(&ops(2, 3), || ()).unwrap();
+        append(&log, &ops(2, 3));
         // Remove the directory out from under the *next rotation* to
         // force an append failure path.
         fs::remove_dir_all(dir.path()).unwrap();
@@ -1800,7 +1811,11 @@ mod tests {
         let ran = std::cell::Cell::new(false);
         // The current writer's fd is still valid, so appends succeed and
         // the log stays consistent.
-        let (head, ()) = log.append_with(&ops(2, 3), || ran.set(true)).unwrap();
+        let more = ops(2, 3);
+        let batch = Journaled::encode(&more, true);
+        let (head, ()) = log
+            .append_claimed(0, false, &batch, || ran.set(true))
+            .unwrap();
         assert!(ran.get());
         assert_eq!(head, 6);
     }
@@ -1810,7 +1825,7 @@ mod tests {
         let dir = TempDir::new("reclaim");
         let store = JournalStore::open(dir.path(), 9).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-        log.append_with(&ops(5, 40), || ()).unwrap();
+        append(&log, &ops(5, 40));
         let stats = log.compact(40).unwrap();
         assert_eq!(stats.floor, 40);
         // The pre-rotation file held 40 encoded ops plus framing.
@@ -1839,7 +1854,7 @@ mod tests {
         let dir = TempDir::new("lease");
         let store = JournalStore::open(dir.path(), 9).unwrap();
         let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-        log.append_with(&ops(5, 20), || ()).unwrap();
+        append(&log, &ops(5, 20));
         // A live downstream at offset 5 pins the horizon.
         let lease = log.lease_grant(5);
         assert_eq!(log.lease_count(), 1);
@@ -1886,7 +1901,7 @@ mod tests {
     #[test]
     fn segments_carry_the_current_epoch() {
         let log = ReplicationLog::in_memory_at(1, 0, 4);
-        log.append_with(&ops(3, 2), || ()).unwrap();
+        append(&log, &ops(3, 2));
         let seg = log.wait_segment(0, 100, Duration::from_millis(5)).unwrap();
         assert_eq!(seg.epoch, 4);
         log.bump_epoch(0).unwrap();
@@ -1902,10 +1917,10 @@ mod tests {
             let store = JournalStore::open(dir.path(), 3).unwrap();
             let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
             assert_eq!(log.epoch(), 1);
-            log.append_with(&batch[..10], || ()).unwrap();
+            append(&log, &batch[..10]);
             // Promotion: the new term is journaled before it's live.
             assert_eq!(log.bump_epoch(0).unwrap(), 2);
-            log.append_with(&batch[10..], || ()).unwrap();
+            append(&log, &batch[10..]);
         }
         let store = JournalStore::open(dir.path(), 3).unwrap();
         let recovered = store.recover_all().unwrap();

@@ -801,14 +801,16 @@ mod tests {
     fn engine() -> Arc<ShardedEngine> {
         let engine = ShardedEngine::new("last(pid)1[direct]".parse().unwrap(), 16, 2);
         for pid in 0..16u8 {
-            engine.ingest_event(&SharingEvent::new(
-                NodeId(pid),
-                Pc(0),
-                LineAddr(0),
-                NodeId(0),
-                SharingBitmap::singleton(NodeId(15 - pid)),
-                Some((NodeId(pid), Pc(0))),
-            ));
+            engine
+                .ingest_event(&SharingEvent::new(
+                    NodeId(pid),
+                    Pc(0),
+                    LineAddr(0),
+                    NodeId(0),
+                    SharingBitmap::singleton(NodeId(15 - pid)),
+                    Some((NodeId(pid), Pc(0))),
+                ))
+                .unwrap();
         }
         engine.flush();
         Arc::new(engine)

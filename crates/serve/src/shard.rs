@@ -41,7 +41,7 @@
 
 use crate::audit::AuditSink;
 use crate::pipeline::Pipeline;
-use crate::replication::{Journaled, ReplOp, ReplicationLog, Role};
+use crate::replication::{trace_to_ops, Journaled, ReplOp, ReplicationLog, Role};
 use crate::{error::ServeError, Probe};
 use csp_core::{node_bits, shard_of_key, PredictorTable, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::{ConfusionMatrix, OnlineConfusion, Screening};
@@ -56,48 +56,10 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Operations batched into a shard's inbox by the ingest path.
-#[derive(Clone, Copy, Debug)]
-pub enum IngestOp {
-    /// Deliver a feedback bitmap to `key`'s entry.
-    Update {
-        /// The predictor index key to train.
-        key: u64,
-        /// The invalidation feedback to shift in.
-        feedback: SharingBitmap,
-    },
-    /// Predict through `key`'s entry and score the prediction against
-    /// `actual` in the shard's live confusion counters.
-    Score {
-        /// The predictor index key to consult.
-        key: u64,
-        /// The ground-truth reader bitmap for this decision.
-        actual: SharingBitmap,
-    },
-    /// Test-only: panics the applying worker, exercising supervision.
-    /// Routed to the shard owning `key`; never affects table state (a
-    /// supervised recovery skips it).
-    #[doc(hidden)]
-    Poison {
-        /// Routing key (picks which shard's worker panics).
-        key: u64,
-    },
-}
-
-impl IngestOp {
-    /// The key that routes this operation to its shard.
-    pub(crate) fn route_key(&self) -> u64 {
-        match *self {
-            IngestOp::Update { key, .. } | IngestOp::Score { key, .. } => key,
-            IngestOp::Poison { key } => key,
-        }
-    }
-}
-
 /// Messages a shard worker consumes.
 enum ShardMsg {
-    /// A batch of in-order ingest operations.
-    Ingest(Vec<IngestOp>),
+    /// This shard's share of one admitted write, in log order.
+    Ingest(Vec<ReplOp>),
     /// A barrier: the reply proves every earlier message on this inbox
     /// has been applied.
     Barrier(Sender<()>),
@@ -321,54 +283,6 @@ const INBOX_DEPTH: usize = 64;
 /// (and, on a replicating leader, one journal append of at most twice
 /// this many operations).
 const REPLAY_CHUNK: usize = 8192;
-
-/// The exact operation stream [`ShardedEngine::replay_range`] dispatches
-/// for events `range` of a prepared trace, in emission order, mirroring
-/// the event-order definition of `csp_core::reference` exactly. Local
-/// replay and the producer side of push-based ingest
-/// ([`crate::replication::trace_to_ops`]) both derive their operations
-/// here, from the same shared preparation, so a remote push and a local
-/// replay cannot disagree.
-///
-/// # Panics
-///
-/// Panics if `range` is out of bounds for the prepared trace.
-pub fn replay_ops(
-    prepared: &PreparedTrace<'_>,
-    scheme: &Scheme,
-    range: Range<usize>,
-) -> Vec<IngestOp> {
-    assert!(range.end <= prepared.len(), "replay range out of bounds");
-    let (keys, forward_keys) = prepared.event_keys(scheme.index, range.clone());
-    let (has_prev, invalidated, actuals) = (
-        prepared.has_prev(),
-        prepared.invalidated(),
-        prepared.actuals(),
-    );
-    let mut out = Vec::with_capacity((range.end.saturating_sub(range.start)) * 2);
-    for (k, i) in range.enumerate() {
-        let (key, actual, feedback) = (keys[k], actuals[i], invalidated[i]);
-        let score = IngestOp::Score { key, actual };
-        // Direct trains the writer's own entry before predicting,
-        // forwarded the previous writer's; ordered predicts first, then
-        // trains on the event's own readers.
-        match scheme.update {
-            UpdateMode::Direct if has_prev[i] => {
-                out.extend([IngestOp::Update { key, feedback }, score]);
-            }
-            UpdateMode::Forwarded if has_prev[i] => {
-                let key = forward_keys[k];
-                out.extend([IngestOp::Update { key, feedback }, score]);
-            }
-            UpdateMode::Direct | UpdateMode::Forwarded => out.push(score),
-            UpdateMode::Ordered => {
-                let feedback = actual;
-                out.extend([score, IngestOp::Update { key, feedback }]);
-            }
-        }
-    }
-    out
-}
 
 /// An online prediction engine partitioned over worker-thread shards.
 ///
@@ -595,7 +509,9 @@ impl ShardedEngine {
 
     /// Streams one live event into the predictor (no scoring): the update
     /// half of the engine loop, for deployments that learn from a
-    /// coherence feed while serving queries.
+    /// coherence feed while serving queries. Admitted like a wire write,
+    /// so a leader journals it and a follower refuses it; returns the
+    /// head after it.
     ///
     /// `direct` trains the current writer's entry, `forwarded` the
     /// previous writer's (Figure 3 of the paper). `ordered` is the
@@ -603,62 +519,34 @@ impl ShardedEngine {
     /// *future* readers, which a live stream cannot know — so it falls
     /// back to `direct` here; use [`replay_trace`](Self::replay_trace)
     /// for faithful ordered replay of a recorded trace.
-    pub fn ingest_event(&self, event: &SharingEvent) {
-        let op = match self.scheme.update {
-            UpdateMode::Forwarded => {
-                self.scheme
-                    .index
-                    .forward_key_of(event, self.node_bits)
-                    .map(|key| IngestOp::Update {
-                        key,
-                        feedback: event.invalidated,
-                    })
-            }
-            UpdateMode::Direct | UpdateMode::Ordered => {
-                event.prev_writer.is_some().then(|| IngestOp::Update {
-                    key: self.scheme.index.key_of(event, self.node_bits),
-                    feedback: event.invalidated,
-                })
-            }
+    ///
+    /// # Errors
+    ///
+    /// As [`ingest_replicated`](Self::ingest_replicated).
+    pub fn ingest_event(&self, event: &SharingEvent) -> Result<u64, ServeError> {
+        let key = match self.scheme.update {
+            UpdateMode::Forwarded => self.scheme.index.forward_key_of(event, self.node_bits),
+            UpdateMode::Direct | UpdateMode::Ordered => event
+                .prev_writer
+                .map(|_| self.scheme.index.key_of(event, self.node_bits)),
         };
-        if let Some(op) = op {
-            // Through ingest_ops so a replicating leader journals live
-            // events exactly like replayed ones.
-            self.ingest_ops(vec![op]);
-        }
+        let op = key.map(|key| ReplOp::Update {
+            key,
+            feedback: event.invalidated,
+        });
+        self.ingest_replicated(0, op.as_slice())
     }
 
-    /// Routes a pre-built batch of raw operations to their shards, in
-    /// order. The low-level ingest path behind
-    /// [`ingest_event`](Self::ingest_event), exposed for callers that
-    /// compute keys themselves (custom feeds, fault-injection tests).
-    ///
-    /// When a replication log is attached (see
-    /// [`attach_replication`](Self::attach_replication)), the batch's
-    /// replicable operations are journaled and the dispatch happens
-    /// under the log lock, so followers observe the same total order.
-    ///
-    /// # Panics
-    ///
-    /// On a replicating engine, a journal write failure panics rather
-    /// than dispatching unjournaled operations — continuing would
-    /// silently diverge every follower.
-    pub fn ingest_ops(&self, ops: Vec<IngestOp>) {
-        self.pipeline
-            .write(&ops, |ops| self.dispatch(ops, |&op| op));
-    }
-
-    /// Buckets `ops` per shard as `to_op` maps them (preserving emission
-    /// order within each shard's FIFO) and sends. The raw dispatch under
-    /// every ingest path. Each bucket is sized on its first op for an
-    /// even share plus slack, so a batch seldom regrows one.
-    fn dispatch<T>(&self, ops: &[T], to_op: impl Fn(&T) -> IngestOp) {
+    /// Buckets `ops` per shard (preserving emission order within each
+    /// shard's FIFO) and sends: the raw dispatch under every admitted
+    /// write. Each bucket is sized on its first op for an even share plus
+    /// slack, so a batch seldom regrows one.
+    fn dispatch(&self, ops: &[ReplOp]) {
         let shards = self.shards.len();
         let share = ops.len() / shards + ops.len() / 8 + 1;
-        let mut buckets: Vec<Vec<IngestOp>> = vec![Vec::new(); shards];
-        for op in ops {
-            let op = to_op(op);
-            let bucket = &mut buckets[shard_of_key(op.route_key(), shards)];
+        let mut buckets: Vec<Vec<ReplOp>> = vec![Vec::new(); shards];
+        for &op in ops {
+            let bucket = &mut buckets[shard_of_key(op.key(), shards)];
             if bucket.capacity() == 0 {
                 bucket.reserve_exact(share);
             }
@@ -717,9 +605,11 @@ impl ShardedEngine {
     }
 
     /// Admits operations sent under fencing term `epoch` (0: no claim)
-    /// and returns the head after them: the ingest path behind
-    /// [`crate::wire::Request::Ingest`]. With a log attached the head is
-    /// the durable journal offset; without one, a running count.
+    /// and returns the head after them: the one admission path for every
+    /// write that does not come from upstream — [`crate::wire::Request::Ingest`]
+    /// frames, replays and live events. With a log attached the head is
+    /// the durable journal offset; without one, a count of every op
+    /// admitted.
     ///
     /// # Errors
     ///
@@ -738,8 +628,7 @@ impl ShardedEngine {
         epoch: u64,
         batch: &Journaled<'_>,
     ) -> Result<u64, ServeError> {
-        self.pipeline
-            .admit(epoch, batch, |ops| self.dispatch(ops, ReplOp::to_ingest))
+        self.pipeline.admit(epoch, batch, |ops| self.dispatch(ops))
     }
 
     /// Applies one upstream segment on a follower, adopting its term
@@ -753,9 +642,7 @@ impl ShardedEngine {
     /// journal failure.
     pub fn apply_upstream(&self, epoch: u64, ops: &[ReplOp]) -> Result<u64, ServeError> {
         self.pipeline
-            .follow(epoch, &self.pipeline.encode(ops), |ops| {
-                self.dispatch(ops, ReplOp::to_ingest)
-            })
+            .follow(epoch, &self.pipeline.encode(ops), |ops| self.dispatch(ops))
     }
 
     /// Replays a full recorded trace through the engine, updating *and
@@ -769,8 +656,7 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::WidthMismatch`] when the trace's machine width
-    /// differs from the engine's.
+    /// As [`replay_range`](Self::replay_range).
     pub fn replay_trace(&self, trace: &Trace) -> Result<(), ServeError> {
         self.replay_prepared(&PreparedTrace::new(trace))
     }
@@ -785,8 +671,7 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::WidthMismatch`] when the trace's machine width
-    /// differs from the engine's.
+    /// As [`replay_range`](Self::replay_range).
     pub fn replay_prepared(&self, prepared: &PreparedTrace<'_>) -> Result<(), ServeError> {
         self.replay_range(prepared, 0..prepared.len())
     }
@@ -797,12 +682,16 @@ impl ShardedEngine {
     /// `replay_range` chunks with [`snapshot_state`](Self::snapshot_state)
     /// calls, and because each chunk flushes before returning, every
     /// snapshot captures *exactly* the events replayed so far — an exact
-    /// prefix cut, restorable to bit-identical state.
+    /// prefix cut, restorable to bit-identical state. Each chunk is
+    /// admitted like a wire write claiming no term
+    /// ([`ingest_replicated`](Self::ingest_replicated)`(0, ..)`).
     ///
     /// # Errors
     ///
     /// [`ServeError::WidthMismatch`] when the trace's machine width
-    /// differs from the engine's.
+    /// differs from the engine's; otherwise the first chunk's refusal
+    /// (a follower) or journal failure, with the chunks before it
+    /// applied.
     ///
     /// # Panics
     ///
@@ -825,7 +714,7 @@ impl ShardedEngine {
         let mut pos = range.start;
         while pos < range.end {
             let end = range.end.min(pos + REPLAY_CHUNK);
-            self.ingest_ops(replay_ops(prepared, &self.scheme, pos..end));
+            self.ingest_replicated(0, &trace_to_ops(prepared, &self.scheme, pos..end))?;
             pos = end;
         }
         self.flush();
@@ -1049,7 +938,7 @@ impl Drop for ShardedEngine {
 /// time and journal memory.
 const JOURNAL_CAP: usize = 1 << 16;
 
-/// Applies one ingest operation to a shard's state. The only function a
+/// Applies one operation to a shard's state. The only function a
 /// supervised recovery has to re-run, so *all* state mutation funnels
 /// through it. A scored decision returns `(key, predicted, actual)` —
 /// the payload of an audit record — so the live emit path and the
@@ -1057,22 +946,23 @@ const JOURNAL_CAP: usize = 1 << 16;
 #[inline]
 pub(crate) fn apply_op(
     state: &mut ShardState,
-    op: IngestOp,
+    op: ReplOp,
     nodes: usize,
 ) -> Option<(u64, SharingBitmap, SharingBitmap)> {
     match op {
-        IngestOp::Update { key, feedback } => {
+        ReplOp::Update { key, feedback } => {
+            #[cfg(test)]
+            assert!(feedback != tests::POISON, "injected poison op");
             state.table.update(key, feedback);
             state.updates += 1;
             None
         }
-        IngestOp::Score { key, actual } => {
+        ReplOp::Score { key, actual } => {
             let predicted = state.table.predict(key);
             state.confusion.record(predicted, actual, nodes);
             state.scored += 1;
             Some((key, predicted, actual))
         }
-        IngestOp::Poison { .. } => panic!("injected poison op"),
     }
 }
 
@@ -1104,7 +994,7 @@ impl AuditEmit {
 #[inline]
 fn apply_op_audited(
     state: &mut ShardState,
-    op: IngestOp,
+    op: ReplOp,
     nodes: usize,
     shard: u16,
     emit: Option<AuditEmit>,
@@ -1167,7 +1057,7 @@ fn shard_worker(
     let mut checkpoint = write().clone();
     // The batches applied since the checkpoint, kept by move, and their
     // op count.
-    let mut journal: Vec<Vec<IngestOp>> = Vec::new();
+    let mut journal: Vec<Vec<ReplOp>> = Vec::new();
     let mut journaled: usize = 0;
     // Decisions below the watermark are already in the audit log: on a
     // restored engine, everything before the snapshot; afterwards,
@@ -1289,6 +1179,20 @@ mod tests {
         nodes.iter().map(|&n| NodeId(n)).collect()
     }
 
+    /// An `Update` carrying this feedback panics the applying worker
+    /// (test builds only), exercising supervision. A recovery skips it,
+    /// so it never reaches table state.
+    pub(super) const POISON: SharingBitmap = SharingBitmap::from_bits(u64::MAX);
+
+    /// Sends one poison op, as its own batch, to `key`'s shard.
+    fn poison(engine: &ShardedEngine, key: u64) {
+        let op = ReplOp::Update {
+            key,
+            feedback: POISON,
+        };
+        engine.ingest_replicated(0, &[op]).unwrap();
+    }
+
     /// Alternating writers over several lines: exercises forwarded update
     /// across shard boundaries.
     fn busy_trace(events: usize) -> Trace {
@@ -1381,7 +1285,7 @@ mod tests {
             let nb = node_bits(trace.nodes());
             let mut offline = PredictorTable::new(&scheme, trace.nodes());
             for event in trace.events() {
-                engine.ingest_event(event);
+                engine.ingest_event(event).unwrap();
                 match scheme.update {
                     UpdateMode::Forwarded => {
                         if let Some(fkey) = scheme.index.forward_key_of(event, nb) {
@@ -1412,14 +1316,21 @@ mod tests {
         let engine = ShardedEngine::new("last(pid)1[direct]".parse().unwrap(), 16, 4);
         // Train each pid entry with a distinct bitmap via streaming ingest.
         for pid in 0..16u8 {
-            engine.ingest_event(&SharingEvent::new(
-                NodeId(pid),
-                Pc(0),
-                LineAddr(0),
-                NodeId(0),
-                bm(&[pid]),
-                Some((NodeId(pid), Pc(0))),
-            ));
+            let head = engine
+                .ingest_event(&SharingEvent::new(
+                    NodeId(pid),
+                    Pc(0),
+                    LineAddr(0),
+                    NodeId(0),
+                    bm(&[pid]),
+                    Some((NodeId(pid), Pc(0))),
+                ))
+                .unwrap();
+            assert_eq!(
+                head,
+                u64::from(pid) + 1,
+                "the unlogged head counts each event"
+            );
         }
         engine.flush();
         let keys: Vec<u64> = (0..16u64).rev().collect();
@@ -1451,15 +1362,15 @@ mod tests {
             for i in 0..2000u64 {
                 // Filler updates ahead of the target keep the worker busy
                 // when the query arrives.
-                let mut ops: Vec<IngestOp> = (0..64)
-                    .map(|k| IngestOp::Update {
+                let mut ops: Vec<ReplOp> = (0..64)
+                    .map(|k| ReplOp::Update {
                         key: 100 + k,
                         feedback: bm(&[(k % 16) as u8]),
                     })
                     .collect();
                 let (key, feedback) = (i % 8, bm(&[(i % 16) as u8, ((i / 16) % 16) as u8]));
-                ops.push(IngestOp::Update { key, feedback });
-                engine.ingest_ops(ops);
+                ops.push(ReplOp::Update { key, feedback });
+                engine.ingest_replicated(0, &ops).unwrap();
                 if engine.predict_keys(&[key])[0] != feedback {
                     stale.push(i);
                 }
@@ -1503,7 +1414,7 @@ mod tests {
         // A supervised restart keeps the count.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
-        engine.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        poison(&engine, 0);
         engine.flush();
         std::panic::set_hook(hook);
         assert_eq!(engine.stats().total_restarts(), 1);
@@ -1560,10 +1471,10 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the injected panics
         poisoned.replay_range(&prepared, 0..200).unwrap();
-        // One ingest_ops call per poison: each arrives as its own batch,
+        // One write per poison: each arrives as its own batch,
         // so each is its own supervised recovery.
         for key in 0..3 {
-            poisoned.ingest_ops(vec![IngestOp::Poison { key }]);
+            poison(&poisoned, key);
         }
         poisoned.replay_range(&prepared, 200..trace.len()).unwrap();
         std::panic::set_hook(hook);
@@ -1607,27 +1518,27 @@ mod tests {
         for range in [0..100, 100..250, 250..400] {
             poisoned.replay_range(&prepared, range).unwrap();
         }
-        poisoned.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        poison(&poisoned, 0);
         // Journaled ops since the start (no checkpoint has been cut: the
         // poison's batch kept none).
-        let mut journaled = replay_ops(&prepared, &scheme, 0..400).len();
+        let mut journaled = trace_to_ops(&prepared, &scheme, 0..400).len();
         let (mut pos, mut crossed) = (400, false);
         let mut after = 0;
         while pos < trace.len() {
             let end = (pos + 1000).min(trace.len());
             poisoned.replay_range(&prepared, pos..end).unwrap();
-            journaled += replay_ops(&prepared, &scheme, pos..end).len();
+            journaled += trace_to_ops(&prepared, &scheme, pos..end).len();
             pos = end;
             if !crossed && journaled >= JOURNAL_CAP {
                 // This batch crossed the cap: the checkpoint is fresh and
                 // the journal empty.
                 crossed = true;
-                poisoned.ingest_ops(vec![IngestOp::Poison { key: 1 }]);
+                poison(&poisoned, 1);
             } else if crossed && after < 2 {
                 after += 1;
                 if after == 2 {
                     // Two batches past the new checkpoint.
-                    poisoned.ingest_ops(vec![IngestOp::Poison { key: 2 }]);
+                    poison(&poisoned, 2);
                 }
             }
         }
@@ -1753,7 +1664,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
         engine.replay_range(&prepared, 0..150).unwrap();
-        engine.ingest_ops(vec![IngestOp::Poison { key: 0 }]);
+        poison(&engine, 0);
         engine.replay_range(&prepared, 150..trace.len()).unwrap();
         std::panic::set_hook(hook);
 
@@ -1810,6 +1721,9 @@ mod tests {
         let snap = engine.stats();
         let merged: ConfusionMatrix = snap.per_shard.iter().copied().sum();
         assert_eq!(merged, snap.confusion);
+        // Without a log, the ack head counts every op the replay admitted.
+        let head = engine.ingest_replicated(0, &[]).unwrap();
+        assert_eq!(head, snap.updates + snap.scored);
         assert_eq!(snap.per_shard.len(), 5);
         assert!(snap.per_shard.iter().filter(|m| m.decisions() > 0).count() > 1);
     }

@@ -26,14 +26,16 @@ const NODES: u8 = 16;
 fn trained_engine() -> Arc<ShardedEngine> {
     let engine = ShardedEngine::new("last(pid)1[direct]".parse().unwrap(), NODES as usize, 3);
     for pid in 0..NODES {
-        engine.ingest_event(&SharingEvent::new(
-            NodeId(pid),
-            Pc(0),
-            LineAddr(0),
-            NodeId(0),
-            SharingBitmap::singleton(NodeId(NODES - 1 - pid)),
-            Some((NodeId(pid), Pc(0))),
-        ));
+        engine
+            .ingest_event(&SharingEvent::new(
+                NodeId(pid),
+                Pc(0),
+                LineAddr(0),
+                NodeId(0),
+                SharingBitmap::singleton(NodeId(NODES - 1 - pid)),
+                Some((NodeId(pid), Pc(0))),
+            ))
+            .unwrap();
     }
     engine.flush();
     Arc::new(engine)

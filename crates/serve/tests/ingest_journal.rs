@@ -2,13 +2,16 @@
 //! segment CRC derived from the frame's verified wire CRC. These tests
 //! pin what that must not change: a journal written through a real
 //! socket is byte-for-byte the journal `ingest_replicated` encodes for
-//! the same operations, and a damaged frame is refused without touching
-//! the journal.
+//! the same operations, a damaged frame is refused without touching
+//! the journal, and a local replay journals the ops a push of the same
+//! trace does.
 
-use csp_serve::replication::{self, MAX_SEGMENT_OPS};
+use csp_core::PreparedTrace;
+use csp_serve::replication::{self, trace_to_ops, MAX_SEGMENT_OPS};
 use csp_serve::wire::{self, Request, Response};
 use csp_serve::{Client, JournalStore, ReplOp, ReplicationLog, Server, ShardedEngine};
 use csp_trace::SharingBitmap;
+use csp_workloads::{generate_benchmark, Benchmark};
 use std::fs;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -167,4 +170,43 @@ fn bit_flipped_ingest_frame_is_refused_and_journals_nothing() {
         Response::IngestAck { head: after } => assert_eq!(after, head + 40),
         other => panic!("the intact frame was answered with {other:?}"),
     }
+}
+
+/// A trace replayed into one leader and the same trace's `trace_to_ops`
+/// pushed over a socket into another journal the same ops. Compared as
+/// ops, not bytes: replay cuts a segment per replay chunk, the client
+/// one per frame.
+#[test]
+fn local_replay_and_pushed_replay_journal_the_same_ops() {
+    let dir = TempDir::new("agree");
+    let (replay_dir, push_dir) = (dir.path("replay"), dir.path("push"));
+    let trace = generate_benchmark(Benchmark::Mp3d, 0.15, 3).trace;
+    let ops = trace_to_ops(
+        &PreparedTrace::new(&trace),
+        &SCHEME.parse().unwrap(),
+        0..trace.len(),
+    );
+    assert!(
+        ops.len() > MAX_SEGMENT_OPS,
+        "both paths must cut several segments"
+    );
+
+    let (replayed, replay_log) = leader(&replay_dir);
+    replayed.replay_trace(&trace).unwrap();
+    let (pushed, push_log) = leader(&push_dir);
+    let mut client = Client::connect_tcp(serve(pushed)).unwrap();
+    assert_eq!(
+        client.ingest(fingerprint(), &ops).unwrap(),
+        ops.len() as u64
+    );
+    assert_eq!(replay_log.head(), push_log.head());
+
+    let recover = |dir: &Path| {
+        let store = JournalStore::open(dir, fingerprint()).unwrap();
+        store.recover_all().unwrap()
+    };
+    let (from_replay, from_push) = (recover(&replay_dir), recover(&push_dir));
+    assert_eq!(from_replay.head(), from_push.head());
+    assert_eq!(from_replay.ops, from_push.ops);
+    assert_eq!(from_replay.ops, ops);
 }

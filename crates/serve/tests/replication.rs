@@ -1123,6 +1123,18 @@ fn leader_bring_up_refuses_a_snapshot_ahead_of_the_journal() {
     assert!(stderr.contains("ahead of the journal head"), "{stderr}");
 }
 
+/// Journals four ops into `log` through a leader engine's ingest path,
+/// then closes the log.
+fn journal_four_ops(scheme: &Scheme, log: std::sync::Arc<ReplicationLog>) {
+    let engine = ShardedEngine::new(*scheme, 16, 1);
+    engine.attach_replication(log).unwrap();
+    let op = ReplOp::Update {
+        key: 7,
+        feedback: SharingBitmap::from_bits(1),
+    };
+    engine.ingest_replicated(0, &[op; 4]).unwrap();
+}
+
 /// A follower whose local journal ends before the restored snapshot
 /// would resume with a gap, so bring-up refuses it and names the fix.
 #[test]
@@ -1132,12 +1144,7 @@ fn follower_bring_up_refuses_a_journal_behind_the_snapshot() {
     let scheme: Scheme = SCHEME.parse().unwrap();
     let store = JournalStore::open(&snap_dir, replication::fingerprint(&scheme, 16)).unwrap();
     let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
-    let op = ReplOp::Update {
-        key: 7,
-        feedback: SharingBitmap::from_bits(1),
-    };
-    log.append_with(&[op; 4], || ()).unwrap();
-    drop(log);
+    journal_four_ops(&scheme, log);
     let (code, stderr) = serve_restored(&snap_dir, &["--follow", "127.0.0.1:1"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("remove stale journal"), "{stderr}");
@@ -1157,12 +1164,7 @@ fn both_roles_bring_up_refuses_a_journal_that_starts_after_the_snapshot() {
         ..Recovered::default()
     };
     let log = ReplicationLog::durable(store, &recovered).unwrap();
-    let op = ReplOp::Update {
-        key: 7,
-        feedback: SharingBitmap::from_bits(1),
-    };
-    log.append_with(&[op; 4], || ()).unwrap();
-    drop(log);
+    journal_four_ops(&scheme, log);
     for role in [&["--replicate"][..], &["--follow", "127.0.0.1:1"]] {
         let (code, stderr) = serve_restored(&snap_dir, role);
         assert_eq!(code, Some(1), "{role:?}: {stderr}");
